@@ -2,42 +2,37 @@
 
 A deliberately small LP toolkit: nonnegative (or free) variables, three
 relation kinds, one objective, and a two-phase primal simplex with Bland's
-rule over exact rationals.  There is no floating point anywhere, no
-tolerance knobs, and statuses are decided exactly: ``optimal``,
-``infeasible`` or ``unbounded``.
+rule.  The tableau is sparse and integer: each row is a ``{column: int}``
+dict whose rational value is the row divided by its basic entry, as in
+integer-preserving elimination (Bareiss) and the integer pivoting of lrs.
+There is no floating point anywhere, no tolerance knobs, and statuses are
+decided exactly: ``optimal``, ``infeasible`` or ``unbounded``.  Values are
+returned as backend rationals (``rat``).
 
-The pivot inner loop runs through a compiled Cython kernel when available
-(``robustflow._speedups``), falling back to the pure-Python twin; set
-``ROBUSTFLOW_PURE_PYTHON=1`` to force the fallback.
+Every optimum is re-checked against the constraints before it is returned;
+a failed check raises :class:`LpCheckError`, also under ``python -O``.
 """
 
 from __future__ import annotations
 
-import os
+from collections import defaultdict
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .rational import ONE, ZERO, rat
 
-if os.environ.get("ROBUSTFLOW_PURE_PYTHON"):
-    from . import _pivot_py as _kernel
-
-    KERNEL = "python"
-else:
-    try:
-        from . import _speedups as _kernel  # type: ignore[attr-defined]
-
-        KERNEL = "compiled"
-    except ImportError:
-        from . import _pivot_py as _kernel
-
-        KERNEL = "python"
+KERNEL = "sparse-int"
 
 _RELATIONS = ("<=", ">=", "==")
 
 
 class LpError(ValueError):
     """Malformed LP input."""
+
+
+class LpCheckError(AssertionError):
+    """The solver's result failed one of its own exact checks."""
 
 
 @dataclass
@@ -136,8 +131,77 @@ def dump_lp(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _normalize(row: dict, rhs: int) -> int:
+    """Divide ``row`` in place, and ``rhs``, by their gcd; returns the new ``rhs``."""
+    g = gcd(rhs, *row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+        rhs //= g
+    return rhs
+
+
+def _integer_row(coeffs: Mapping, rhs) -> tuple:
+    """The primitive integer multiple ``(row, rhs)`` of a rational row."""
+    den = lcm(int(rhs.denominator), *(int(c.denominator) for c in coeffs.values()))
+    row = {j: int(c.numerator) * (den // int(c.denominator)) for j, c in coeffs.items()}
+    return row, _normalize(row, int(rhs.numerator) * (den // int(rhs.denominator)))
+
+
+def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int, colrows=None, i=None) -> int:
+    """Zero ``row[col]`` by adding a multiple of ``prow``, whose ``col`` entry is positive.
+
+    ``row`` is first scaled by a positive integer, so the sign of every
+    multiple it stands for is kept; the result is primitive.  When
+    ``colrows`` is given, row ``i``'s entries in it are kept current.
+    Returns the new right-hand side.
+    """
+    piv = prow[col]
+    e = row[col]
+    g = gcd(piv, e)
+    k, f = piv // g, e // g
+    if k != 1:
+        for j in row:
+            row[j] *= k
+        rhs *= k
+    get = row.get
+    for j, v in prow.items():
+        w = get(j)
+        if w is None:
+            row[j] = -f * v
+            if colrows is not None:
+                colrows[j].add(i)
+        else:
+            w -= f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+                if colrows is not None:
+                    colrows[j].discard(i)
+    return _normalize(row, rhs - f * prhs)
+
+
 class _Simplex:
-    """Dense-tableau two-phase simplex with Bland's rule, exact arithmetic.
+    """Two-phase primal simplex with Bland's rule on sparse integer rows.
+
+    Columns are the structural ones (a free variable takes two), one slack
+    per ``<=`` row (an equality is split into two ``<=`` rows), then one
+    artificial per row with a negative right-hand side, then one slack per
+    pin row.  Row ``i`` is a dict ``{column: int}`` with the integer
+    right-hand side ``rhs[i]``; it stands for the rational tableau row
+    obtained by dividing by its basic entry ``rows[i][basis[i]]``, which is
+    kept positive.  Every row is kept primitive (divided by the gcd of its
+    entries), so each rational row has one integer form.  The objective row
+    is a positive integer multiple of the reduced costs: only its signs are
+    read.  ``colrows`` maps each column to the rows where it is nonzero, so
+    a pivot touches only those rows.
+
+    An artificial column is stored only as the basic entry of its own row
+    and is dropped when it leaves the basis, so it can never enter.  The
+    entering column is the smallest one with a positive reduced cost and the
+    ratio test breaks ties on the smallest basic column, the same pivots as
+    on a dense rational tableau.
 
     Kept as an object so a solved tableau can be extended with pin rows and
     re-optimized for lexicographic objectives without a cold restart.
@@ -157,152 +221,137 @@ class _Simplex:
                 n += 1
             else:
                 self.col_neg.append(None)
-        self.nstruct = n
         # Constraints in <= form (equalities become two rows).
         halves = []
         for con in lp.constraints:
-            dense = [ZERO] * n
-            for j, c in con.coeffs.items():
-                dense[self.col_pos[j]] += c
-                if self.col_neg[j] is not None:
-                    dense[self.col_neg[j]] -= c
+            coeffs = self._columns(con.coeffs)
             if con.rel in ("<=", "=="):
-                halves.append((dense, con.rhs))
+                halves.append((coeffs, con.rhs))
             if con.rel in (">=", "=="):
-                halves.append(([-c for c in dense], -con.rhs))
-        m = len(halves)
-        art_rows = [i for i, (_, b) in enumerate(halves) if b < 0]
-        ncols = n + m + len(art_rows)
+                halves.append(({j: -c for j, c in coeffs.items()}, -con.rhs))
+        self.ncols = n + len(halves)
+        self.artificial: set = set()
         self.rows: list = []
+        self.rhs: list = []
         self.basis: list = []
-        self.enterable = [True] * ncols
-        art_at = n + m
-        for i, (dense, b) in enumerate(halves):
-            row = list(dense) + [ZERO] * (m + len(art_rows)) + [b]
-            row[n + i] = ONE
+        self.colrows = defaultdict(set)
+        self.obj: dict = {}
+        for i, (coeffs, b) in enumerate(halves):
+            coeffs[n + i] = ONE
+            basic = n + i
             if b < 0:
-                for j in range(ncols):
-                    row[j] = -row[j]
-                row[-1] = -b
-                row[art_at] = ONE
-                self.enterable[art_at] = False
-                self.basis.append(art_at)
-                art_at += 1
-            else:
-                self.basis.append(n + i)
-            self.rows.append(row)
-        self.ncols = ncols
-        self.has_artificials = bool(art_rows)
-        self.obj: list = []
+                coeffs = {j: -c for j, c in coeffs.items()}
+                b = -b
+                basic = self.ncols
+                self.ncols += 1
+                coeffs[basic] = ONE
+                self.artificial.add(basic)
+            self._add_row(*_integer_row(coeffs, b), basic)
+
+    def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
+        """Rational column coefficients of a linear form over the LP's variables."""
+        out = {}
+        for j, c in coeffs.items():
+            c = sign * rat(c)
+            if c:
+                out[self.col_pos[j]] = c
+                if self.col_neg[j] is not None:
+                    out[self.col_neg[j]] = -c
+        return out
+
+    def _add_row(self, row: dict, rhs: int, basic: int) -> None:
+        i = len(self.rows)
+        self.rows.append(row)
+        self.rhs.append(rhs)
+        self.basis.append(basic)
+        for j in row:
+            self.colrows[j].add(i)
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, i: int, col: int) -> None:
-        prow = self.rows[i]
-        piv = prow[col]
-        if piv != 1:
-            for j in range(len(prow)):
-                if prow[j]:
-                    prow[j] = prow[j] / piv
-        nz = [j for j in range(len(prow)) if prow[j]]
-        others = self.rows[:i] + self.rows[i + 1 :]
-        others.append(self.obj)
-        _kernel.eliminate(others, prow, col, nz)
-        self.basis[i] = col
+    def _pivot(self, r: int, col: int) -> None:
+        prow = self.rows[r]
+        leaving = self.basis[r]
+        if leaving in self.artificial:
+            del prow[leaving]
+            self.colrows[leaving].discard(r)
+        prhs = self.rhs[r]
+        if prow[col] < 0:
+            for j in prow:
+                prow[j] = -prow[j]
+            prhs = -prhs
+        self.rhs[r] = prhs = _normalize(prow, prhs)
+        for i in list(self.colrows[col]):
+            if i != r:
+                self.rhs[i] = _cancel(self.rows[i], self.rhs[i], prow, prhs, col, self.colrows, i)
+        if col in self.obj:
+            _cancel(self.obj, 0, prow, prhs, col)
+        self.basis[r] = col
 
     def _run(self) -> str:
-        rows, basis, obj = self.rows, self.basis, self.obj
+        rows, rhs, basis, obj = self.rows, self.rhs, self.basis, self.obj
         while True:
-            col = -1
-            for j in range(self.ncols):
-                if self.enterable[j] and obj[j] > 0:
-                    col = j
-                    break
+            col = min((j for j, v in obj.items() if v > 0), default=-1)
             if col < 0:
                 return "optimal"
-            best_i = -1
-            best_ratio = None
-            for i, row in enumerate(rows):
-                a = row[col]
+            # Ratio test: the smallest rhs[i] / rows[i][col] over positive
+            # entries, compared by cross-multiplication; ties go to the
+            # smallest basic column.
+            best = -1
+            for i in self.colrows[col]:
+                a = rows[i][col]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_i])
-                    ):
-                        best_ratio = ratio
-                        best_i = i
-            if best_i < 0:
+                    if best < 0:
+                        best, num, den = i, rhs[i], a
+                        continue
+                    lhs, rhs_best = rhs[i] * den, num * a
+                    if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[best]):
+                        best, num, den = i, rhs[i], a
+            if best < 0:
                 return "unbounded"
-            self._pivot(best_i, col)
+            self._pivot(best, col)
+
+    def _set_objective(self, coeffs: Mapping) -> None:
+        """Reduced-cost row of ``coeffs`` (a column -> rational map) at the current basis."""
+        obj, _ = _integer_row(coeffs, ZERO)
+        for i, b in enumerate(self.basis):
+            if b in obj:
+                _cancel(obj, 0, self.rows[i], self.rhs[i], b)
+        self.obj = obj
 
     # -- phases -----------------------------------------------------------
 
     def _phase1(self) -> bool:
         """Returns True when a feasible basis was reached."""
-        if not self.has_artificials:
+        if not self.artificial:
             return True
-        obj = [ZERO] * (self.ncols + 1)
-        for i, row in enumerate(self.rows):
-            if not self.enterable[self.basis[i]]:
-                for j in range(self.ncols + 1):
-                    if row[j]:
-                        obj[j] = obj[j] + row[j]
-        for j in range(self.ncols):
-            if not self.enterable[j]:
-                obj[j] = obj[j] - ONE
-        self.obj = obj
-        status = self._run()
-        assert status == "optimal", "phase 1 cannot be unbounded"
-        if self.obj[-1] != 0:
+        self._set_objective({a: -ONE for a in self.artificial})
+        if self._run() != "optimal":
+            raise LpCheckError("phase 1 cannot be unbounded")
+        if any(self.rhs[i] for i, b in enumerate(self.basis) if b in self.artificial):
             return False
-        # Drive leftover artificials (all at value 0) out of the basis.
-        drop = []
+        # Drive leftover artificials (all at value 0) out of the basis.  Every
+        # row has a nonzero slack entry (its slack part is, up to signs, a
+        # row of the inverse basis), so there is always a column to pivot on
+        # and no row is ever redundant, even with duplicated equalities.
         for i in range(len(self.rows)):
-            if not self.enterable[self.basis[i]]:
-                row = self.rows[i]
-                col = next((j for j in range(self.ncols) if self.enterable[j] and row[j]), None)
-                if col is None:
-                    drop.append(i)
-                else:
-                    self._pivot(i, col)
-        for i in reversed(drop):
-            del self.rows[i]
-            del self.basis[i]
+            if self.basis[i] in self.artificial:
+                self._pivot(i, min(j for j in self.rows[i] if j != self.basis[i]))
         return True
 
     def _phase2(self, coeffs: Mapping) -> str:
-        obj = [ZERO] * (self.ncols + 1)
-        sign = ONE if self.lp.sense == "max" else -ONE
-        for j, c in coeffs.items():
-            obj[self.col_pos[j]] += sign * c
-            if self.col_neg[j] is not None:
-                obj[self.col_neg[j]] -= sign * c
-        for i, row in enumerate(self.rows):
-            f = obj[self.basis[i]]
-            if f:
-                for j in range(self.ncols + 1):
-                    if row[j]:
-                        obj[j] = obj[j] - f * row[j]
-        self.obj = obj
+        self._set_objective(self._columns(coeffs, 1 if self.lp.sense == "max" else -1))
         return self._run()
 
     # -- results ----------------------------------------------------------
 
-    def column_values(self) -> list:
-        vals = [ZERO] * self.ncols
-        for i, row in enumerate(self.rows):
-            vals[self.basis[i]] = row[-1]
-        return vals
-
     def var_values(self) -> tuple:
-        cols = self.column_values()
+        cols = {b: rat(self.rhs[i], self.rows[i][b]) for i, b in enumerate(self.basis)}
         out = []
         for j in range(self.lp.n_vars):
-            v = cols[self.col_pos[j]]
+            v = cols.get(self.col_pos[j], ZERO)
             if self.col_neg[j] is not None:
-                v = v - cols[self.col_neg[j]]
+                v = v - cols.get(self.col_neg[j], ZERO)
             out.append(v)
         return tuple(out)
 
@@ -313,30 +362,18 @@ class _Simplex:
 
     def pin_objective(self, coeffs: Mapping, value) -> None:
         """Add rows fixing ``coeffs . x == value``; the current vertex stays basic."""
-        for sense_flip in (False, True):
-            ncols = self.ncols
-            for row in self.rows:
-                row.insert(ncols, ZERO)
-            self.obj = []
-            dense = [ZERO] * (ncols + 2)
-            for j, c in coeffs.items():
-                c = rat(c) if not sense_flip else -rat(c)
-                dense[self.col_pos[j]] += c
-                if self.col_neg[j] is not None:
-                    dense[self.col_neg[j]] -= c
-            dense[ncols] = ONE
-            dense[-1] = rat(value) if not sense_flip else -rat(value)
-            self.ncols = ncols + 1
-            self.enterable.append(True)
-            for i, row in enumerate(self.rows):
-                f = dense[self.basis[i]]
-                if f:
-                    for j in range(self.ncols + 1):
-                        if row[j]:
-                            dense[j] = dense[j] - f * row[j]
-            assert dense[-1] == 0, "pin row must be tight at the solved vertex"
-            self.rows.append(dense)
-            self.basis.append(ncols)
+        for sign in (1, -1):
+            slack = self.ncols
+            self.ncols += 1
+            pin = self._columns(coeffs, sign)
+            pin[slack] = ONE
+            row, rhs = _integer_row(pin, sign * rat(value))
+            for i, b in enumerate(self.basis):
+                if b in row:
+                    rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
+            if rhs != 0:
+                raise LpCheckError("pin row must be tight at the solved vertex")
+            self._add_row(row, rhs, slack)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -360,11 +397,13 @@ def _solve_with(simplex: _Simplex):
 
 def _verify(lp: LinearProgram, values: Sequence) -> None:
     for j in range(lp.n_vars):
-        assert lp.free[j] or values[j] >= 0, "solver produced a negative variable"
+        if not (lp.free[j] or values[j] >= 0):
+            raise LpCheckError("solver produced a negative variable")
     for con in lp.constraints:
         lhs = sum((c * values[j] for j, c in con.coeffs.items()), ZERO)
         ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
-        assert ok, f"solver violated constraint {con.label or ''}"
+        if not ok:
+            raise LpCheckError(f"solver violated constraint {con.label or ''}")
 
 
 def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
@@ -383,5 +422,6 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
     values = simplex.var_values()
     _verify(lp, values)
     primary = simplex.objective_of(lp.objective, values)
-    assert primary == first.objective_value, "lexicographic step moved the primary objective"
+    if primary != first.objective_value:
+        raise LpCheckError("lexicographic step moved the primary objective")
     return LexSolution("optimal", primary, simplex.objective_of(secondary, values), values)

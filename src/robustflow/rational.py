@@ -1,8 +1,8 @@
 """Exact rational arithmetic backend.
 
 All flow values, capacities and LP coefficients in this package are exact
-rationals.  gmpy2's ``mpq`` is used when available (roughly an order of
-magnitude faster inside the simplex), otherwise ``fractions.Fraction``.
+rationals.  gmpy2's ``mpq`` is used when it is installed (the optional
+``gmpy2`` extra), otherwise ``fractions.Fraction``.
 Both types hash and compare interchangeably, so callers may mix them freely;
 ``rat()`` is the canonical constructor.
 """
