@@ -24,6 +24,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -643,7 +644,9 @@ def cmd_suite(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each ``parse_args`` gives a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="robustflow",
         description="Exact workbench for robust maximum flows (static and over time).",
@@ -733,8 +736,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except InfeasibleFlowError as exc:
         print("infeasible flow:", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  {violation}", file=sys.stderr)
+        for line in exc.lines:
+            print(f"  {line}", file=sys.stderr)
         return 4
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from .network import (
     validate_network,
 )
 from .rational import ONE, ZERO, rat
-from .static_models import InfeasibleFlowError, ModelBuild, Violation, _Rows
+from .static_models import InfeasibleFlowError, ModelBuild, ModelCheckError, Violation, _Rows
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
 
@@ -583,7 +583,8 @@ def nominal_dynamic_max_flow(inst: DynamicInstance):
             )
     expanded = Network(nodes, arcs, src, snk)
     value, flow, cut = nominal_max_flow(expanded)
-    assert value == cut, "max-flow value must match its min-cut certificate"
+    if value != cut:
+        raise ModelCheckError("max-flow value must match its min-cut certificate")
     values = {
         copies[cid]: val for cid, val in flow.items() if cid in copies and val != 0
     }
@@ -831,9 +832,10 @@ def solve_dynamic(
         {key: lp_values[col] for key, col in build.flow_vars.items() if lp_values[col] != 0},
     )
     report = evaluate_dynamic(flow, inst, catalog, build.kind, guard=guard)
-    assert report.robust_value == objective, (
-        f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
-    )
-    if maximize_nominal:
-        assert report.nominal_value == lex.secondary_value, "nominal value mismatch"
+    if report.robust_value != objective:
+        raise ModelCheckError(
+            f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
+        )
+    if maximize_nominal and report.nominal_value != lex.secondary_value:
+        raise ModelCheckError("nominal value mismatch")
     return flow, report

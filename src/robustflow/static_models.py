@@ -66,10 +66,19 @@ class Violation:
 
 
 class InfeasibleFlowError(NetworkError):
+    """A flow failed the evaluator's checks; ``lines`` formats each violation once."""
+
     def __init__(self, violations) -> None:
         self.violations = tuple(violations)
-        lines = "\n  ".join(str(v) for v in self.violations)
-        super().__init__(f"flow is infeasible:\n  {lines}")
+        self.lines = tuple(str(v) for v in self.violations)
+        super().__init__()
+
+    def __str__(self) -> str:
+        return "flow is infeasible:\n  " + "\n  ".join(self.lines)
+
+
+class ModelCheckError(AssertionError):
+    """A model's result failed one of its exact cross-checks."""
 
 
 @dataclass(frozen=True)
@@ -411,6 +420,26 @@ def decompose_gamma1_solution(
     return StaticFlow("subpath", values)
 
 
+def _projected_sums(entries, scenarios):
+    """Sum the hit values of ``entries`` once per distinct scenario projection.
+
+    ``entries`` are ``(key, arcset, value)`` triples.  A scenario's projection
+    is the ordered tuple of its arcs that lie in the union of the arcsets;
+    scenarios with the same projection hit the same entries.  Returns the
+    projections in scenario order and a dict from each distinct projection to
+    the sum of the values of the entries it hits.
+    """
+    union = frozenset().union(*(arcset for _, arcset, _ in entries))
+    projections = [tuple(filter(union.__contains__, scenario)) for scenario in scenarios]
+    sums = {}
+    for projection in projections:
+        if projection not in sums:
+            sums[projection] = sum(
+                (val for _, arcset, val in entries if not arcset.isdisjoint(projection)), ZERO
+            )
+    return projections, sums
+
+
 def evaluate_static(
     flow: StaticFlow,
     net: Network,
@@ -425,6 +454,14 @@ def evaluate_static(
     arc/subpath kinds) and computes the worst case by exhaustive scenario
     enumeration over all arcs.  Raises :class:`InfeasibleFlowError` with all
     violations when the flow is not feasible.
+
+    A sum over flow-carrying routes only depends on the part of a scenario
+    that meets those routes' arcs, so each scenario is projected onto that
+    union (:func:`_projected_sums`) and the rationals are summed and compared
+    once per distinct projection, not once per scenario.  The cost is
+    O(scenarios x nodes) tuple lookups plus one rational sum per distinct
+    projection; violations and worst scenarios still come out in scenario
+    order.
     """
     if flow.kind not in ("path", "arc", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
@@ -501,32 +538,31 @@ def evaluate_static(
                 outflow = sum((e[2] for e in support if e[0] in starter_ids), ZERO)
             if outflow == 0:
                 continue
-            for scenario in scenario_set.scenarios:
-                hit = set(scenario)
-                surviving = sum((val for _, arcset, val in incoming if not (arcset & hit)), ZERO)
+            total_in = sum((val for _, _, val in incoming), ZERO)
+            projections, hit_sums = _projected_sums(incoming, scenario_set.scenarios)
+            short = {}
+            for projection, hit in hit_sums.items():
+                surviving = total_in - hit
                 if surviving < outflow:
-                    violations.append(
-                        Violation(
-                            "conservation",
-                            v,
-                            scenario,
-                            f"surviving inflow {surviving} < outflow {outflow}",
-                        )
-                    )
+                    short[projection] = f"surviving inflow {surviving} < outflow {outflow}"
+            if not short:
+                continue
+            for scenario, projection in zip(scenario_set.scenarios, projections):
+                detail = short.get(projection)
+                if detail is not None:
+                    violations.append(Violation("conservation", v, scenario, detail))
     if violations:
         raise InfeasibleFlowError(violations)
     # Worst case over the exhaustive scenario set.
     nominal = sum((val for _, _, val in t_support), ZERO)
-    worst_loss = None
-    worst = []
-    for scenario in scenario_set.scenarios:
-        hit = set(scenario)
-        loss = sum((val for _, arcset, val in t_support if arcset & hit), ZERO)
-        if worst_loss is None or loss > worst_loss:
-            worst_loss = loss
-            worst = [scenario]
-        elif loss == worst_loss:
-            worst.append(scenario)
+    projections, losses = _projected_sums(t_support, scenario_set.scenarios)
+    worst_loss = max(losses.values())
+    top = {projection for projection, loss in losses.items() if loss == worst_loss}
+    worst = tuple(
+        scenario
+        for scenario, projection in zip(scenario_set.scenarios, projections)
+        if projection in top
+    )
     exposure: dict = {}
     for key, arcset, value in t_support:
         arcs = arcset
@@ -536,14 +572,13 @@ def evaluate_static(
             arcs = catalog.subpaths[key].arcs
         for a in arcs:
             exposure[a] = exposure.get(a, ZERO) + value
-    if gamma == 1:
-        peak = max(exposure.values(), default=ZERO)
-        assert worst_loss == peak, "budget-1 worst loss must equal the peak exposure"
+    if gamma == 1 and worst_loss != max(exposure.values(), default=ZERO):
+        raise ModelCheckError("budget-1 worst loss must equal the peak exposure")
     return RobustReport(
         nominal_value=nominal,
         robust_value=nominal - worst_loss,
         worst_loss=worst_loss,
-        worst_scenarios=tuple(worst),
+        worst_scenarios=worst,
         per_arc_exposure=exposure,
     )
 
@@ -560,7 +595,7 @@ def prune_low_indegree(
 
     At such a node the adversary can cut all incoming arcs, so feasibility
     already forces the outgoing subpath flow to zero (error if it is not),
-    and the incoming subpath flow is useless.  The robust value is asserted
+    and the incoming subpath flow is useless.  The robust value is checked
     unchanged.
     """
     if flow.kind != "subpath":
@@ -583,7 +618,8 @@ def prune_low_indegree(
         {i: v for i, v in flow.values.items() if i not in doomed and rat(v) != 0},
     )
     after = evaluate_static(pruned, net, catalog, gamma, guard=guard)
-    assert after.robust_value == before.robust_value, "pruning changed the robust value"
+    if after.robust_value != before.robust_value:
+        raise ModelCheckError("pruning changed the robust value")
     return pruned
 
 
@@ -643,9 +679,10 @@ def solve_static(
             {i: values[col] for i, col in build.flow_vars.items() if values[col] != 0},
         )
     report = evaluate_static(flow, net, catalog, gamma, guard=guard)
-    assert report.robust_value == objective, (
-        f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
-    )
-    if maximize_nominal:
-        assert report.nominal_value == lex.secondary_value, "nominal value mismatch"
+    if report.robust_value != objective:
+        raise ModelCheckError(
+            f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
+        )
+    if maximize_nominal and report.nominal_value != lex.secondary_value:
+        raise ModelCheckError("nominal value mismatch")
     return flow, report

@@ -1,11 +1,20 @@
 """End-to-end CLI runs: generate, solve, evaluate, compare, suites, exit codes."""
 
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from robustflow import dumps, rat
-from robustflow.cli import main
+from robustflow import (
+    dumps,
+    gen_random,
+    instance_to_json,
+    nominal_max_flow,
+    rat,
+    rational_to_json,
+)
+from robustflow.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -93,6 +102,58 @@ def test_evaluate_infeasible_flow_exits_4(tmp_path, capsys):
     assert code == 4
     assert "infeasible flow:" in err
     assert "a1" in err
+
+
+def test_evaluate_infeasible_stderr_is_golden(tmp_path, capsys):
+    # Nominal max flow scaled by 2/3 on a fixed random DAG at Gamma = 3: 1028
+    # conservation violations. The digest was recorded from the per-scenario
+    # evaluator, before it summed once per distinct scenario projection.
+    net = gen_random("dag", nodes=9, arcs=18, max_cap=4, seed=1)
+    _, arc_flow, _ = nominal_max_flow(net)
+    inst = tmp_path / "net.json"
+    inst.write_text(dumps(instance_to_json(net)))
+    entries = [
+        [a, rational_to_json(v * Fraction(2, 3))] for a, v in sorted(arc_flow.items()) if v != 0
+    ]
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps({"kind": "arc", "timed": False, "entries": entries}))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path), "--gamma", "3")
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1029
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "4a49ccf97b543e365dc3c91d653a93e24b83496fd72eff07f34ec8d5c999b176"
+    )
+
+
+def test_parser_is_reused_without_leaking_state(tmp_path, capsys):
+    inst = tmp_path / "two-hop.json"
+    assert run(capsys, "generate", "two-hop", "-o", str(inst))[0] == 0
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["solve", str(inst), "--model", "pm", "--gamma", "2"])
+    second = build_parser().parse_args(["solve", str(inst), "--model", "pm"])
+    assert first is not second
+    assert first.gamma == 2 and second.gamma is None
+    # Through main: --gamma 2, then the same solve without it (default None,
+    # so the default budget 1 applies).
+    outputs = []
+    for extra in (["--gamma", "2"], []):
+        path = tmp_path / f"pm{len(outputs)}.json"
+        code, _, _ = run(capsys, "solve", str(inst), "--model", "pm", *extra, "-o", str(path))
+        assert code == 0
+        outputs.append(json.loads(path.read_text()))
+    assert [doc["manifest"]["gamma"] for doc in outputs] == [2, 1]
+    assert [doc["robust_value"] for doc in outputs] == [0, "3/2"]
+    # Different subcommands in a row: nothing of the first shows in the second.
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(outputs[1]["flow"]))
+    code, out, _ = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert code == 0
+    assert json.loads(out)["robust_value"] == "3/2"
+    code, _, _ = run(capsys, "generate", "fan", "--gamma", "2", "-o", str(tmp_path / "fan.json"))
+    assert code == 0
+    args = build_parser().parse_args(["evaluate", str(inst), str(flow_path)])
+    assert args.gamma is None and args.kind is None and not hasattr(args, "model")
 
 
 def test_guard_exits_3(tmp_path, capsys, monkeypatch):

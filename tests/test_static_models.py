@@ -1,9 +1,18 @@
 """Static robust flow models: frozen optima, evaluator agreement, edge cases."""
 
-import pytest
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
+import pytest
+from hypothesis import given, reject, settings, strategies as st
+
+import robustflow
 from robustflow import (
     InfeasibleFlowError,
+    NetworkError,
     StaticFlow,
     build_am_lp,
     build_gamma1_compact_lp,
@@ -18,11 +27,14 @@ from robustflow import (
     gen_random,
     gen_two_hop,
     nominal_max_flow,
+    path_decompose,
     prune_low_indegree,
     rat,
     solve_lp,
     solve_static,
 )
+
+from _oracles import brute_force_evaluate_static
 
 
 @pytest.fixture(scope="module")
@@ -169,3 +181,109 @@ def test_unknown_model_rejected(two_hop):
     net, catalog = two_hop
     with pytest.raises(Exception):
         solve_static(net, "nope", 1, catalog=catalog)
+
+
+# -- differential test of the evaluator against the brute-force oracle ---------
+
+
+def _evaluated(flow, net, catalog, gamma):
+    """``evaluate_static`` in the oracle's shape: (violation tuples, report fields)."""
+    try:
+        report = evaluate_static(flow, net, catalog, gamma)
+    except InfeasibleFlowError as exc:
+        assert exc.lines == tuple(str(v) for v in exc.violations)
+        return tuple((v.constraint, v.where, v.scenario, v.detail) for v in exc.violations), None
+    return (), {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _candidate_flows(net, catalog, gamma, noise):
+    """Path, subpath and arc flows: LP optima, nominal max flow, starved node, noise."""
+    flows = []
+    for model in ("pm", "am", "gm"):
+        flows.append(solve_static(net, model, gamma, catalog=catalog)[0])
+    _, arc_flow, _ = nominal_max_flow(net)
+    arc_flow = {a: v for a, v in arc_flow.items() if v != 0}
+    flows.append(StaticFlow("arc", arc_flow))
+    pieces = path_decompose(arc_flow, net, net.source, net.sink)
+    path_flow = {catalog.st_index[tuple(piece.arcs)]: val for piece, val in pieces}
+    flows.append(StaticFlow("path", path_flow))
+    flows.append(
+        StaticFlow("subpath", {catalog.subpath_id(catalog.st_paths[i].arcs): v for i, v in path_flow.items()})
+    )
+    for v in net.nodes:
+        if v not in (net.source, net.sink) and net.out_arcs(v):
+            # Flow leaves v although nothing enters it.
+            flows.append(StaticFlow("arc", {net.out_arcs(v)[0].id: rat(1)}))
+            flows.append(StaticFlow("subpath", {catalog.by_start[v][0]: rat(1, 2)}))
+            break
+    keys = {
+        "arc": [a.id for a in net.arcs],
+        "path": list(range(len(catalog.st_paths))),
+        "subpath": list(range(len(catalog.subpaths))),
+    }
+    for kind, choices in keys.items():
+        flows.append(
+            StaticFlow(kind, {choices[i % len(choices)]: rat(num, den) for i, num, den in noise})
+        )
+    return flows
+
+
+@given(
+    nodes=st.integers(3, 6),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+    gamma_pick=st.sampled_from(["zero", "one", "two", "all", "beyond"]),
+    noise=st.lists(
+        st.tuples(st.integers(0, 50), st.integers(-1, 4), st.integers(1, 3)), max_size=6
+    ),
+)
+@settings(deadline=None, max_examples=150, derandomize=True)
+def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, noise):
+    try:
+        net = gen_random("dag", nodes=nodes, arcs=max(1, 2 * (nodes - 2)) + extra, max_cap=3, seed=seed)
+    except NetworkError:
+        reject()
+    gamma = {"zero": 0, "one": 1, "two": 2, "all": len(net.arcs), "beyond": len(net.arcs) + 1}[
+        gamma_pick
+    ]
+    catalog = enumerate_subpaths(net)
+    for flow in _candidate_flows(net, catalog, gamma, noise):
+        violations, report = _evaluated(flow, net, catalog, gamma)
+        expected_violations, expected_report = brute_force_evaluate_static(flow, net, catalog, gamma)
+        assert violations == expected_violations, flow
+        assert report == expected_report, flow
+        if report is not None:
+            assert list(report["per_arc_exposure"].items()) == list(
+                expected_report["per_arc_exposure"].items()
+            )
+
+
+# -- model checks survive ``python -O`` ----------------------------------------
+
+
+def test_model_checks_raise_under_python_O():
+    # A planted evaluator/LP mismatch must raise ModelCheckError even when
+    # the interpreter strips asserts.
+    code = """
+import dataclasses, sys
+from robustflow import ModelCheckError, gen_two_hop, solve_static, static_models
+assert False, "asserts must be stripped in this interpreter"
+honest = static_models.evaluate_static
+def lying(*args, **kwargs):
+    report = honest(*args, **kwargs)
+    return dataclasses.replace(report, robust_value=report.robust_value + 1)
+static_models.evaluate_static = lying
+try:
+    solve_static(gen_two_hop(), "gm", 1)
+except ModelCheckError as exc:
+    print("raised:", exc)
+    sys.exit(0)
+sys.exit(1)
+"""
+    src = str(Path(robustflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "raised: evaluator disagrees with the LP: 3 != 2" in done.stdout
