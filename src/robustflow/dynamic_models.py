@@ -16,8 +16,10 @@ by T counts.  Models mirror the static trio plus two extras:
 Builders prune variables that can never reach the sink in time even without
 delays (``theta + travel + remaining distance > T``) and restrict scenario
 families to the positive-delay arcs that can actually shift a constraint;
-both transformations are exact.  ``full_lambda=True`` disables the scenario
-restriction for cross-checks.
+both transformations are exact: every restricted row is also a row of the
+full family, and the exhaustive evaluator re-checks each optimum.  Solving
+goes through the pipeline shared with the static models
+(:mod:`robustflow.model_lp`).
 """
 
 from __future__ import annotations
@@ -26,8 +28,17 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lp import lexicographic_solve, solve_lp, LinearProgram
+from .lp import LinearProgram
 from .maxflow import nominal_max_flow
+from .model_lp import (
+    ModelBuild,
+    ModelCheckError,
+    Rows,
+    arcs_on,
+    nonzero,
+    scenario_label,
+    solve_model,
+)
 from .network import (
     Arc,
     Network,
@@ -39,7 +50,7 @@ from .network import (
     validate_network,
 )
 from .rational import ONE, ZERO, rat
-from .static_models import InfeasibleFlowError, ModelBuild, ModelCheckError, Violation, _Rows
+from .static_models import InfeasibleFlowError, Violation
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
 
@@ -129,11 +140,12 @@ def _check_instance(inst: DynamicInstance) -> None:
 
 
 class _Timed:
-    """Shared scaffolding for the timed builders: pruning windows and prefixes."""
+    """Shared scaffolding for the timed builders: routes, pruning windows and prefixes."""
 
-    def __init__(self, inst: DynamicInstance, paths, net: Network) -> None:
+    def __init__(self, inst: DynamicInstance, paths) -> None:
         self.T = inst.horizon
-        self.net = net
+        self.net = net = inst.network
+        self.paths = paths
         self.dist = _dist_to_sink(net)
         self.tau = [_travel(net, p.arcs) for p in paths]
         self.window = []
@@ -161,39 +173,48 @@ class _Timed:
         return t
 
 
-def build_dpm_lp(
-    inst: DynamicInstance,
-    catalog: PathCatalog,
-    *,
-    full_lambda: bool = False,
-    guard: Optional[int] = None,
-) -> ModelBuild:
-    """Timed path flow against worst-case delays."""
-    _check_instance(inst)
-    net, T, gamma = inst.network, inst.horizon, inst.gamma
-    paths = catalog.st_paths
-    timed = _Timed(inst, paths, net)
-    timed.paths = paths
+def _timed_route_lp(inst: DynamicInstance, routes, sink_routes, guard):
+    """Start a timed path-like model.
+
+    Adds one column per route and departure time inside its window, the
+    arrival bound ``w`` as the objective, and for each scenario over the
+    positive-delay arcs of the routes in ``sink_routes`` the row bounding
+    ``w`` by their flow that still arrives by T.  Returns
+    ``(timed, lp, xs, w, rows)``.
+    """
+    net, T = inst.network, inst.horizon
+    timed = _Timed(inst, routes)
     lp = LinearProgram("max")
     xs: dict = {}
-    for i in range(len(paths)):
+    for i in range(len(routes)):
         for theta in range(1, timed.window[i] + 1):
             xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: ONE})
-    rows = _Rows(lp)
-    all_ids = [a.id for a in net.arcs]
-    on_paths = sorted({a for p in paths for a in p.arcs}, key=lambda a: net.arc_rank[a])
-    universe = all_ids if full_lambda else _positive_delay_ids(net, on_paths)
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+    rows = Rows(lp)
+    universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in sink_routes)))
+    for scenario in enumerate_scenarios(universe, inst.gamma, guard=guard).scenarios:
         hit = set(scenario)
         coeffs = {w: ONE}
-        for i in range(len(paths)):
-            lim = min(timed.window[i], T - timed.tau[i] - path_delay(net, paths[i].arcs, hit))
+        for i in sink_routes:
+            lim = min(timed.window[i], T - timed.tau[i] - path_delay(net, routes[i].arcs, hit))
             for theta in range(1, lim + 1):
                 coeffs[xs[(i, theta)]] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"arrive{_scenario_label(scenario)}")
-    _timed_capacity_rows(rows, timed, xs, catalog.st_by_arc, gamma, full_lambda, guard)
+        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
+    return timed, lp, xs, w, rows
+
+
+def build_dpm_lp(
+    inst: DynamicInstance,
+    catalog: PathCatalog,
+    *,
+    guard: Optional[int] = None,
+) -> ModelBuild:
+    """Timed path flow against worst-case delays."""
+    _check_instance(inst)
+    paths = catalog.st_paths
+    timed, lp, xs, w, rows = _timed_route_lp(inst, paths, range(len(paths)), guard)
+    _timed_capacity_rows(rows, timed, xs, catalog.st_by_arc, inst.gamma, guard)
     return ModelBuild(lp, "path", xs, w, nominal_coeffs={c: ONE for c in xs.values()})
 
 
@@ -201,41 +222,14 @@ def build_dgm_lp(
     inst: DynamicInstance,
     catalog: PathCatalog,
     *,
-    full_lambda: bool = False,
     guard: Optional[int] = None,
 ) -> ModelBuild:
     """Timed subpath flow: flow may be re-declared at interior nodes."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     subs = catalog.subpaths
-    timed = _Timed(inst, subs, net)
-    timed.paths = subs
-    lp = LinearProgram("max")
-    xs: dict = {}
-    for i in range(len(subs)):
-        for theta in range(1, timed.window[i] + 1):
-            xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
-    w = lp.add_var("arrival_bound")
-    lp.set_objective({w: ONE})
-    rows = _Rows(lp)
-    all_ids = [a.id for a in net.arcs]
     enders = catalog.by_end.get(net.sink, ())
-
-    def arcs_on(indices) -> list:
-        seen = set()
-        for i in indices:
-            seen.update(subs[i].arcs)
-        return sorted(seen, key=lambda a: net.arc_rank[a])
-
-    universe = all_ids if full_lambda else _positive_delay_ids(net, arcs_on(enders))
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
-        hit = set(scenario)
-        coeffs = {w: ONE}
-        for i in enders:
-            lim = min(timed.window[i], T - timed.tau[i] - path_delay(net, subs[i].arcs, hit))
-            for theta in range(1, lim + 1):
-                coeffs[xs[(i, theta)]] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"arrive{_scenario_label(scenario)}")
+    timed, lp, xs, w, rows = _timed_route_lp(inst, subs, enders, guard)
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -243,7 +237,7 @@ def build_dgm_lp(
         starting = catalog.by_start.get(v, ())
         if not starting:
             continue
-        node_universe = all_ids if full_lambda else _positive_delay_ids(net, arcs_on(ending))
+        node_universe = _positive_delay_ids(net, arcs_on(net, (subs[i] for i in ending)))
         for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
             hit = set(scenario)
             shift = {i: timed.tau[i] + path_delay(net, subs[i].arcs, hit) for i in ending}
@@ -259,9 +253,9 @@ def build_dgm_lp(
                     if key in xs:
                         coeffs[xs[key]] = coeffs.get(xs[key], ZERO) - ONE
                 rows.add(
-                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{_scenario_label(scenario)}"
+                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{scenario_label(scenario)}"
                 )
-    _timed_capacity_rows(rows, timed, xs, catalog.by_arc, gamma, full_lambda, guard)
+    _timed_capacity_rows(rows, timed, xs, catalog.by_arc, gamma, guard)
     return ModelBuild(
         lp,
         "subpath",
@@ -271,59 +265,50 @@ def build_dgm_lp(
     )
 
 
-def _scenario_label(scenario) -> str:
-    return "{" + ",".join(str(a) for a in scenario) + "}"
+def _arc_scenarios(timed, by_arc, gamma, guard):
+    """Per-arc scenarios for the timed capacity rows.
 
-
-def _timed_capacity_rows(rows, timed, xs, by_arc, gamma, full_lambda, guard) -> None:
-    """Capacity rows for the timed path-like builders.
-
-    For each arc and each scenario over the positive-delay arcs that sit
-    strictly upstream on some route through it, tally which departures
-    occupy the arc at each time step.
+    For each arc with routes through it, and each scenario over the
+    positive-delay arcs that sit strictly upstream on some of those routes,
+    yields ``(arc, scenario, offsets)``: ``offsets[i]`` is the time flow
+    departing at 0 on route i enters the arc under that scenario.
     """
-    net, T = timed.net, timed.T
-    all_ids = [a.id for a in net.arcs]
+    net = timed.net
     for arc in net.arcs:
         routes = by_arc.get(arc.id, ())
         if not routes:
             continue
-        upstream = set()
-        positions = {}
-        for i in routes:
-            k = timed.paths[i].arcs.index(arc.id)
-            positions[i] = k
-            upstream.update(
-                a for a in timed.paths[i].arcs[:k] if net.arc_by_id[a].delay > 0
-            )
-        universe = (
-            all_ids
-            if full_lambda
-            else sorted(upstream, key=lambda a: net.arc_rank[a])
-        )
+        positions = {i: timed.paths[i].arcs.index(arc.id) for i in routes}
+        upstream = {a for i, k in positions.items() for a in timed.paths[i].arcs[:k]}
+        universe = _positive_delay_ids(net, upstream)
         for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
             hit = set(scenario)
-            offsets = {i: timed.entry_time(i, positions[i], 0, hit) for i in routes}
-            by_theta: dict = {}
-            for i in routes:
-                for dep in range(1, timed.window[i] + 1):
-                    occupied = dep + offsets[i]
-                    if occupied <= T:
-                        by_theta.setdefault(occupied, []).append((i, dep))
-            for theta in sorted(by_theta):
-                coeffs = {xs[(i, dep)]: ONE for i, dep in by_theta[theta]}
-                rows.add(
-                    coeffs,
-                    "<=",
-                    rat(arc.capacity),
-                    f"cap[{arc.id},{theta}]{_scenario_label(scenario)}",
-                )
+            yield arc, scenario, {i: timed.entry_time(i, k, 0, hit) for i, k in positions.items()}
+
+
+def _timed_capacity_rows(rows, timed, xs, by_arc, gamma, guard) -> None:
+    """Capacity rows for the timed path-like builders: for each arc and
+    scenario, tally which departures occupy the arc at each time step."""
+    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma, guard):
+        by_theta: dict = {}
+        for i, offset in offsets.items():
+            for dep in range(1, timed.window[i] + 1):
+                occupied = dep + offset
+                if occupied <= timed.T:
+                    by_theta.setdefault(occupied, []).append((i, dep))
+        for theta in sorted(by_theta):
+            coeffs = {xs[(i, dep)]: ONE for i, dep in by_theta[theta]}
+            rows.add(
+                coeffs,
+                "<=",
+                rat(arc.capacity),
+                f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
+            )
 
 
 def build_dam_lp(
     inst: DynamicInstance,
     *,
-    full_lambda: bool = False,
     guard: Optional[int] = None,
 ) -> ModelBuild:
     """Timed arc flow with robust conservation under worst-case delays."""
@@ -338,12 +323,9 @@ def build_dam_lp(
             xs[(arc.id, theta)] = lp.add_var(f"x[{arc.id},{theta}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: ONE})
-    rows = _Rows(lp)
-    all_ids = [a.id for a in net.arcs]
+    rows = Rows(lp)
     sink_in = [a for a in net.in_arcs(net.sink)]
-    universe = (
-        all_ids if full_lambda else _positive_delay_ids(net, [a.id for a in sink_in])
-    )
+    universe = _positive_delay_ids(net, [a.id for a in sink_in])
     for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
         hit = set(scenario)
         coeffs = {w: ONE}
@@ -352,7 +334,7 @@ def build_dam_lp(
             for theta in range(1, lim + 1):
                 if (arc.id, theta) in xs:
                     coeffs[xs[(arc.id, theta)]] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"arrive{_scenario_label(scenario)}")
+        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -360,11 +342,7 @@ def build_dam_lp(
         outgoing = net.out_arcs(v)
         if not outgoing:
             continue
-        node_universe = (
-            all_ids
-            if full_lambda
-            else _positive_delay_ids(net, [a.id for a in incoming])
-        )
+        node_universe = _positive_delay_ids(net, [a.id for a in incoming])
         for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
             hit = set(scenario)
             for theta in range(1, T + 1):
@@ -380,7 +358,7 @@ def build_dam_lp(
                     if key in xs:
                         coeffs[xs[key]] = coeffs.get(xs[key], ZERO) - ONE
                 rows.add(
-                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{_scenario_label(scenario)}"
+                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{scenario_label(scenario)}"
                 )
     for (a, theta), col in xs.items():
         rows.add({col: ONE}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
@@ -431,7 +409,7 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
         objective[nu[arc.id]] = -ONE
     objective[mu] = objective.get(mu, ZERO) - rat(gamma)
     lp.set_objective(objective)
-    rows = _Rows(lp)
+    rows = Rows(lp)
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -481,9 +459,9 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
 def extract_dam_dual(build: ModelBuild, values, objective) -> DamDualSolution:
     aux = build.aux
     return DamDualSolution(
-        arc_flow={k: values[c] for k, c in build.flow_vars.items() if values[c] != 0},
-        eta={k: values[c] for k, c in aux["eta"].items() if values[c] != 0},
-        lam={k: values[c] for k, c in aux["lam"].items() if values[c] != 0},
+        arc_flow=nonzero(build.flow_vars, values),
+        eta=nonzero(aux["eta"], values),
+        lam=nonzero(aux["lam"], values),
         mu=values[aux["mu"]],
         nu={k: values[c] for k, c in aux["nu"].items()},
         objective=objective,
@@ -494,15 +472,13 @@ def build_tr_lp(
     inst: DynamicInstance,
     catalog: PathCatalog,
     *,
-    full_lambda: bool = False,
     guard: Optional[int] = None,
 ) -> ModelBuild:
     """Temporally repeated flow: one rate per path, shipped every slot."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     paths = catalog.st_paths
-    timed = _Timed(inst, paths, net)
-    timed.paths = paths
+    timed = _Timed(inst, paths)
     lp = LinearProgram("max")
     xs = {
         i: lp.add_var(f"x[{i}]")
@@ -511,12 +487,8 @@ def build_tr_lp(
     }
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: ONE})
-    rows = _Rows(lp)
-    all_ids = [a.id for a in net.arcs]
-    on_paths = sorted(
-        {a for i in xs for a in paths[i].arcs}, key=lambda a: net.arc_rank[a]
-    )
-    universe = all_ids if full_lambda else _positive_delay_ids(net, on_paths)
+    rows = Rows(lp)
+    universe = _positive_delay_ids(net, arcs_on(net, (paths[i] for i in xs)))
     for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
         hit = set(scenario)
         coeffs = {w: ONE}
@@ -524,36 +496,22 @@ def build_tr_lp(
             window = T - timed.tau[i] - path_delay(net, paths[i].arcs, hit)
             if window > 0:
                 coeffs[xs[i]] = -rat(window)
-        rows.add(coeffs, "<=", ZERO, f"arrive{_scenario_label(scenario)}")
-    for arc in net.arcs:
-        routes = [i for i in catalog.st_by_arc.get(arc.id, ()) if i in xs]
-        if not routes:
-            continue
-        upstream = set()
-        positions = {}
-        for i in routes:
-            k = paths[i].arcs.index(arc.id)
-            positions[i] = k
-            upstream.update(a for a in paths[i].arcs[:k] if net.arc_by_id[a].delay > 0)
-        universe_a = (
-            all_ids if full_lambda else sorted(upstream, key=lambda a: net.arc_rank[a])
-        )
-        for scenario in enumerate_scenarios(universe_a, gamma, guard=guard).scenarios:
-            hit = set(scenario)
-            offsets = {i: timed.entry_time(i, positions[i], 0, hit) for i in routes}
-            for theta in range(1, T + 1):
-                coeffs = {}
-                for i in routes:
-                    dep = theta - offsets[i]
-                    if 1 <= dep <= T - timed.tau[i]:
-                        coeffs[xs[i]] = ONE
-                if coeffs:
-                    rows.add(
-                        coeffs,
-                        "<=",
-                        rat(arc.capacity),
-                        f"cap[{arc.id},{theta}]{_scenario_label(scenario)}",
-                    )
+        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
+    by_arc = {a: [i for i in ids if i in xs] for a, ids in catalog.st_by_arc.items()}
+    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma, guard):
+        for theta in range(1, T + 1):
+            coeffs = {}
+            for i, offset in offsets.items():
+                dep = theta - offset
+                if 1 <= dep <= T - timed.tau[i]:
+                    coeffs[xs[i]] = ONE
+            if coeffs:
+                rows.add(
+                    coeffs,
+                    "<=",
+                    rat(arc.capacity),
+                    f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
+                )
     nominal = {xs[i]: rat(T - timed.tau[i]) for i in xs}
     return ModelBuild(lp, "tr", dict(xs), w, nominal_coeffs=nominal)
 
@@ -622,11 +580,9 @@ def evaluate_dynamic(
     """
     _check_instance(inst)
     kind = kind or flow.kind
-    if kind == "temporally-repeated":
-        kind = "tr"
     if kind not in ("path", "arc", "subpath", "tr"):
         raise NetworkError(f"unknown dynamic flow kind {kind!r}")
-    if kind != flow.kind and not (kind == "tr" and flow.kind == "temporally-repeated"):
+    if kind != flow.kind:
         raise NetworkError(f"flow kind {flow.kind!r} does not match {kind!r}")
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     if kind in ("path", "subpath", "tr") and catalog is None:
@@ -656,15 +612,25 @@ def evaluate_dynamic(
     elif kind == "subpath":
         routes = catalog.subpaths
 
-    def route_tau(i: int) -> int:
-        return _travel(net, routes[i].arcs)
+    def ends(key) -> tuple:
+        """Start and end node of the arc or route ``key``."""
+        if kind == "arc":
+            return net.arc_by_id[key].tail, net.arc_by_id[key].head
+        return routes[key].start, routes[key].end
+
+    def shift(key, hit) -> int:
+        """Travel time along the arc or route ``key`` when the arcs in ``hit`` are delayed."""
+        if kind == "arc":
+            arc = net.arc_by_id[key]
+            return arc.travel_time + (arc.delay if key in hit else 0)
+        return _travel(net, routes[key].arcs) + path_delay(net, routes[key].arcs, hit)
 
     support = []  # (route index or arc id, departure, value)
     if kind == "tr":
         for i, value in values.items():
             if not isinstance(i, int) or not 0 <= i < len(routes):
                 raise NetworkError(f"unknown path index {i!r}")
-            for dep in range(1, T - route_tau(i) + 1):
+            for dep in range(1, T - _travel(net, routes[i].arcs) + 1):
                 support.append((i, dep, value))
     elif kind in ("path", "subpath"):
         for (i, theta), value in sorted(values.items()):
@@ -723,27 +689,23 @@ def evaluate_dynamic(
     # Robust conservation for the declarable kinds.
     if kind in ("arc", "subpath"):
         interior = [v for v in net.nodes if v not in (net.source, net.sink)]
+        outflow: dict = {}  # departures do not depend on the scenario
+        for key, dep, value in support:
+            start = ends(key)[0]
+            if start != net.source:
+                outflow[(start, dep)] = outflow.get((start, dep), ZERO) + value
+        demands = [(slot, out) for slot, out in sorted(outflow.items()) if slot[0] in interior]
         for scenario in scenario_set.scenarios:
             hit = set(scenario)
             inflow: dict = {}
-            outflow: dict = {}
             for key, dep, value in support:
-                if kind == "arc":
-                    arc = net.arc_by_id[key]
-                    start, end = arc.tail, arc.head
-                    shift = arc.travel_time + (arc.delay if key in hit else 0)
-                else:
-                    route = routes[key]
-                    start, end = route.start, route.end
-                    shift = route_tau(key) + path_delay(net, route.arcs, hit)
-                arrival = dep + shift
-                if end != net.sink and arrival <= T:
-                    inflow[(end, arrival)] = inflow.get((end, arrival), ZERO) + value
-                if start != net.source:
-                    outflow[(start, dep)] = outflow.get((start, dep), ZERO) + value
-            for (v, theta), out in sorted(outflow.items()):
-                if v not in interior:
+                end = ends(key)[1]
+                if end == net.sink:
                     continue
+                arrival = dep + shift(key, hit)
+                if arrival <= T:
+                    inflow[(end, arrival)] = inflow.get((end, arrival), ZERO) + value
+            for (v, theta), out in demands:
                 have = inflow.get((v, theta), ZERO)
                 if have < out:
                     violations.append(
@@ -764,19 +726,12 @@ def evaluate_dynamic(
         total = ZERO
         times = set()
         for key, dep, value in support:
-            if kind == "arc":
-                arc = net.arc_by_id[key]
-                if arc.head != net.sink:
-                    continue
-                shift = arc.travel_time + (arc.delay if key in hit else 0)
-            else:
-                route = routes[key]
-                if route.end != net.sink:
-                    continue
-                shift = route_tau(key) + path_delay(net, route.arcs, hit)
-            if dep + shift <= T:
+            if ends(key)[1] != net.sink:
+                continue
+            arrival = dep + shift(key, hit)
+            if arrival <= T:
                 total += value
-                times.add(dep + shift)
+                times.add(arrival)
         arrivals.append((scenario, total))
         arrival_times.append(times)
     robust = min(total for _, total in arrivals)
@@ -817,25 +772,9 @@ def solve_dynamic(
         build = build_dam_compact_lp(inst)
     else:
         build = build_tr_lp(inst, catalog, guard=guard)
-    if maximize_nominal:
-        lex = lexicographic_solve(build.lp, build.nominal_coeffs)
-        if lex.status != "optimal":
-            raise RuntimeError(f"model LP came back {lex.status}")
-        objective, lp_values = lex.primary_value, lex.values
-    else:
-        sol = solve_lp(build.lp)
-        if sol.status != "optimal":
-            raise RuntimeError(f"model LP came back {sol.status}")
-        objective, lp_values = sol.objective_value, sol.values
-    flow = DynamicFlow(
-        build.kind,
-        {key: lp_values[col] for key, col in build.flow_vars.items() if lp_values[col] != 0},
+    return solve_model(
+        build,
+        maximize_nominal,
+        lambda values: DynamicFlow(build.kind, nonzero(build.flow_vars, values)),
+        lambda flow: evaluate_dynamic(flow, inst, catalog, build.kind, guard=guard),
     )
-    report = evaluate_dynamic(flow, inst, catalog, build.kind, guard=guard)
-    if report.robust_value != objective:
-        raise ModelCheckError(
-            f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
-        )
-    if maximize_nominal and report.nominal_value != lex.secondary_value:
-        raise ModelCheckError("nominal value mismatch")
-    return flow, report

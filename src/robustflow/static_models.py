@@ -16,16 +16,26 @@ Scenario families are restricted per constraint to the arcs that can affect
 it; ``full_lambda=True`` emits the unrestricted families instead (the two
 are equivalent; the test suite cross-checks).  A compact polynomial-size
 reformulation of ``gm`` for budget 1 is provided alongside, with an exact
-decomposition back to subpath flow.
+decomposition back to subpath flow.  Solving goes through the pipeline shared
+with the dynamic models (:mod:`robustflow.model_lp`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, lexicographic_solve, solve_lp
+from .lp import LinearProgram
 from .maxflow import path_decompose
+from .model_lp import (
+    ModelBuild,
+    ModelCheckError,
+    Rows,
+    arcs_on,
+    nonzero,
+    scenario_label,
+    solve_model,
+)
 from .network import (
     Network,
     NetworkError,
@@ -77,10 +87,6 @@ class InfeasibleFlowError(NetworkError):
         return "flow is infeasible:\n  " + "\n  ".join(self.lines)
 
 
-class ModelCheckError(AssertionError):
-    """A model's result failed one of its exact cross-checks."""
-
-
 @dataclass(frozen=True)
 class RobustReport:
     """Evaluation of a fixed flow against the exhaustive scenario set."""
@@ -90,40 +96,6 @@ class RobustReport:
     worst_loss: object
     worst_scenarios: tuple
     per_arc_exposure: Mapping
-
-
-@dataclass
-class ModelBuild:
-    """An LP plus the meaning of its columns."""
-
-    lp: LinearProgram
-    kind: str
-    flow_vars: dict
-    lam_var: Optional[int] = None
-    nominal_coeffs: dict = field(default_factory=dict)
-    aux: dict = field(default_factory=dict)
-
-
-class _Rows:
-    """Adds constraints with exact-duplicate elimination."""
-
-    def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
-        self.seen = set()
-
-    def add(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
-        clean = {j: rat(c) for j, c in coeffs.items() if rat(c) != 0}
-        key = (rel, rat(rhs), frozenset(clean.items()))
-        if not clean:
-            return
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.lp.add_constraint(clean, rel, rhs, label)
-
-
-def _scenario_label(scenario) -> str:
-    return "{" + ",".join(str(a) for a in scenario) + "}"
 
 
 def build_pm_lp(
@@ -139,7 +111,7 @@ def build_pm_lp(
     xs = [lp.add_var(f"x[{i}]") for i in range(len(catalog.st_paths))]
     lam = lp.add_var("loss_bound")
     lp.set_objective({**{x: ONE for x in xs}, lam: -ONE})
-    rows = _Rows(lp)
+    rows = Rows(lp)
     if full_lambda:
         universe = [a.id for a in net.arcs]
     else:
@@ -150,7 +122,7 @@ def build_pm_lp(
             touched.update(catalog.st_by_arc.get(a, ()))
         coeffs = {xs[i]: ONE for i in touched}
         coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{_scenario_label(scenario)}")
+        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
     for arc in net.arcs:
         hit = catalog.st_by_arc.get(arc.id, ())
         if hit:
@@ -177,14 +149,14 @@ def build_am_lp(
     lam = lp.add_var("loss_bound")
     sink_arcs = [a.id for a in net.in_arcs(net.sink)]
     lp.set_objective({**{xs[a]: ONE for a in sink_arcs}, lam: -ONE})
-    rows = _Rows(lp)
+    rows = Rows(lp)
     all_ids = [a.id for a in net.arcs]
     universe = all_ids if full_lambda else sink_arcs
     sink_set = set(sink_arcs)
     for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
         coeffs = {xs[a]: ONE for a in scenario if a in sink_set}
         coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{_scenario_label(scenario)}")
+        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -200,7 +172,7 @@ def build_am_lp(
             for a in incoming:
                 if a not in removed:
                     coeffs[xs[a]] = coeffs.get(xs[a], ZERO) - ONE
-            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{_scenario_label(scenario)}")
+            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
         rows.add({xs[arc.id]: ONE}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
     return ModelBuild(
@@ -226,21 +198,15 @@ def build_gm_lp(
     lam = lp.add_var("loss_bound")
     enders = catalog.by_end.get(net.sink, ())
     lp.set_objective({**{xs[i]: ONE for i in enders}, lam: -ONE})
-    rows = _Rows(lp)
+    rows = Rows(lp)
     all_ids = [a.id for a in net.arcs]
-
-    def arcs_on(indices) -> list:
-        out = set()
-        for i in indices:
-            out.update(catalog.subpaths[i].arcs)
-        return sorted(out, key=lambda a: net.arc_rank[a])
-
-    universe = all_ids if full_lambda else arcs_on(enders)
+    subs = catalog.subpaths
+    universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in enders))
     for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
         hit = set(scenario)
         coeffs = {xs[i]: ONE for i in enders if catalog.sub_arcsets[i] & hit}
         coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{_scenario_label(scenario)}")
+        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -248,14 +214,14 @@ def build_gm_lp(
         starting = catalog.by_start.get(v, ())
         if not starting:
             continue
-        node_universe = all_ids if full_lambda else arcs_on(ending)
+        node_universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in ending))
         for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
             hit = set(scenario)
             coeffs = {xs[i]: ONE for i in starting}
             for i in ending:
                 if not (catalog.sub_arcsets[i] & hit):
                     coeffs[xs[i]] = coeffs.get(xs[i], ZERO) - ONE
-            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{_scenario_label(scenario)}")
+            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
         hit = catalog.by_arc.get(arc.id, ())
         if hit:
@@ -314,7 +280,7 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             by_commodity[(v, w)] = cols
             for a, col in cols.items():
                 y[(a, v, w)] = col
-    rows = _Rows(lp)
+    rows = Rows(lp)
     sink_cols: dict = {}
     for (v, w), cols in by_commodity.items():
         if w != sink:
@@ -389,7 +355,7 @@ def _forward_reach(net: Network, start: str) -> frozenset:
 
 
 def extract_gamma1_solution(build: ModelBuild, values) -> CompactGamma1Solution:
-    y = {key: values[col] for key, col in build.flow_vars.items() if values[col] != 0}
+    y = nonzero(build.flow_vars, values)
     nu = values[build.lam_var]
     nominal = sum((values[c] * k for c, k in build.nominal_coeffs.items()), ZERO)
     return CompactGamma1Solution(y=y, nu=nu, objective=nominal - nu, nominal=nominal)
@@ -638,8 +604,6 @@ def solve_static(
     is maximized among robust-optimal flows.  The report always comes from
     :func:`evaluate_static`, so the LP optimum is re-derived independently.
     """
-    alias = {"gm-compact-g1": "gm1", "gm-compact-γ1": "gm1"}
-    model = alias.get(model, model)
     if model not in STATIC_MODELS:
         raise NetworkError(f"unknown static model {model!r}")
     if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 0:
@@ -656,33 +620,16 @@ def solve_static(
         build = build_gm_lp(net, catalog, gamma, guard=guard)
     else:
         build = build_gamma1_compact_lp(net)
-    if maximize_nominal:
-        lex = lexicographic_solve(build.lp, build.nominal_coeffs)
-        if lex.status != "optimal":
-            raise RuntimeError(f"model LP came back {lex.status}")
-        objective, values = lex.primary_value, lex.values
-    else:
-        sol = solve_lp(build.lp)
-        if sol.status != "optimal":
-            raise RuntimeError(f"model LP came back {sol.status}")
-        objective, values = sol.objective_value, sol.values
-    if model == "gm1":
-        compact = extract_gamma1_solution(build, values)
-        flow = decompose_gamma1_solution(compact, net, catalog)
-    elif model == "am":
-        flow = StaticFlow(
-            "arc", {a: values[col] for a, col in build.flow_vars.items() if values[col] != 0}
-        )
-    else:
-        flow = StaticFlow(
-            build.kind,
-            {i: values[col] for i, col in build.flow_vars.items() if values[col] != 0},
-        )
-    report = evaluate_static(flow, net, catalog, gamma, guard=guard)
-    if report.robust_value != objective:
-        raise ModelCheckError(
-            f"evaluator disagrees with the LP: {report.robust_value} != {objective}"
-        )
-    if maximize_nominal and report.nominal_value != lex.secondary_value:
-        raise ModelCheckError("nominal value mismatch")
-    return flow, report
+
+    def extract(values) -> StaticFlow:
+        if model == "gm1":
+            compact = extract_gamma1_solution(build, values)
+            return decompose_gamma1_solution(compact, net, catalog)
+        return StaticFlow(build.kind, nonzero(build.flow_vars, values))
+
+    return solve_model(
+        build,
+        maximize_nominal,
+        extract,
+        lambda flow: evaluate_static(flow, net, catalog, gamma, guard=guard),
+    )

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from robustflow import (
+    LexSolution,
+    LpSolution,
     dumps,
     gen_random,
     instance_to_json,
@@ -14,6 +16,7 @@ from robustflow import (
     rat,
     rational_to_json,
 )
+from robustflow import model_lp
 from robustflow.cli import build_parser, main
 
 
@@ -163,6 +166,25 @@ def test_guard_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", str(inst), "--model", "pm")
     assert code == 3
     assert "guard exceeded:" in err
+
+
+@pytest.mark.parametrize(
+    "binding, solution, flags",
+    [
+        ("solve_lp", LpSolution("infeasible", None, ()), []),
+        ("lexicographic_solve", LexSolution("unbounded", None, None, ()), ["--lex-nominal"]),
+    ],
+)
+def test_non_optimal_model_lp_exits_4(tmp_path, capsys, monkeypatch, binding, solution, flags):
+    # A model LP that does not come back optimal is a typed model-check
+    # failure with exit code 4, not a traceback.
+    inst = tmp_path / "two-hop.json"
+    run(capsys, "generate", "two-hop", "-o", str(inst))
+    monkeypatch.setattr(model_lp, binding, lambda *args: solution)
+    code, out, err = run(capsys, "solve", str(inst), "--model", "gm", *flags)
+    assert code == 4
+    assert out == ""
+    assert err == f"invariant violation: model LP came back {solution.status}\n"
 
 
 def test_missing_instance_file_exits_2(tmp_path, capsys):

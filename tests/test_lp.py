@@ -13,15 +13,22 @@ import robustflow
 from robustflow import (
     LinearProgram,
     LpError,
+    build_am_lp,
     build_dam_compact_lp,
+    build_dam_lp,
+    build_dgm_lp,
+    build_dpm_lp,
+    build_gamma1_compact_lp,
     build_gm_lp,
     build_pm_lp,
+    build_tr_lp,
     enumerate_subpaths,
     format_rational,
     gen_bottleneck,
     gen_partition,
     gen_por_static,
     gen_random,
+    gen_ti_gap,
     lexicographic_solve,
     rat,
     solve_lp,
@@ -223,6 +230,94 @@ def test_golden_vertices_of_degenerate_model_lps(name):
     assert format_rational(value) == objective
     text = ",".join(format_rational(v) for v in sol.values)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+# sha256 of ``dump_lp`` of every builder's LP, recorded before the builders
+# shared one pipeline: variables, objective, rows, their order and labels.
+# A change to any of them, including row order, fails here.
+STATIC_NETS = {
+    "bottleneck(1,2)": lambda: gen_bottleneck(1, 2),
+    "por-static(2,6/5)": lambda: gen_por_static(2, rat(6, 5))[0],
+}
+DYNAMIC_INSTANCES = {"ti-gap": gen_ti_gap, "partition(2,2,2)": lambda: gen_partition((2, 2, 2))}
+
+
+def _model_lp(instance, model, gamma):
+    if instance in STATIC_NETS:
+        net = STATIC_NETS[instance]()
+        if model == "am":
+            return build_am_lp(net, gamma)
+        if model == "gm1":
+            return build_gamma1_compact_lp(net)
+        return {"pm": build_pm_lp, "gm": build_gm_lp}[model](net, enumerate_subpaths(net), gamma)
+    inst = DYNAMIC_INSTANCES[instance]()
+    if model == "dam":
+        return build_dam_lp(inst)
+    if model == "dam-compact":
+        return build_dam_compact_lp(inst)
+    builder = {"dpm": build_dpm_lp, "dgm": build_dgm_lp, "tr": build_tr_lp}[model]
+    return builder(inst, enumerate_subpaths(inst.network))
+
+
+# (instance, model, Gamma or None for the dynamic instances' own) -> digest
+LP_GOLDEN = {
+    ("bottleneck(1,2)", "pm", 1):
+        "84b63b250d18d0eba20163a7846df5d84d87a453ef131fef6b6b110b02f3cd78",
+    ("bottleneck(1,2)", "am", 1):
+        "63af92ac5e7863e7942e4a8292ca6308078c41378c97d1faa1ab81a8d99cafa2",
+    ("bottleneck(1,2)", "gm", 1):
+        "39c9c79e06940b40ea52f2dec63f151a0c47a507dd897f6e216f79a578474474",
+    ("bottleneck(1,2)", "pm", 2):
+        "05503b53cfc68a0222685324e9fc88aa998ee49d9f4b23f03fafad12655d4972",
+    ("bottleneck(1,2)", "am", 2):
+        "fe115ae00b8307359c8ffd9c2ff9b814419597d7ce3d1203c5cb643666747f11",
+    ("bottleneck(1,2)", "gm", 2):
+        "c0cb42434796fef16c8dcc0acb3715ca8a664e52689cf7b00045be54bf08fce0",
+    ("bottleneck(1,2)", "gm1", 1):
+        "8a0d2e98cb585b55d3169e5b24bb3ba1a97045b02615ef2f868b68ee5a47492a",
+    ("por-static(2,6/5)", "pm", 1):
+        "3d4a7930054b0cba9d3859ab24ae60eac86795b90e16f5b78ebc7354f1619652",
+    ("por-static(2,6/5)", "am", 1):
+        "6b81aabdf7c5543ce3ce9cc2d568224725206f4a41d24d89e64f61ea4a2ac27b",
+    ("por-static(2,6/5)", "gm", 1):
+        "9d38f0916436f147b52599e7fc4a83cabc0c460869829e37436ce7d7b658578b",
+    ("por-static(2,6/5)", "pm", 2):
+        "9af07892d127ba6f65860b5c4446d82bd788acca55972763b60904111158934e",
+    ("por-static(2,6/5)", "am", 2):
+        "2bd63868fcb6ad7728b45bbb02255ff7e6f8e3af4a9ca9c833eb0200e347dd46",
+    ("por-static(2,6/5)", "gm", 2):
+        "4b1d97322bacb8749f4e79a6f443d24bf9c49f7d9f4e75454f5f9a5804f786df",
+    ("por-static(2,6/5)", "gm1", 1):
+        "c8e8e4374f22713eee5985c17e5df3349f8455d881e4872a2aded77d7f523e98",
+    ("ti-gap", "dpm", None):
+        "cf166f7eafdea7c482151184301229e3e5f5d5f232b133ed70b4be09899ef014",
+    ("ti-gap", "dgm", None):
+        "047987e13bf6ddd688868357c3950ed0f7624e75ac16712558b893a43ef5a108",
+    ("ti-gap", "dam", None):
+        "971af20e3948fde6d1fcfefd96d9b85852e9e79d16f21805de66147d71bc5d3b",
+    ("ti-gap", "dam-compact", None):
+        "45aa5d4828e68b216ad9c8c12a7e46b5aa9069428a77fdf175de9a4346bd1ae9",
+    ("ti-gap", "tr", None):
+        "721b71adb87d65069816103a57668b903f9d392be84f90831a62972658d6a615",
+    ("partition(2,2,2)", "dpm", None):
+        "5d0746f4d297b63a21342acb9435225ddbf19ab7d7d12de857904530feea6fa3",
+    ("partition(2,2,2)", "dgm", None):
+        "c3e15da0a4746e35be55618a18738aa0d9af17f436112741329defa56b0842e2",
+    ("partition(2,2,2)", "dam", None):
+        "6faabd4fd50a866698f922e4fa67a85b08344af5965d6d7c3359c1935d3c9549",
+    ("partition(2,2,2)", "dam-compact", None):
+        "202361731f78f375a17232beb17769a7f476a9d535ba301a7df9d1662ec2edbc",
+    ("partition(2,2,2)", "tr", None):
+        "0ba5de453852e452537aab6f592a357a753e0d2f338cc907ad23b58b57d6904e",
+}
+
+
+@pytest.mark.parametrize(
+    "key", sorted(LP_GOLDEN, key=str), ids=lambda key: " ".join(str(k) for k in key if k is not None)
+)
+def test_golden_model_lps(key):
+    build = _model_lp(*key)
+    assert hashlib.sha256(dump_lp(build.lp).encode()).hexdigest() == LP_GOLDEN[key]
 
 
 def test_checks_raise_under_python_O():

@@ -261,20 +261,22 @@ def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, no
 # -- model checks survive ``python -O`` ----------------------------------------
 
 
-def test_model_checks_raise_under_python_O():
-    # A planted evaluator/LP mismatch must raise ModelCheckError even when
-    # the interpreter strips asserts.
-    code = """
+def _planted_mismatch_raises(module, evaluator, call, expected):
+    # Plant a wrong robust value through ``module.evaluator``, run ``call``
+    # under ``python -O`` and check that the shared solve step still raises
+    # ModelCheckError with the ``expected`` disagreement.
+    code = f"""
 import dataclasses, sys
-from robustflow import ModelCheckError, gen_two_hop, solve_static, static_models
+from robustflow import ModelCheckError, gen_ti_gap, gen_two_hop, solve_dynamic, solve_static
+from robustflow import {module} as module
 assert False, "asserts must be stripped in this interpreter"
-honest = static_models.evaluate_static
+honest = module.{evaluator}
 def lying(*args, **kwargs):
     report = honest(*args, **kwargs)
     return dataclasses.replace(report, robust_value=report.robust_value + 1)
-static_models.evaluate_static = lying
+module.{evaluator} = lying
 try:
-    solve_static(gen_two_hop(), "gm", 1)
+    {call}
 except ModelCheckError as exc:
     print("raised:", exc)
     sys.exit(0)
@@ -286,4 +288,19 @@ sys.exit(1)
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert "raised: evaluator disagrees with the LP: 3 != 2" in done.stdout
+    assert f"raised: evaluator disagrees with the LP: {expected}" in done.stdout
+
+
+def test_model_checks_raise_under_python_O():
+    # A planted evaluator/LP mismatch must raise ModelCheckError even when
+    # the interpreter strips asserts.
+    _planted_mismatch_raises(
+        "static_models", "evaluate_static", 'solve_static(gen_two_hop(), "gm", 1)', "3 != 2"
+    )
+
+
+def test_dynamic_model_checks_raise_under_python_O():
+    # The dynamic solvers run the same shared check as the static ones.
+    _planted_mismatch_raises(
+        "dynamic_models", "evaluate_dynamic", 'solve_dynamic(gen_ti_gap(), "dpm")', "3 != 2"
+    )
