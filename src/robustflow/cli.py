@@ -94,15 +94,14 @@ def _write(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _load_instance(path: str):
+def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise NetworkError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkError(f"{path} is not valid JSON: {exc}") from exc
-    return instance_from_json(data)
 
 
 def cmd_generate(args) -> int:
@@ -177,27 +176,27 @@ def _solve_any(instance, model: str, gamma, horizon, lex: bool):
     return flow, report, catalog, {"gamma": inst.gamma, "horizon": inst.horizon}
 
 
-def _report_scenarios(report):
-    return getattr(report, "worst_scenarios", None) or getattr(
-        report, "minimizing_scenarios", ()
-    )
+def _csv_row(model: str, report, wall_ms: float) -> dict:
+    """One row of ``compare_to_csv`` for a solved model."""
+    return {
+        "model": model,
+        "robust_value": report.robust_value,
+        "nominal_value": report.nominal_value,
+        "worst_scenarios": getattr(report, "worst_scenarios", None)
+        or getattr(report, "minimizing_scenarios", ()),
+        "wall_ms": wall_ms,
+    }
 
 
 def cmd_solve(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = instance_from_json(_read_json(args.instance))
     start = time.perf_counter()
     flow, report, catalog, meta = _solve_any(
         instance, args.model, args.gamma, args.horizon, args.lex_nominal
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
     if args.format == "csv":
-        row = {
-            "model": args.model,
-            "robust_value": report.robust_value,
-            "nominal_value": report.nominal_value,
-            "worst_scenarios": _report_scenarios(report),
-            "wall_ms": wall_ms,
-        }
+        row = _csv_row(args.model, report, wall_ms)
         _write(compare_to_csv([row], include_timing=not args.no_timing), args.out)
         return 0
     result = result_to_json(
@@ -221,7 +220,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    instance = _load_instance(args.instance)
+    instance = instance_from_json(_read_json(args.instance))
     if args.models:
         models = [m.strip() for m in args.models.split(",") if m.strip()]
     elif isinstance(instance, DynamicInstance):
@@ -237,29 +236,14 @@ def cmd_compare(args) -> int:
         flow, report, catalog, meta = _solve_any(
             instance, model, args.gamma, args.horizon, args.lex_nominal
         )
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        rows.append(
-            {
-                "model": model,
-                "robust_value": report.robust_value,
-                "nominal_value": report.nominal_value,
-                "worst_scenarios": _report_scenarios(report),
-                "wall_ms": wall_ms,
-            }
-        )
+        rows.append(_csv_row(model, report, (time.perf_counter() - start) * 1000.0))
     _write(compare_to_csv(rows, include_timing=not args.no_timing), args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    instance = _load_instance(args.instance)
-    try:
-        with open(args.flow, "r", encoding="utf-8") as handle:
-            flow = flow_from_json(json.load(handle))
-    except OSError as exc:
-        raise NetworkError(f"cannot read {args.flow}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise NetworkError(f"{args.flow} is not valid JSON: {exc}") from exc
+    instance = instance_from_json(_read_json(args.instance))
+    flow = flow_from_json(_read_json(args.flow))
     if isinstance(instance, DynamicInstance):
         if not isinstance(flow, DynamicFlow):
             raise NetworkError(
@@ -325,7 +309,7 @@ def _minimize(net: Network, violated) -> Network:
                 continue
             try:
                 still_bad = violated(candidate)
-            except (NetworkError, GuardExceeded, RuntimeError):
+            except (NetworkError, GuardExceeded):
                 continue
             if still_bad:
                 current = candidate

@@ -49,7 +49,7 @@ from .network import (
     enumerate_subpaths,
     validate_network,
 )
-from .rational import ONE, ZERO, rat
+from .rational import ZERO, rat
 from .static_models import InfeasibleFlowError, Violation
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
@@ -173,7 +173,7 @@ class _Timed:
         return t
 
 
-def _timed_route_lp(inst: DynamicInstance, routes, sink_routes, guard):
+def _timed_route_lp(inst: DynamicInstance, routes, sink_routes):
     """Start a timed path-like model.
 
     Adds one column per route and departure time inside its window, the
@@ -190,46 +190,36 @@ def _timed_route_lp(inst: DynamicInstance, routes, sink_routes, guard):
         for theta in range(1, timed.window[i] + 1):
             xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
     w = lp.add_var("arrival_bound")
-    lp.set_objective({w: ONE})
+    lp.set_objective({w: 1})
     rows = Rows(lp)
     universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in sink_routes)))
-    for scenario in enumerate_scenarios(universe, inst.gamma, guard=guard).scenarios:
+    for scenario in enumerate_scenarios(universe, inst.gamma).scenarios:
         hit = set(scenario)
-        coeffs = {w: ONE}
+        coeffs = {w: 1}
         for i in sink_routes:
             lim = min(timed.window[i], T - timed.tau[i] - path_delay(net, routes[i].arcs, hit))
             for theta in range(1, lim + 1):
-                coeffs[xs[(i, theta)]] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
+                coeffs[xs[(i, theta)]] = -1
+        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
     return timed, lp, xs, w, rows
 
 
-def build_dpm_lp(
-    inst: DynamicInstance,
-    catalog: PathCatalog,
-    *,
-    guard: Optional[int] = None,
-) -> ModelBuild:
+def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed path flow against worst-case delays."""
     _check_instance(inst)
     paths = catalog.st_paths
-    timed, lp, xs, w, rows = _timed_route_lp(inst, paths, range(len(paths)), guard)
-    _timed_capacity_rows(rows, timed, xs, catalog.st_by_arc, inst.gamma, guard)
-    return ModelBuild(lp, "path", xs, w, nominal_coeffs={c: ONE for c in xs.values()})
+    timed, lp, xs, w, rows = _timed_route_lp(inst, paths, range(len(paths)))
+    _timed_capacity_rows(rows, timed, xs, catalog.st_by_arc, inst.gamma)
+    return ModelBuild(lp, "path", xs, w, nominal_coeffs={c: 1 for c in xs.values()})
 
 
-def build_dgm_lp(
-    inst: DynamicInstance,
-    catalog: PathCatalog,
-    *,
-    guard: Optional[int] = None,
-) -> ModelBuild:
+def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed subpath flow: flow may be re-declared at interior nodes."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     subs = catalog.subpaths
     enders = catalog.by_end.get(net.sink, ())
-    timed, lp, xs, w, rows = _timed_route_lp(inst, subs, enders, guard)
+    timed, lp, xs, w, rows = _timed_route_lp(inst, subs, enders)
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -238,34 +228,34 @@ def build_dgm_lp(
         if not starting:
             continue
         node_universe = _positive_delay_ids(net, arcs_on(net, (subs[i] for i in ending)))
-        for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
+        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
             hit = set(scenario)
             shift = {i: timed.tau[i] + path_delay(net, subs[i].arcs, hit) for i in ending}
             for theta in range(1, T + 1):
                 coeffs = {}
                 for j in starting:
                     if (j, theta) in xs:
-                        coeffs[xs[(j, theta)]] = ONE
+                        coeffs[xs[(j, theta)]] = 1
                 if not coeffs:
                     continue
                 for i in ending:
                     key = (i, theta - shift[i])
                     if key in xs:
-                        coeffs[xs[key]] = coeffs.get(xs[key], ZERO) - ONE
+                        coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
                 rows.add(
-                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{scenario_label(scenario)}"
+                    coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}"
                 )
-    _timed_capacity_rows(rows, timed, xs, catalog.by_arc, gamma, guard)
+    _timed_capacity_rows(rows, timed, xs, catalog.by_arc, gamma)
     return ModelBuild(
         lp,
         "subpath",
         xs,
         w,
-        nominal_coeffs={xs[(i, theta)]: ONE for (i, theta) in xs if i in set(enders)},
+        nominal_coeffs={xs[(i, theta)]: 1 for (i, theta) in xs if i in set(enders)},
     )
 
 
-def _arc_scenarios(timed, by_arc, gamma, guard):
+def _arc_scenarios(timed, by_arc, gamma):
     """Per-arc scenarios for the timed capacity rows.
 
     For each arc with routes through it, and each scenario over the
@@ -281,15 +271,15 @@ def _arc_scenarios(timed, by_arc, gamma, guard):
         positions = {i: timed.paths[i].arcs.index(arc.id) for i in routes}
         upstream = {a for i, k in positions.items() for a in timed.paths[i].arcs[:k]}
         universe = _positive_delay_ids(net, upstream)
-        for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+        for scenario in enumerate_scenarios(universe, gamma).scenarios:
             hit = set(scenario)
             yield arc, scenario, {i: timed.entry_time(i, k, 0, hit) for i, k in positions.items()}
 
 
-def _timed_capacity_rows(rows, timed, xs, by_arc, gamma, guard) -> None:
+def _timed_capacity_rows(rows, timed, xs, by_arc, gamma) -> None:
     """Capacity rows for the timed path-like builders: for each arc and
     scenario, tally which departures occupy the arc at each time step."""
-    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma, guard):
+    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma):
         by_theta: dict = {}
         for i, offset in offsets.items():
             for dep in range(1, timed.window[i] + 1):
@@ -297,7 +287,7 @@ def _timed_capacity_rows(rows, timed, xs, by_arc, gamma, guard) -> None:
                 if occupied <= timed.T:
                     by_theta.setdefault(occupied, []).append((i, dep))
         for theta in sorted(by_theta):
-            coeffs = {xs[(i, dep)]: ONE for i, dep in by_theta[theta]}
+            coeffs = {xs[(i, dep)]: 1 for i, dep in by_theta[theta]}
             rows.add(
                 coeffs,
                 "<=",
@@ -306,11 +296,7 @@ def _timed_capacity_rows(rows, timed, xs, by_arc, gamma, guard) -> None:
             )
 
 
-def build_dam_lp(
-    inst: DynamicInstance,
-    *,
-    guard: Optional[int] = None,
-) -> ModelBuild:
+def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
     """Timed arc flow with robust conservation under worst-case delays."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
@@ -322,19 +308,19 @@ def build_dam_lp(
         for theta in range(1, limit + 1):
             xs[(arc.id, theta)] = lp.add_var(f"x[{arc.id},{theta}]")
     w = lp.add_var("arrival_bound")
-    lp.set_objective({w: ONE})
+    lp.set_objective({w: 1})
     rows = Rows(lp)
     sink_in = [a for a in net.in_arcs(net.sink)]
     universe = _positive_delay_ids(net, [a.id for a in sink_in])
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+    for scenario in enumerate_scenarios(universe, gamma).scenarios:
         hit = set(scenario)
-        coeffs = {w: ONE}
+        coeffs = {w: 1}
         for arc in sink_in:
             lim = T - arc.travel_time - (arc.delay if arc.id in hit else 0)
             for theta in range(1, lim + 1):
                 if (arc.id, theta) in xs:
-                    coeffs[xs[(arc.id, theta)]] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
+                    coeffs[xs[(arc.id, theta)]] = -1
+        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -343,32 +329,32 @@ def build_dam_lp(
         if not outgoing:
             continue
         node_universe = _positive_delay_ids(net, [a.id for a in incoming])
-        for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
+        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
             hit = set(scenario)
             for theta in range(1, T + 1):
                 coeffs = {}
                 for arc in outgoing:
                     if (arc.id, theta) in xs:
-                        coeffs[xs[(arc.id, theta)]] = ONE
+                        coeffs[xs[(arc.id, theta)]] = 1
                 if not coeffs:
                     continue
                 for arc in incoming:
                     entry = theta - arc.travel_time - (arc.delay if arc.id in hit else 0)
                     key = (arc.id, entry)
                     if key in xs:
-                        coeffs[xs[key]] = coeffs.get(xs[key], ZERO) - ONE
+                        coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
                 rows.add(
-                    coeffs, "<=", ZERO, f"cons[{v},{theta}]{scenario_label(scenario)}"
+                    coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}"
                 )
     for (a, theta), col in xs.items():
-        rows.add({col: ONE}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
+        rows.add({col: 1}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
     sink_ids = {a.id for a in sink_in}
     return ModelBuild(
         lp,
         "arc",
         xs,
         w,
-        nominal_coeffs={col: ONE for (a, theta), col in xs.items() if a in sink_ids},
+        nominal_coeffs={col: 1 for (a, theta), col in xs.items() if a in sink_ids},
     )
 
 
@@ -403,49 +389,49 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
     for arc in sink_in:
         for theta in range(1, T - arc.travel_time + 1):
             col = xs[(arc.id, theta)]
-            objective[col] = objective.get(col, ZERO) + ONE
-            nominal[col] = nominal.get(col, ZERO) + ONE
+            objective[col] = objective.get(col, 0) + 1
+            nominal[col] = nominal.get(col, 0) + 1
     for arc in sink_in:
-        objective[nu[arc.id]] = -ONE
-    objective[mu] = objective.get(mu, ZERO) - rat(gamma)
+        objective[nu[arc.id]] = -1
+    objective[mu] = objective.get(mu, 0) - gamma
     lp.set_objective(objective)
     rows = Rows(lp)
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
         for theta in range(1, T + 1):
-            coeffs = {eta[(v, theta)]: rat(gamma)}
+            coeffs = {eta[(v, theta)]: gamma}
             for arc in net.out_arcs(v):
                 col = xs[(arc.id, theta)]
-                coeffs[col] = coeffs.get(col, ZERO) + ONE
+                coeffs[col] = coeffs.get(col, 0) + 1
             for arc in net.in_arcs(v):
                 entry = theta - arc.travel_time
                 if 1 <= entry <= T:
                     col = xs[(arc.id, entry)]
-                    coeffs[col] = coeffs.get(col, ZERO) - ONE
-                coeffs[lam[(arc.id, theta)]] = coeffs.get(lam[(arc.id, theta)], ZERO) + ONE
-            rows.add(coeffs, "<=", ZERO, f"flow[{v},{theta}]")
+                    coeffs[col] = coeffs.get(col, 0) - 1
+                coeffs[lam[(arc.id, theta)]] = coeffs.get(lam[(arc.id, theta)], 0) + 1
+            rows.add(coeffs, "<=", 0, f"flow[{v},{theta}]")
             for arc in net.in_arcs(v):
-                c2 = {eta[(v, theta)]: -ONE, lam[(arc.id, theta)]: -ONE}
+                c2 = {eta[(v, theta)]: -1, lam[(arc.id, theta)]: -1}
                 entry = theta - arc.travel_time
                 if 1 <= entry <= T:
                     col = xs[(arc.id, entry)]
-                    c2[col] = c2.get(col, ZERO) + ONE
+                    c2[col] = c2.get(col, 0) + 1
                 late = theta - arc.travel_time - arc.delay
                 if 1 <= late <= T:
                     col = xs[(arc.id, late)]
-                    c2[col] = c2.get(col, ZERO) - ONE
-                rows.add(c2, "<=", ZERO, f"shift[{v},{arc.id},{theta}]")
+                    c2[col] = c2.get(col, 0) - 1
+                rows.add(c2, "<=", 0, f"shift[{v},{arc.id},{theta}]")
     for arc in sink_in:
-        c3 = {mu: -ONE, nu[arc.id]: -ONE}
+        c3 = {mu: -1, nu[arc.id]: -1}
         for i in range(1, arc.delay + 1):
             late = T - arc.travel_time - (i - 1)
             if 1 <= late <= T:
                 col = xs[(arc.id, late)]
-                c3[col] = c3.get(col, ZERO) + ONE
-        rows.add(c3, "<=", ZERO, f"tail[{arc.id}]")
+                c3[col] = c3.get(col, 0) + 1
+        rows.add(c3, "<=", 0, f"tail[{arc.id}]")
     for (a, theta), col in xs.items():
-        rows.add({col: ONE}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
+        rows.add({col: 1}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
     return ModelBuild(
         lp,
         "arc",
@@ -468,12 +454,7 @@ def extract_dam_dual(build: ModelBuild, values, objective) -> DamDualSolution:
     )
 
 
-def build_tr_lp(
-    inst: DynamicInstance,
-    catalog: PathCatalog,
-    *,
-    guard: Optional[int] = None,
-) -> ModelBuild:
+def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Temporally repeated flow: one rate per path, shipped every slot."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
@@ -486,25 +467,25 @@ def build_tr_lp(
         if T - timed.tau[i] >= 1
     }
     w = lp.add_var("arrival_bound")
-    lp.set_objective({w: ONE})
+    lp.set_objective({w: 1})
     rows = Rows(lp)
     universe = _positive_delay_ids(net, arcs_on(net, (paths[i] for i in xs)))
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+    for scenario in enumerate_scenarios(universe, gamma).scenarios:
         hit = set(scenario)
-        coeffs = {w: ONE}
+        coeffs = {w: 1}
         for i in xs:
             window = T - timed.tau[i] - path_delay(net, paths[i].arcs, hit)
             if window > 0:
-                coeffs[xs[i]] = -rat(window)
-        rows.add(coeffs, "<=", ZERO, f"arrive{scenario_label(scenario)}")
+                coeffs[xs[i]] = -window
+        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
     by_arc = {a: [i for i in ids if i in xs] for a, ids in catalog.st_by_arc.items()}
-    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma, guard):
+    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma):
         for theta in range(1, T + 1):
             coeffs = {}
             for i, offset in offsets.items():
                 dep = theta - offset
                 if 1 <= dep <= T - timed.tau[i]:
-                    coeffs[xs[i]] = ONE
+                    coeffs[xs[i]] = 1
             if coeffs:
                 rows.add(
                     coeffs,
@@ -512,7 +493,7 @@ def build_tr_lp(
                     rat(arc.capacity),
                     f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
                 )
-    nominal = {xs[i]: rat(T - timed.tau[i]) for i in xs}
+    nominal = {xs[i]: T - timed.tau[i] for i in xs}
     return ModelBuild(lp, "tr", dict(xs), w, nominal_coeffs=nominal)
 
 
@@ -569,8 +550,6 @@ def evaluate_dynamic(
     inst: DynamicInstance,
     catalog: Optional[PathCatalog] = None,
     kind: Optional[str] = None,
-    *,
-    guard: Optional[int] = None,
 ) -> DynamicRobustReport:
     """LP-free evaluation of a dynamic flow over the exhaustive scenario set.
 
@@ -586,7 +565,7 @@ def evaluate_dynamic(
         raise NetworkError(f"flow kind {flow.kind!r} does not match {kind!r}")
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     if kind in ("path", "subpath", "tr") and catalog is None:
-        catalog = enumerate_subpaths(net, guard=guard)
+        catalog = enumerate_subpaths(net)
     violations = []
     values = {}
     for key, raw in flow.values.items():
@@ -652,7 +631,7 @@ def evaluate_dynamic(
                 )
                 continue
             support.append((a, theta, value))
-    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma, guard=guard)
+    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
     # Capacity under every scenario.
     if kind == "arc":
         for a, theta, value in support:
@@ -754,27 +733,26 @@ def solve_dynamic(
     *,
     maximize_nominal: bool = False,
     catalog: Optional[PathCatalog] = None,
-    guard: Optional[int] = None,
 ):
     """Build, solve and cross-validate one dynamic model; returns (flow, report)."""
     if model not in DYNAMIC_MODELS:
         raise NetworkError(f"unknown dynamic model {model!r}")
     _check_instance(inst)
     if catalog is None and model in ("dpm", "dgm", "tr"):
-        catalog = enumerate_subpaths(inst.network, guard=guard)
+        catalog = enumerate_subpaths(inst.network)
     if model == "dpm":
-        build = build_dpm_lp(inst, catalog, guard=guard)
+        build = build_dpm_lp(inst, catalog)
     elif model == "dgm":
-        build = build_dgm_lp(inst, catalog, guard=guard)
+        build = build_dgm_lp(inst, catalog)
     elif model == "dam":
-        build = build_dam_lp(inst, guard=guard)
+        build = build_dam_lp(inst)
     elif model == "dam-compact":
         build = build_dam_compact_lp(inst)
     else:
-        build = build_tr_lp(inst, catalog, guard=guard)
+        build = build_tr_lp(inst, catalog)
     return solve_model(
         build,
         maximize_nominal,
         lambda values: DynamicFlow(build.kind, nonzero(build.flow_vars, values)),
-        lambda flow: evaluate_dynamic(flow, inst, catalog, build.kind, guard=guard),
+        lambda flow: evaluate_dynamic(flow, inst, catalog, build.kind),
     )

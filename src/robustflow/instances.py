@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .dynamic_models import DynamicInstance
 from .network import Arc, Network, NetworkError, validate_network
-from .rational import ONE, as_fraction, rat
+from .rational import ONE, rat
 
 
 def _checked(net: Network) -> Network:
@@ -135,7 +135,7 @@ def gen_por_static(gamma: int, alpha):
         }
         return _checked(Network(["s", "v1", "v2", "t"], arcs, "s", "t", meta=meta))
 
-    scale = math.lcm(as_fraction(thin).denominator, as_fraction(skip).denominator)
+    scale = math.lcm(thin.denominator, skip.denominator)
     return build(ONE), build(rat(scale)), scale
 
 
@@ -156,15 +156,12 @@ def gen_por_dynamic(gamma: int, alpha):
     eta = ((gamma + 1) - alpha) / (gamma * alpha * (gamma + 1))
     fast_tau = rat(1, gamma + 1) - eta
     slow_delay = rat(1, gamma + 1)
-    scale = math.lcm(
-        as_fraction(fast_tau).denominator, as_fraction(slow_delay).denominator
-    )
+    scale = math.lcm(fast_tau.denominator, slow_delay.denominator)
 
     def build(factor: int, horizon: int) -> DynamicInstance:
         def time(value):
             scaled = value * factor
-            frac = as_fraction(scaled)
-            return int(frac) if frac.denominator == 1 else scaled
+            return int(scaled) if scaled.denominator == 1 else scaled
 
         nodes = ["s"]
         for i in range(1, gamma + 1):
@@ -301,7 +298,7 @@ def split_capacities(net: Network) -> Network:
     """
     caps = {}
     for arc in net.arcs:
-        frac = as_fraction(rat(arc.capacity))
+        frac = rat(arc.capacity)
         if frac.denominator != 1:
             raise NetworkError(f"arc {arc.id!r} has non-integral capacity {arc.capacity}")
         caps[arc.id] = int(frac)

@@ -6,8 +6,13 @@ rule.  The tableau is sparse and integer: each row is a ``{column: int}``
 dict whose rational value is the row divided by its basic entry, as in
 integer-preserving elimination (Bareiss) and the integer pivoting of lrs.
 There is no floating point anywhere, no tolerance knobs, and statuses are
-decided exactly: ``optimal``, ``infeasible`` or ``unbounded``.  Values are
-returned as backend rationals (``rat``).
+decided exactly: ``optimal``, ``infeasible`` or ``unbounded``.
+
+Input contract: every coefficient and right-hand side is an ``int`` or a
+``fractions.Fraction``; anything else raises :class:`LpError`.  The LP keeps
+the values it is given (only zeros are dropped) and :func:`_integer_row`
+turns each row into integers once, on its way into the tableau.  Values are
+returned as ``Fraction``s.
 
 Every optimum is re-checked against the constraints before it is returned;
 a failed check raises :class:`LpCheckError`, also under ``python -O``.
@@ -17,10 +22,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .rational import ONE, ZERO, rat
+from .rational import ZERO, rat
 
 KERNEL = "sparse-int"
 
@@ -33,6 +39,13 @@ class LpError(ValueError):
 
 class LpCheckError(AssertionError):
     """The solver's result failed one of its own exact checks."""
+
+
+def _exact(value):
+    """``value`` itself when it is an ``int`` or a ``Fraction``; else :class:`LpError`."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return value
+    raise LpError(f"LP data must be int or Fraction, got {value!r}")
 
 
 @dataclass
@@ -62,23 +75,22 @@ class LinearProgram:
         return idx
 
     def set_objective(self, coeffs: Mapping) -> None:
-        self.objective = {j: rat(c) for j, c in coeffs.items() if rat(c) != 0}
-        self._check_indices(self.objective)
+        self.objective = self._clean(coeffs)
 
     def add_constraint(
         self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None
     ) -> int:
         if rel not in _RELATIONS:
             raise LpError(f"relation must be one of {_RELATIONS}, got {rel!r}")
-        clean = {j: rat(c) for j, c in coeffs.items() if rat(c) != 0}
-        self._check_indices(clean)
-        self.constraints.append(_Constraint(clean, rel, rat(rhs), label))
+        self.constraints.append(_Constraint(self._clean(coeffs), rel, _exact(rhs), label))
         return len(self.constraints) - 1
 
-    def _check_indices(self, coeffs: Mapping) -> None:
+    def _clean(self, coeffs: Mapping) -> dict:
+        """The nonzero entries of ``coeffs``, checked, with their values as given."""
         for j in coeffs:
             if not isinstance(j, int) or not 0 <= j < len(self.var_names):
                 raise LpError(f"unknown variable index {j!r}")
+        return {j: c for j, c in coeffs.items() if _exact(c) != 0}
 
     @property
     def n_vars(self) -> int:
@@ -142,10 +154,13 @@ def _normalize(row: dict, rhs: int) -> int:
 
 
 def _integer_row(coeffs: Mapping, rhs) -> tuple:
-    """The primitive integer multiple ``(row, rhs)`` of a rational row."""
-    den = lcm(int(rhs.denominator), *(int(c.denominator) for c in coeffs.values()))
-    row = {j: int(c.numerator) * (den // int(c.denominator)) for j, c in coeffs.items()}
-    return row, _normalize(row, int(rhs.numerator) * (den // int(rhs.denominator)))
+    """The primitive integer multiple ``(row, rhs)`` of a row of ints and Fractions.
+
+    This is the one place where LP data is converted: into the tableau.
+    """
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = {j: c.numerator * (den // c.denominator) for j, c in coeffs.items()}
+    return row, _normalize(row, rhs.numerator * (den // rhs.denominator))
 
 
 def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int, colrows=None, i=None) -> int:
@@ -237,26 +252,24 @@ class _Simplex:
         self.colrows = defaultdict(set)
         self.obj: dict = {}
         for i, (coeffs, b) in enumerate(halves):
-            coeffs[n + i] = ONE
+            coeffs[n + i] = 1
             basic = n + i
             if b < 0:
                 coeffs = {j: -c for j, c in coeffs.items()}
                 b = -b
                 basic = self.ncols
                 self.ncols += 1
-                coeffs[basic] = ONE
+                coeffs[basic] = 1
                 self.artificial.add(basic)
             self._add_row(*_integer_row(coeffs, b), basic)
 
     def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
-        """Rational column coefficients of a linear form over the LP's variables."""
+        """Column coefficients of a (zero-free) linear form over the LP's variables."""
         out = {}
         for j, c in coeffs.items():
-            c = sign * rat(c)
-            if c:
-                out[self.col_pos[j]] = c
-                if self.col_neg[j] is not None:
-                    out[self.col_neg[j]] = -c
+            out[self.col_pos[j]] = sign * c
+            if self.col_neg[j] is not None:
+                out[self.col_neg[j]] = -sign * c
         return out
 
     def _add_row(self, row: dict, rhs: int, basic: int) -> None:
@@ -312,8 +325,8 @@ class _Simplex:
             self._pivot(best, col)
 
     def _set_objective(self, coeffs: Mapping) -> None:
-        """Reduced-cost row of ``coeffs`` (a column -> rational map) at the current basis."""
-        obj, _ = _integer_row(coeffs, ZERO)
+        """Reduced-cost row of ``coeffs`` (a column -> exact number map) at the current basis."""
+        obj, _ = _integer_row(coeffs, 0)
         for i, b in enumerate(self.basis):
             if b in obj:
                 _cancel(obj, 0, self.rows[i], self.rhs[i], b)
@@ -325,7 +338,7 @@ class _Simplex:
         """Returns True when a feasible basis was reached."""
         if not self.artificial:
             return True
-        self._set_objective({a: -ONE for a in self.artificial})
+        self._set_objective({a: -1 for a in self.artificial})
         if self._run() != "optimal":
             raise LpCheckError("phase 1 cannot be unbounded")
         if any(self.rhs[i] for i, b in enumerate(self.basis) if b in self.artificial):
@@ -356,7 +369,7 @@ class _Simplex:
         return tuple(out)
 
     def objective_of(self, coeffs: Mapping, values: Sequence) -> object:
-        return sum((rat(c) * values[j] for j, c in coeffs.items()), ZERO)
+        return sum((c * values[j] for j, c in coeffs.items()), ZERO)
 
     # -- lexicographic continuation ----------------------------------------
 
@@ -366,8 +379,8 @@ class _Simplex:
             slack = self.ncols
             self.ncols += 1
             pin = self._columns(coeffs, sign)
-            pin[slack] = ONE
-            row, rhs = _integer_row(pin, sign * rat(value))
+            pin[slack] = 1
+            row, rhs = _integer_row(pin, sign * value)
             for i, b in enumerate(self.basis):
                 if b in row:
                     rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
@@ -412,6 +425,7 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
     Both objectives share ``lp.sense``.  The follow-up solve warm-continues
     from the optimal tableau with the primary objective pinned to its value.
     """
+    secondary = lp._clean(secondary)
     first, simplex = _solve_with(_Simplex(lp))
     if first.status != "optimal":
         return LexSolution(first.status, None, None, ())

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .lp import LinearProgram, lexicographic_solve, solve_lp
-from .rational import rat
 
 
 class ModelCheckError(AssertionError):
@@ -33,17 +32,23 @@ class ModelBuild:
 
 
 class Rows:
-    """Adds constraints with exact-duplicate elimination."""
+    """Adds constraints with exact-duplicate elimination.
+
+    Builders hand in ``int`` coefficients and ``int`` or ``Fraction``
+    right-hand sides; they are kept as given (zeros dropped), and an ``int``
+    keys a row like the equal ``Fraction`` would.  Rows with no nonzero
+    coefficient, and repeats of a row already added, are skipped.
+    """
 
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
         self.seen = set()
 
     def add(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
-        clean = {j: rat(c) for j, c in coeffs.items() if rat(c) != 0}
-        key = (rel, rat(rhs), frozenset(clean.items()))
+        clean = {j: c for j, c in coeffs.items() if c != 0}
         if not clean:
             return
+        key = (rel, rhs, frozenset(clean.items()))
         if key in self.seen:
             return
         self.seen.add(key)

@@ -1,10 +1,10 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
-All flow values, capacities and LP coefficients in this package are exact
-rationals.  gmpy2's ``mpq`` is used when it is installed (the optional
-``gmpy2`` extra), otherwise ``fractions.Fraction``.
-Both types hash and compare interchangeably, so callers may mix them freely;
-``rat()`` is the canonical constructor.
+All flow values and capacities in this package are exact rationals of the
+one type ``fractions.Fraction``; ``rat()`` is the canonical constructor.
+Model LP coefficients are plain ``int``s, which hash, compare and print
+like the equal ``Fraction``; the LP layer turns each row into integers
+once, on its way into the tableau (:mod:`robustflow.lp`).
 """
 
 from __future__ import annotations
@@ -12,34 +12,19 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-try:
-    from gmpy2 import mpq as _mpq
+BACKEND = "fractions"
 
-    BACKEND = "gmpy2"
 
-    def rat(p: Union[int, str, Fraction, object] = 0, q: int = 1):
-        """Build an exact rational from an int, string "p/q", Fraction or rational."""
-        if isinstance(p, str):
-            return _mpq(p)
-        return _mpq(p, q)
-
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    BACKEND = "fractions"
-
-    def rat(p: Union[int, str, Fraction, object] = 0, q: int = 1):
-        """Build an exact rational from an int, string "p/q", Fraction or rational."""
-        if isinstance(p, str):
-            return Fraction(p)
-        return Fraction(p) / q if q != 1 else Fraction(p)
+def rat(p: Union[int, str, Fraction] = 0, q: int = 1) -> Fraction:
+    """Build an exact rational from an int, string "p/q" or Fraction."""
+    return Fraction(p) / q if q != 1 else Fraction(p)
 
 
 ZERO = rat(0)
 ONE = rat(1)
 
-Rat = type(ZERO)
 
-
-def parse_rational(text: Union[str, int]):
+def parse_rational(text: Union[str, int]) -> Fraction:
     """Parse the on-disk rational format: an integer or a "p/q" string."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
@@ -60,10 +45,3 @@ def parse_rational(text: Union[str, int]):
 def format_rational(value) -> str:
     """Serialize a rational as "p/q", or a plain integer string when q == 1."""
     return str(value)
-
-
-def as_fraction(value) -> Fraction:
-    """Convert any backend rational to a ``fractions.Fraction``."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value.numerator, value.denominator)

@@ -19,7 +19,8 @@ from .dynamic_models import (
     validate_dynamic_instance,
 )
 from .network import Arc, Network, NetworkError, PathCatalog, validate_network
-from .rational import as_fraction, parse_rational, rat
+from .model_lp import scenario_label
+from .rational import parse_rational, rat
 from .static_models import RobustReport, StaticFlow
 
 TIMED_KINDS = ("path", "arc", "subpath", "tr")
@@ -27,7 +28,7 @@ STATIC_KINDS = ("path", "arc", "subpath")
 
 
 def rational_to_json(value):
-    frac = as_fraction(rat(value))
+    frac = rat(value)
     if frac.denominator == 1:
         return int(frac)
     return f"{frac.numerator}/{frac.denominator}"
@@ -41,8 +42,7 @@ def rational_from_json(value):
 
 def _time_from_json(value):
     parsed = rational_from_json(value)
-    frac = as_fraction(parsed)
-    return int(frac) if frac.denominator == 1 else parsed
+    return int(parsed) if parsed.denominator == 1 else parsed
 
 
 def dumps(data) -> str:
@@ -226,10 +226,6 @@ def result_to_json(
     return data
 
 
-def scenario_text(scenario) -> str:
-    return "{" + ",".join(str(a) for a in scenario) + "}"
-
-
 def compare_to_csv(rows, *, include_timing: bool = True) -> str:
     """Render compare results; one row per model, exact values as text."""
     buf = io.StringIO()
@@ -239,7 +235,7 @@ def compare_to_csv(rows, *, include_timing: bool = True) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        scenarios = " ".join(scenario_text(s) for s in row["worst_scenarios"])
+        scenarios = " ".join(scenario_label(s) for s in row["worst_scenarios"])
         out = [
             row["model"],
             str(rat(row["robust_value"])),

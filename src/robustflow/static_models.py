@@ -43,7 +43,7 @@ from .network import (
     enumerate_scenarios,
     enumerate_subpaths,
 )
-from .rational import ONE, ZERO, rat
+from .rational import ZERO, rat
 
 STATIC_MODELS = ("pm", "am", "gm", "gm1")
 
@@ -104,35 +104,34 @@ def build_pm_lp(
     gamma: int,
     *,
     full_lambda: bool = False,
-    guard: Optional[int] = None,
 ) -> ModelBuild:
     """Path-flow model: maximize total flow minus worst-case lost flow."""
     lp = LinearProgram("max")
     xs = [lp.add_var(f"x[{i}]") for i in range(len(catalog.st_paths))]
     lam = lp.add_var("loss_bound")
-    lp.set_objective({**{x: ONE for x in xs}, lam: -ONE})
+    lp.set_objective({**{x: 1 for x in xs}, lam: -1})
     rows = Rows(lp)
     if full_lambda:
         universe = [a.id for a in net.arcs]
     else:
         universe = list(catalog.st_by_arc)
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+    for scenario in enumerate_scenarios(universe, gamma).scenarios:
         touched = set()
         for a in scenario:
             touched.update(catalog.st_by_arc.get(a, ()))
-        coeffs = {xs[i]: ONE for i in touched}
-        coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
+        coeffs = {xs[i]: 1 for i in touched}
+        coeffs[lam] = -1
+        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
     for arc in net.arcs:
         hit = catalog.st_by_arc.get(arc.id, ())
         if hit:
-            rows.add({xs[i]: ONE for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+            rows.add({xs[i]: 1 for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "path",
         {i: xs[i] for i in range(len(xs))},
         lam,
-        nominal_coeffs={x: ONE for x in xs},
+        nominal_coeffs={x: 1 for x in xs},
     )
 
 
@@ -141,22 +140,21 @@ def build_am_lp(
     gamma: int,
     *,
     full_lambda: bool = False,
-    guard: Optional[int] = None,
 ) -> ModelBuild:
     """Arc-flow model with robust conservation at every interior node."""
     lp = LinearProgram("max")
     xs = {arc.id: lp.add_var(f"x[{arc.id}]") for arc in net.arcs}
     lam = lp.add_var("loss_bound")
     sink_arcs = [a.id for a in net.in_arcs(net.sink)]
-    lp.set_objective({**{xs[a]: ONE for a in sink_arcs}, lam: -ONE})
+    lp.set_objective({**{xs[a]: 1 for a in sink_arcs}, lam: -1})
     rows = Rows(lp)
     all_ids = [a.id for a in net.arcs]
     universe = all_ids if full_lambda else sink_arcs
     sink_set = set(sink_arcs)
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
-        coeffs = {xs[a]: ONE for a in scenario if a in sink_set}
-        coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
+    for scenario in enumerate_scenarios(universe, gamma).scenarios:
+        coeffs = {xs[a]: 1 for a in scenario if a in sink_set}
+        coeffs[lam] = -1
+        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -166,21 +164,21 @@ def build_am_lp(
             continue
         node_universe = all_ids if full_lambda else incoming
         incoming_set = set(incoming)
-        for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
+        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
             removed = set(scenario) & incoming_set
-            coeffs = {xs[a]: ONE for a in outgoing}
+            coeffs = {xs[a]: 1 for a in outgoing}
             for a in incoming:
                 if a not in removed:
-                    coeffs[xs[a]] = coeffs.get(xs[a], ZERO) - ONE
-            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{scenario_label(scenario)}")
+                    coeffs[xs[a]] = coeffs.get(xs[a], 0) - 1
+            rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
-        rows.add({xs[arc.id]: ONE}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+        rows.add({xs[arc.id]: 1}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "arc",
         dict(xs),
         lam,
-        nominal_coeffs={xs[a]: ONE for a in sink_arcs},
+        nominal_coeffs={xs[a]: 1 for a in sink_arcs},
     )
 
 
@@ -190,23 +188,22 @@ def build_gm_lp(
     gamma: int,
     *,
     full_lambda: bool = False,
-    guard: Optional[int] = None,
 ) -> ModelBuild:
     """Subpath-flow model: the most general of the three static models."""
     lp = LinearProgram("max")
     xs = [lp.add_var(f"x[{i}]") for i in range(len(catalog.subpaths))]
     lam = lp.add_var("loss_bound")
     enders = catalog.by_end.get(net.sink, ())
-    lp.set_objective({**{xs[i]: ONE for i in enders}, lam: -ONE})
+    lp.set_objective({**{xs[i]: 1 for i in enders}, lam: -1})
     rows = Rows(lp)
     all_ids = [a.id for a in net.arcs]
     subs = catalog.subpaths
     universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in enders))
-    for scenario in enumerate_scenarios(universe, gamma, guard=guard).scenarios:
+    for scenario in enumerate_scenarios(universe, gamma).scenarios:
         hit = set(scenario)
-        coeffs = {xs[i]: ONE for i in enders if catalog.sub_arcsets[i] & hit}
-        coeffs[lam] = -ONE
-        rows.add(coeffs, "<=", ZERO, f"loss{scenario_label(scenario)}")
+        coeffs = {xs[i]: 1 for i in enders if catalog.sub_arcsets[i] & hit}
+        coeffs[lam] = -1
+        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
@@ -215,23 +212,23 @@ def build_gm_lp(
         if not starting:
             continue
         node_universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in ending))
-        for scenario in enumerate_scenarios(node_universe, gamma, guard=guard).scenarios:
+        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
             hit = set(scenario)
-            coeffs = {xs[i]: ONE for i in starting}
+            coeffs = {xs[i]: 1 for i in starting}
             for i in ending:
                 if not (catalog.sub_arcsets[i] & hit):
-                    coeffs[xs[i]] = coeffs.get(xs[i], ZERO) - ONE
-            rows.add(coeffs, "<=", ZERO, f"cons[{v}]{scenario_label(scenario)}")
+                    coeffs[xs[i]] = coeffs.get(xs[i], 0) - 1
+            rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
         hit = catalog.by_arc.get(arc.id, ())
         if hit:
-            rows.add({xs[i]: ONE for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+            rows.add({xs[i]: 1 for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "subpath",
         {i: xs[i] for i in range(len(xs))},
         lam,
-        nominal_coeffs={xs[i]: ONE for i in enders},
+        nominal_coeffs={xs[i]: 1 for i in enders},
     )
 
 
@@ -287,17 +284,17 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             continue
         for a, col in cols.items():
             sink_cols.setdefault(a, []).append(col)
-    objective = {col: ONE for a in net.in_arcs(sink) for col in sink_cols.get(a.id, ())}
+    objective = {col: 1 for a in net.in_arcs(sink) for col in sink_cols.get(a.id, ())}
     nominal = dict(objective)
-    objective[nu] = -ONE
+    objective[nu] = -1
     lp.set_objective(objective)
     for a, cols in sorted(sink_cols.items(), key=lambda kv: net.arc_rank[kv[0]]):
-        rows.add({col: ONE for col in cols} | {nu: -ONE}, "<=", ZERO, f"exposure[{a}]")
+        rows.add({col: 1 for col in cols} | {nu: -1}, "<=", 0, f"exposure[{a}]")
     for vprime in net.nodes:
         if vprime in (source, sink):
             continue
         inflow = {
-            col: ONE
+            col: 1
             for arc in net.in_arcs(vprime)
             for (v, w), cols in by_commodity.items()
             if w == vprime
@@ -308,16 +305,16 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
         for arc in net.out_arcs(vprime):
             for (v, w), cols in by_commodity.items():
                 if v == vprime and arc.id in cols:
-                    outflow[cols[arc.id]] = ONE
+                    outflow[cols[arc.id]] = 1
         for fail in net.arcs:
             coeffs = dict(outflow)
             for col in inflow:
-                coeffs[col] = coeffs.get(col, ZERO) - ONE
+                coeffs[col] = coeffs.get(col, 0) - 1
             for (v, w), cols in by_commodity.items():
                 if w == vprime and fail.id in cols:
                     col = cols[fail.id]
-                    coeffs[col] = coeffs.get(col, ZERO) + ONE
-            rows.add(coeffs, "<=", ZERO, f"robust[{vprime},{fail.id}]")
+                    coeffs[col] = coeffs.get(col, 0) + 1
+            rows.add(coeffs, "<=", 0, f"robust[{vprime},{fail.id}]")
     for (v, w), cols in by_commodity.items():
         for vprime in net.nodes:
             if vprime in (v, w):
@@ -325,17 +322,17 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             coeffs: dict = {}
             for arc in net.in_arcs(vprime):
                 if arc.id in cols:
-                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], ZERO) + ONE
+                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], 0) + 1
             for arc in net.out_arcs(vprime):
                 if arc.id in cols:
-                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], ZERO) - ONE
+                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], 0) - 1
             if coeffs:
-                rows.add(coeffs, "==", ZERO, f"route[{v},{w},{vprime}]")
+                rows.add(coeffs, "==", 0, f"route[{v},{w},{vprime}]")
     for arc in net.arcs:
         coeffs = {}
         for (v, w), cols in by_commodity.items():
             if arc.id in cols:
-                coeffs[cols[arc.id]] = ONE
+                coeffs[cols[arc.id]] = 1
         if coeffs:
             rows.add(coeffs, "<=", rat(arc.capacity), f"cap[{arc.id}]")
     build = ModelBuild(lp, "gamma1", dict(y), nu, nominal_coeffs=nominal)
@@ -411,8 +408,6 @@ def evaluate_static(
     net: Network,
     catalog: Optional[PathCatalog],
     gamma: int,
-    *,
-    guard: Optional[int] = None,
 ) -> RobustReport:
     """LP-free evaluation of a fixed flow.
 
@@ -432,7 +427,7 @@ def evaluate_static(
     if flow.kind not in ("path", "arc", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
     if flow.kind in ("path", "subpath") and catalog is None:
-        catalog = enumerate_subpaths(net, guard=guard)
+        catalog = enumerate_subpaths(net)
     values = {}
     violations = []
     for key, raw in flow.values.items():
@@ -484,7 +479,7 @@ def evaluate_static(
             violations.append(
                 Violation("capacity", a, None, f"load {load} exceeds capacity {cap}")
             )
-    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma, guard=guard)
+    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
     # Robust conservation.
     if flow.kind in ("arc", "subpath"):
         for v in net.nodes:
@@ -554,8 +549,6 @@ def prune_low_indegree(
     net: Network,
     catalog: PathCatalog,
     gamma: int,
-    *,
-    guard: Optional[int] = None,
 ) -> StaticFlow:
     """Zero out subpath flow ending at interior nodes of indegree <= gamma.
 
@@ -566,7 +559,7 @@ def prune_low_indegree(
     """
     if flow.kind != "subpath":
         raise NetworkError("pruning applies to subpath flow")
-    before = evaluate_static(flow, net, catalog, gamma, guard=guard)
+    before = evaluate_static(flow, net, catalog, gamma)
     doomed = set()
     for v in net.nodes:
         if v in (net.source, net.sink):
@@ -583,7 +576,7 @@ def prune_low_indegree(
         "subpath",
         {i: v for i, v in flow.values.items() if i not in doomed and rat(v) != 0},
     )
-    after = evaluate_static(pruned, net, catalog, gamma, guard=guard)
+    after = evaluate_static(pruned, net, catalog, gamma)
     if after.robust_value != before.robust_value:
         raise ModelCheckError("pruning changed the robust value")
     return pruned
@@ -596,7 +589,6 @@ def solve_static(
     *,
     maximize_nominal: bool = False,
     catalog: Optional[PathCatalog] = None,
-    guard: Optional[int] = None,
 ):
     """Build, solve and cross-validate one static model.
 
@@ -611,13 +603,13 @@ def solve_static(
     if model == "gm1" and gamma != 1:
         raise NetworkError("the compact model is defined for gamma = 1 only")
     if catalog is None and model in ("pm", "gm", "gm1"):
-        catalog = enumerate_subpaths(net, guard=guard)
+        catalog = enumerate_subpaths(net)
     if model == "pm":
-        build = build_pm_lp(net, catalog, gamma, guard=guard)
+        build = build_pm_lp(net, catalog, gamma)
     elif model == "am":
-        build = build_am_lp(net, gamma, guard=guard)
+        build = build_am_lp(net, gamma)
     elif model == "gm":
-        build = build_gm_lp(net, catalog, gamma, guard=guard)
+        build = build_gm_lp(net, catalog, gamma)
     else:
         build = build_gamma1_compact_lp(net)
 
@@ -631,5 +623,5 @@ def solve_static(
         build,
         maximize_nominal,
         extract,
-        lambda flow: evaluate_static(flow, net, catalog, gamma, guard=guard),
+        lambda flow: evaluate_static(flow, net, catalog, gamma),
     )

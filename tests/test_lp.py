@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,24 @@ def test_bad_inputs_raise():
         lp.add_constraint({0: 1}, "=<", 1)
     with pytest.raises(LpError):
         lp.set_objective({5: 1})
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, True])
+def test_inexact_data_raises(bad):
+    # Only ints and Fractions are LP data; nothing is coerced on the way in.
+    lp = LinearProgram("max")
+    x = lp.add_var("x")
+    with pytest.raises(LpError):
+        lp.add_constraint({x: bad}, "<=", 1)
+    with pytest.raises(LpError):
+        lp.add_constraint({x: 1}, "<=", bad)
+    with pytest.raises(LpError):
+        lp.set_objective({x: bad})
+    lp.set_objective({x: 1})
+    lp.add_constraint({x: 1}, "<=", rat(3, 2))
+    with pytest.raises(LpError):
+        lexicographic_solve(lp, {x: bad})
+    assert lp.n_constraints == 1 and solve_lp(lp).objective_value == rat(3, 2)
 
 
 def test_lexicographic_secondary_optimum():
@@ -318,6 +337,10 @@ LP_GOLDEN = {
 def test_golden_model_lps(key):
     build = _model_lp(*key)
     assert hashlib.sha256(dump_lp(build.lp).encode()).hexdigest() == LP_GOLDEN[key]
+    # The builders emit int coefficients; only capacities make a rational rhs.
+    forms = [build.lp.objective, build.nominal_coeffs] + [con.coeffs for con in build.lp.constraints]
+    assert all(type(c) is int for form in forms for c in form.values())
+    assert all(type(con.rhs) in (int, Fraction) for con in build.lp.constraints)
 
 
 def test_checks_raise_under_python_O():
