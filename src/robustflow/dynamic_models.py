@@ -291,7 +291,7 @@ def _timed_capacity_rows(rows, timed, xs, by_arc, gamma) -> None:
             rows.add(
                 coeffs,
                 "<=",
-                rat(arc.capacity),
+                arc.capacity,
                 f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
             )
 
@@ -347,7 +347,7 @@ def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
                     coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}"
                 )
     for (a, theta), col in xs.items():
-        rows.add({col: 1}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
+        rows.add({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
     sink_ids = {a.id for a in sink_in}
     return ModelBuild(
         lp,
@@ -431,7 +431,7 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
                 c3[col] = c3.get(col, 0) + 1
         rows.add(c3, "<=", 0, f"tail[{arc.id}]")
     for (a, theta), col in xs.items():
-        rows.add({col: 1}, "<=", rat(net.arc_by_id[a].capacity), f"cap[{a},{theta}]")
+        rows.add({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
     return ModelBuild(
         lp,
         "arc",
@@ -490,7 +490,7 @@ def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
                 rows.add(
                     coeffs,
                     "<=",
-                    rat(arc.capacity),
+                    arc.capacity,
                     f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
                 )
     nominal = {xs[i]: T - timed.tau[i] for i in xs}
@@ -508,7 +508,7 @@ def nominal_dynamic_max_flow(inst: DynamicInstance):
     src, snk = ("~source~", "~sink~")
     nodes = [src, snk] + [f"{v}@{theta}" for v in net.nodes for theta in range(1, T + 1)]
     arcs = []
-    big = sum((rat(a.capacity) for a in net.arcs), ZERO) * T + 1
+    big = sum((a.capacity for a in net.arcs), ZERO) * T + 1
     for theta in range(1, T + 1):
         arcs.append(Arc(f"~in@{theta}", src, f"{net.source}@{theta}", big))
         arcs.append(Arc(f"~out@{theta}", f"{net.sink}@{theta}", snk, big))
@@ -518,7 +518,7 @@ def nominal_dynamic_max_flow(inst: DynamicInstance):
             cid = f"{arc.id}@{theta}"
             copies[cid] = (arc.id, theta)
             arcs.append(
-                Arc(cid, f"{arc.tail}@{theta}", f"{arc.head}@{theta + arc.travel_time}", rat(arc.capacity))
+                Arc(cid, f"{arc.tail}@{theta}", f"{arc.head}@{theta + arc.travel_time}", arc.capacity)
             )
     expanded = Network(nodes, arcs, src, snk)
     value, flow, cut = nominal_max_flow(expanded)
@@ -538,7 +538,7 @@ def embed_static(net: Network, gamma: int) -> DynamicInstance:
     model's optimum equals its static counterpart's.
     """
     arcs = [
-        Arc(a.id, a.tail, a.head, rat(a.capacity), travel_time=0, delay=1)
+        Arc(a.id, a.tail, a.head, a.capacity, travel_time=0, delay=1)
         for a in net.arcs
     ]
     embedded = Network(net.nodes, arcs, net.source, net.sink, meta=dict(net.meta))
@@ -635,7 +635,7 @@ def evaluate_dynamic(
     # Capacity under every scenario.
     if kind == "arc":
         for a, theta, value in support:
-            cap = rat(net.arc_by_id[a].capacity)
+            cap = net.arc_by_id[a].capacity
             if value > cap:
                 violations.append(
                     Violation("capacity", (a, theta), None, f"load {value} exceeds {cap}")
@@ -655,7 +655,7 @@ def evaluate_dynamic(
             for (a, theta), load in sorted(
                 loads.items(), key=lambda kv: (net.arc_rank[kv[0][0]], kv[0][1])
             ):
-                cap = rat(net.arc_by_id[a].capacity)
+                cap = net.arc_by_id[a].capacity
                 if load > cap:
                     violations.append(
                         Violation(

@@ -298,10 +298,9 @@ def split_capacities(net: Network) -> Network:
     """
     caps = {}
     for arc in net.arcs:
-        frac = rat(arc.capacity)
-        if frac.denominator != 1:
+        if arc.capacity.denominator != 1:
             raise NetworkError(f"arc {arc.id!r} has non-integral capacity {arc.capacity}")
-        caps[arc.id] = int(frac)
+        caps[arc.id] = int(arc.capacity)
     u_max = rat(max(caps.values()))
     nodes = list(net.nodes)
     arcs = []

@@ -2,7 +2,8 @@
 
 Everything here runs over exact rationals; the max-flow routine also returns
 the value of a minimum cut found from the final residual graph, which callers
-use as an optimality certificate.
+use as an optimality certificate.  The same routine on unit capacities gives
+a smallest source-sink arc cut (:func:`min_arc_cut`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from collections import deque
 from typing import Mapping, Optional
 
 from .network import Network, NetworkError, Path, arc_sort_key
-from .rational import ZERO, rat
+from .rational import ONE, ZERO, rat
 
 
 def nominal_max_flow(net: Network):
@@ -20,6 +21,31 @@ def nominal_max_flow(net: Network):
     Returns ``(value, arc_flow, min_cut_value)`` with ``arc_flow`` keyed by
     arc id.  The cut value comes from the residual reachability cut, so
     ``value == min_cut_value`` certifies optimality.
+    """
+    flow, cut = _max_flow(net, {arc.id: arc.capacity for arc in net.arcs})
+    value = sum((flow[a.id] for a in net.out_arcs(net.source)), ZERO) - sum(
+        (flow[a.id] for a in net.in_arcs(net.source)), ZERO
+    )
+    cut_value = sum((arc.capacity for arc in cut), ZERO)
+    return value, flow, cut_value
+
+
+def min_arc_cut(net: Network) -> tuple:
+    """A smallest set of arcs whose removal leaves no source-sink path.
+
+    The ids come in the network's arc order.  It is the minimum cut of the
+    unit-capacity max flow, so its size is the largest number of arc-disjoint
+    source-sink paths.
+    """
+    return tuple(arc.id for arc in _max_flow(net, {arc.id: ONE for arc in net.arcs})[1])
+
+
+def _max_flow(net: Network, capacity: Mapping):
+    """Edmonds-Karp under ``capacity`` (arc id -> rational).
+
+    Returns ``(arc_flow, cut)``: a maximum flow keyed by arc id, and the arcs
+    (in arc order) leaving the set of nodes reachable from the source in the
+    final residual graph, a minimum cut.
     """
     flow = {arc.id: ZERO for arc in net.arcs}
     source, sink = net.source, net.sink
@@ -30,7 +56,7 @@ def nominal_max_flow(net: Network):
         while queue and sink not in parent:
             v = queue.popleft()
             for arc in net.out_arcs(v):
-                if arc.head not in parent and rat(arc.capacity) - flow[arc.id] > 0:
+                if arc.head not in parent and capacity[arc.id] - flow[arc.id] > 0:
                     parent[arc.head] = (arc, 1)
                     queue.append(arc.head)
             for arc in net.in_arcs(v):
@@ -44,7 +70,7 @@ def nominal_max_flow(net: Network):
         v = sink
         while v != source:
             arc, direction = parent[v]
-            room = rat(arc.capacity) - flow[arc.id] if direction > 0 else flow[arc.id]
+            room = capacity[arc.id] - flow[arc.id] if direction > 0 else flow[arc.id]
             slack = room if slack is None or room < slack else slack
             v = arc.tail if direction > 0 else arc.head
         v = sink
@@ -52,27 +78,21 @@ def nominal_max_flow(net: Network):
             arc, direction = parent[v]
             flow[arc.id] += slack if direction > 0 else -slack
             v = arc.tail if direction > 0 else arc.head
-    value = sum((flow[a.id] for a in net.out_arcs(source)), ZERO) - sum(
-        (flow[a.id] for a in net.in_arcs(source)), ZERO
-    )
     # Residual reachability from the source gives a minimum cut.
     reach = {source}
     stack = [source]
     while stack:
         v = stack.pop()
         for arc in net.out_arcs(v):
-            if arc.head not in reach and rat(arc.capacity) - flow[arc.id] > 0:
+            if arc.head not in reach and capacity[arc.id] - flow[arc.id] > 0:
                 reach.add(arc.head)
                 stack.append(arc.head)
         for arc in net.in_arcs(v):
             if arc.tail not in reach and flow[arc.id] > 0:
                 reach.add(arc.tail)
                 stack.append(arc.tail)
-    cut_value = sum(
-        (rat(arc.capacity) for arc in net.arcs if arc.tail in reach and arc.head not in reach),
-        ZERO,
-    )
-    return value, flow, cut_value
+    cut = tuple(arc for arc in net.arcs if arc.tail in reach and arc.head not in reach)
+    return flow, cut
 
 
 def path_decompose(arc_flow: Mapping, net: Network, from_node: str, to_node: str):

@@ -4,7 +4,9 @@ Every model is solved the same way: a builder emits the scenario LP into a
 :class:`ModelBuild` through :class:`Rows`, :func:`solve_model` solves it
 exactly (plainly or lexicographically), turns the optimal values into a flow
 and re-derives the flow's value with the model family's LP-free evaluator,
-raising :class:`ModelCheckError` when the two disagree.
+raising :class:`ModelCheckError` when the two disagree.  A plain solve that
+comes with a :class:`ZeroCut` skips the simplex: the cut proves the optimum
+is 0, and the simplex would then return x = 0.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, lexicographic_solve, solve_lp
+from .lp import LinearProgram, LpSolution, lexicographic_solve, solve_lp
+from .network import Network, separates
+from .rational import ZERO
 
 
 class ModelCheckError(AssertionError):
@@ -29,6 +33,31 @@ class ModelBuild:
     lam_var: Optional[int] = None
     nominal_coeffs: dict = field(default_factory=dict)
     aux: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ZeroCut:
+    """At most ``budget`` arcs of ``net`` whose removal leaves no source-sink path.
+
+    An adversary that removes up to ``budget`` arcs can remove them all, so
+    every flow of a model that this cut is given for has robust value 0.  The
+    proofs (see :func:`robustflow.static_models.solve_static`) also need a
+    sink without outgoing arcs, as in every valid network.
+    """
+
+    net: Network
+    budget: int
+    arcs: tuple
+
+    def check(self) -> None:
+        if len(self.arcs) > self.budget:
+            raise ModelCheckError(
+                f"zero cut has {len(self.arcs)} arcs, over the budget {self.budget}"
+            )
+        if not separates(self.net, self.arcs):
+            raise ModelCheckError(f"zero cut {list(self.arcs)} leaves a source-sink path")
+        if self.net.out_arcs(self.net.sink):
+            raise ModelCheckError("zero cut given for a network with arcs leaving the sink")
 
 
 class Rows:
@@ -69,7 +98,21 @@ def nonzero(columns: Mapping, values) -> dict:
     return {key: values[col] for key, col in columns.items() if values[col] != 0}
 
 
-def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate):
+def check_zero_start(lp: LinearProgram) -> None:
+    """Raise unless x = 0 is the simplex's starting vertex of ``lp``.
+
+    That holds when every ``<=`` row has a right-hand side >= 0 and every
+    other row has right-hand side 0: then no row needs an artificial column
+    and the all-slack basis is feasible at x = 0.
+    """
+    for con in lp.constraints:
+        if con.rhs < 0 if con.rel == "<=" else con.rhs != 0:
+            raise ModelCheckError(
+                f"x = 0 is not the starting vertex: row {con.label} is {con.rel} {con.rhs}"
+            )
+
+
+def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate, zero_cut=None):
     """Solve ``build.lp`` and cross-check the result; returns ``(flow, report)``.
 
     With ``maximize_nominal`` the nominal objective ``build.nominal_coeffs``
@@ -77,10 +120,23 @@ def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate):
     into a flow and ``evaluate`` re-derives its report independently; the
     report's robust (and, lexicographically, nominal) value must equal the
     LP's.
+
+    A plain solve given a :class:`ZeroCut` (which must prove that the LP
+    optimum is 0) does not run the simplex.  It checks that x = 0 is the
+    simplex's starting vertex (:func:`check_zero_start`) and re-checks the
+    cut; then Bland's rule, which enters only columns with a positive reduced
+    cost, can make no pivot that moves off x = 0 without raising the
+    objective above the optimum, so the simplex would return exactly x = 0.
+    That vector goes through the same ``extract`` and ``evaluate``.
     """
     if maximize_nominal:
         sol = lexicographic_solve(build.lp, build.nominal_coeffs)
         objective = sol.primary_value
+    elif zero_cut is not None:
+        check_zero_start(build.lp)
+        zero_cut.check()
+        sol = LpSolution("optimal", ZERO, (ZERO,) * build.lp.n_vars)
+        objective = ZERO
     else:
         sol = solve_lp(build.lp)
         objective = sol.objective_value

@@ -14,10 +14,12 @@ variables.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .rational import rat
@@ -74,7 +76,11 @@ def arc_sort_key(arc_id: Hashable):
 
 @dataclass(frozen=True)
 class Arc:
-    """One directed arc.  ``capacity`` is a positive exact rational."""
+    """One directed arc.  ``capacity`` is a positive exact rational.
+
+    A :class:`Network` stores its arcs with the capacity converted to
+    ``Fraction`` once, so code reading ``net.arcs`` uses it as it is.
+    """
 
     id: Hashable
     tail: str
@@ -87,7 +93,9 @@ class Arc:
 class Network:
     """Directed multigraph with source/sink and deterministic arc order.
 
-    The constructor accepts any input and normalizes arc order; use
+    The constructor accepts any input, normalizes arc order and converts
+    every capacity to a ``Fraction`` once (one that cannot be converted is
+    kept as given, for :func:`validate_network` to report); use
     :func:`validate_network` to check the structural invariants.
     """
 
@@ -100,7 +108,7 @@ class Network:
         meta: Optional[Mapping] = None,
     ) -> None:
         self.nodes = tuple(nodes)
-        self.arcs = tuple(sorted(arcs, key=lambda a: arc_sort_key(a.id)))
+        self.arcs = tuple(sorted(map(_exact_capacity, arcs), key=lambda a: arc_sort_key(a.id)))
         self.source = source
         self.sink = sink
         self.meta = dict(meta) if meta else {}
@@ -127,6 +135,15 @@ class Network:
             f"Network(|V|={len(self.nodes)}, |A|={len(self.arcs)}, "
             f"source={self.source!r}, sink={self.sink!r})"
         )
+
+
+def _exact_capacity(arc: Arc) -> Arc:
+    if isinstance(arc.capacity, Fraction):
+        return arc
+    try:
+        return dataclasses.replace(arc, capacity=rat(arc.capacity))
+    except (TypeError, ValueError, ZeroDivisionError):
+        return arc
 
 
 @dataclass(frozen=True)
@@ -159,11 +176,7 @@ def validate_network(net: Network) -> ValidationReport:
             bad.append(f"arc {arc.id!r}: unknown tail {arc.tail!r}")
         if arc.head not in nodeset:
             bad.append(f"arc {arc.id!r}: unknown head {arc.head!r}")
-        try:
-            positive = rat(arc.capacity) > 0
-        except (TypeError, ValueError):
-            positive = False
-        if not positive:
+        if not (isinstance(arc.capacity, Fraction) and arc.capacity > 0):
             bad.append(f"arc {arc.id!r}: capacity must be a positive rational")
         for attr in ("travel_time", "delay"):
             value = getattr(arc, attr)
@@ -182,7 +195,12 @@ def validate_network(net: Network) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
-def _reachable(net: Network, start: str, *, forward: bool) -> set:
+def separates(net: Network, arc_ids) -> bool:
+    """True when removing the arcs ``arc_ids`` leaves no source-sink path."""
+    return net.sink not in _reachable(net, net.source, forward=True, removed=frozenset(arc_ids))
+
+
+def _reachable(net: Network, start: str, *, forward: bool, removed=frozenset()) -> set:
     seen = {start}
     stack = [start]
     while stack:
@@ -190,7 +208,7 @@ def _reachable(net: Network, start: str, *, forward: bool) -> set:
         arcs = net.out_arcs(v) if forward else net.in_arcs(v)
         for arc in arcs:
             w = arc.head if forward else arc.tail
-            if w not in seen:
+            if w not in seen and arc.id not in removed:
                 seen.add(w)
                 stack.append(w)
     return seen

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .lp import LinearProgram
-from .maxflow import path_decompose
+from .maxflow import min_arc_cut, path_decompose
 from .model_lp import (
     ModelBuild,
     ModelCheckError,
     Rows,
+    ZeroCut,
     arcs_on,
     nonzero,
     scenario_label,
@@ -125,7 +126,7 @@ def build_pm_lp(
     for arc in net.arcs:
         hit = catalog.st_by_arc.get(arc.id, ())
         if hit:
-            rows.add({xs[i]: 1 for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+            rows.add({xs[i]: 1 for i in hit}, "<=", arc.capacity, f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "path",
@@ -172,7 +173,7 @@ def build_am_lp(
                     coeffs[xs[a]] = coeffs.get(xs[a], 0) - 1
             rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
-        rows.add({xs[arc.id]: 1}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+        rows.add({xs[arc.id]: 1}, "<=", arc.capacity, f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "arc",
@@ -222,7 +223,7 @@ def build_gm_lp(
     for arc in net.arcs:
         hit = catalog.by_arc.get(arc.id, ())
         if hit:
-            rows.add({xs[i]: 1 for i in hit}, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+            rows.add({xs[i]: 1 for i in hit}, "<=", arc.capacity, f"cap[{arc.id}]")
     return ModelBuild(
         lp,
         "subpath",
@@ -334,7 +335,7 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             if arc.id in cols:
                 coeffs[cols[arc.id]] = 1
         if coeffs:
-            rows.add(coeffs, "<=", rat(arc.capacity), f"cap[{arc.id}]")
+            rows.add(coeffs, "<=", arc.capacity, f"cap[{arc.id}]")
     build = ModelBuild(lp, "gamma1", dict(y), nu, nominal_coeffs=nominal)
     return build
 
@@ -474,7 +475,7 @@ def evaluate_static(
             for a in arcs:
                 loads[a] = loads.get(a, ZERO) + value
     for a, load in sorted(loads.items(), key=lambda kv: net.arc_rank[kv[0]]):
-        cap = rat(net.arc_by_id[a].capacity)
+        cap = net.arc_by_id[a].capacity
         if load > cap:
             violations.append(
                 Violation("capacity", a, None, f"load {load} exceeds capacity {cap}")
@@ -595,6 +596,37 @@ def solve_static(
     Returns ``(flow, report)``; with ``maximize_nominal`` the nominal value
     is maximized among robust-optimal flows.  The report always comes from
     :func:`evaluate_static`, so the LP optimum is re-derived independently.
+
+    A plain solve first computes a smallest source-sink arc cut C
+    (:func:`min_arc_cut`).  When ``|C| <= gamma``, the scenario that removes
+    C leaves no source-sink path, and every flow of every model has robust
+    value 0:
+
+    * ``pm``: every source-sink path crosses C, so removing C loses all of
+      the flow, and the loss row of C bounds the objective by 0.
+    * ``am`` and ``gm``: let T be the sink side of the cut, the nodes that
+      removing C cuts off from the source; every arc from the source side
+      into T is in C.  Add up robust conservation under C (outflow <=
+      surviving inflow) over the nodes of T other than the sink; the sum is
+      <= 0.  A unit of flow (an arc, or a subpath) that ends in T and
+      survives C cannot have crossed from the source side, so it starts at
+      a node of T other than the sink, which has no outgoing arcs.  Each
+      unit is counted once as outflow at its start and at most once as
+      surviving inflow, so the sum is at least the surviving inflow of the
+      sink.  The loss row of C bounds the objective by that inflow, so by 0.
+    * ``gm1`` has the optimum of ``gm`` at budget 1.
+
+    Each row uses C restricted to the arcs the row can see, a scenario of
+    at most ``gamma`` arcs in its family that hits the same routes.
+
+    The LP is still built, and :func:`~robustflow.model_lp.solve_model`
+    checks that x = 0 is its simplex's starting vertex, re-checks the cut
+    and passes the all-zero vector through the same extraction and
+    evaluator: an optimum of 0 from the starting vertex x = 0 means every
+    pivot of Bland's rule is degenerate, so the simplex returns exactly
+    x = 0 and the flow and report are the same.  ``--lex-nominal`` solves
+    still run the simplex: among robust-0 flows, the nominal optimum need
+    not be 0.
     """
     if model not in STATIC_MODELS:
         raise NetworkError(f"unknown static model {model!r}")
@@ -612,6 +644,11 @@ def solve_static(
         build = build_gm_lp(net, catalog, gamma)
     else:
         build = build_gamma1_compact_lp(net)
+    zero_cut = None
+    if not maximize_nominal:
+        cut = min_arc_cut(net)
+        if len(cut) <= gamma:
+            zero_cut = ZeroCut(net, gamma, cut)
 
     def extract(values) -> StaticFlow:
         if model == "gm1":
@@ -624,4 +661,5 @@ def solve_static(
         maximize_nominal,
         extract,
         lambda flow: evaluate_static(flow, net, catalog, gamma),
+        zero_cut,
     )

@@ -10,11 +10,15 @@ from robustflow import (
     LexSolution,
     LpSolution,
     dumps,
+    gen_bottleneck,
     gen_random,
+    gen_two_hop,
     instance_to_json,
+    min_arc_cut,
     nominal_max_flow,
     rat,
     rational_to_json,
+    split_capacities,
 )
 from robustflow import model_lp
 from robustflow.cli import build_parser, main
@@ -209,6 +213,64 @@ def test_solve_csv_no_timing_is_deterministic(tmp_path, capsys):
     lines = outputs[0].decode().strip().split("\n")
     assert lines[0] == "model,robust_value,nominal_value,worst_scenarios"
     assert lines[1] == "pm,3/2,3,{a1} {a2}"
+
+
+# Solves whose smallest source-sink arc cut has at most Gamma arcs, so they
+# skip the simplex: (instance, model, Gamma, sha256 of the --format csv
+# --no-timing output, sha256 of the JSON output). The solve JSON carries no
+# timing. Recorded from the simplex, before the shortcut existed.
+ZERO_CUT_GOLDEN = [
+    (
+        lambda: gen_random("dag", 6, 11, max_cap=1, seed=304),  # criterion 07
+        "gm",
+        3,
+        "744ebe656f416ab85493238b90a4e935c4cddb002457b0a5fc548b7fe262cd6a",
+        "4524b868f1e93d4920dd888c7f97737b7270b0ad6432c32f4c2eadf58039e479",
+    ),
+    (
+        lambda: split_capacities(gen_random("dag", 4, 5, max_cap=2, seed=505)),
+        "gm1",
+        1,
+        "073556ad76e0400b7afab62e7d4700d3c3d185b67cc8ed7afccdb0c0fe1aa091",
+        "e2f38ed729fe1b78309b33974a9cc0084140f83bd07aa5c47065178f99bad87d",
+    ),
+    (
+        gen_two_hop,
+        "pm",
+        2,
+        "3110b881185a1fa5227575dc1b77345c5121291e6b6ed62fab2716df73108d8d",
+        "8c61d7e5604810ac7bf237f6efb5fc7dec5e2d984891efb623819055280b109f",
+    ),
+    (
+        lambda: gen_bottleneck(1, 1),
+        "am",
+        2,
+        "c41efd2463f7b58505b8189b8314f346f333d8f4a5af9e940a75a96b10972b57",
+        "e92b19ece7633703a5aa16fc780afc3595d21a2881f469d9308c048d588e929f",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, model, gamma, csv_digest, json_digest",
+    ZERO_CUT_GOLDEN,
+    ids=[f"{case[1]}@{case[2]}-{k}" for k, case in enumerate(ZERO_CUT_GOLDEN)],
+)
+def test_zero_cut_solves_are_golden(
+    tmp_path, capsys, monkeypatch, make, model, gamma, csv_digest, json_digest
+):
+    net = make()
+    assert len(min_arc_cut(net)) <= gamma
+    monkeypatch.chdir(tmp_path)  # the manifest names the instance path
+    (tmp_path / "net.json").write_text(dumps(instance_to_json(net)))
+    digests = []
+    for out, extra in (("out.csv", ["--format", "csv", "--no-timing"]), ("out.json", [])):
+        code, stdout, stderr = run(
+            capsys, "solve", "net.json", "--model", model, "--gamma", str(gamma), *extra, "-o", out
+        )
+        assert (code, stdout, stderr) == (0, "", "")
+        digests.append(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest())
+    assert digests == [csv_digest, json_digest]
 
 
 def test_compare_covers_static_models(tmp_path, capsys):

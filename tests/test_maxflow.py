@@ -1,17 +1,22 @@
 """Nominal max flow against the partition-enumeration min-cut oracle."""
 
+from fractions import Fraction
+
 import pytest
 
 from robustflow import (
     Arc,
     Network,
     NetworkError,
+    enumerate_st_paths,
     gen_bottleneck,
     gen_random,
     gen_two_hop,
+    min_arc_cut,
     nominal_max_flow,
     path_decompose,
     rat,
+    separates,
 )
 
 from _oracles import min_cut_value
@@ -40,6 +45,30 @@ def test_random_instances_match_cut_oracle(seed):
         inflow = sum(arc_flow.get(a.id, 0) for a in net.in_arcs(v))
         outflow = sum(arc_flow.get(a.id, 0) for a in net.out_arcs(v))
         assert inflow == outflow
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_min_arc_cut_is_a_smallest_separating_cut(seed):
+    kind = "general" if seed % 2 else "dag"
+    nodes = 3 + seed % 5
+    net = gen_random(kind, nodes, 2 * (nodes - 2) + seed % 4, max_cap=5, seed=100 + seed)
+    cut = min_arc_cut(net)
+    unit = Network(net.nodes, [Arc(a.id, a.tail, a.head, 1) for a in net.arcs], "s", "t")
+    assert len(cut) == nominal_max_flow(unit)[0] == min_cut_value(unit)
+    assert list(cut) == [a.id for a in net.arcs if a.id in cut]  # in arc order
+    # Removing the cut leaves no source-sink path; keeping any one arc of it
+    # leaves one, since the cut is smallest.
+    assert all(set(path.arcs) & set(cut) for path in enumerate_st_paths(net))
+    assert separates(net, cut)
+    for kept in cut:
+        assert not separates(net, [a for a in cut if a != kept])
+
+
+def test_network_normalizes_capacities_once():
+    net = Network(("s", "t"), (Arc("a", "s", "t", 2), Arc("b", "s", "t", "3/2")), "s", "t")
+    assert [type(a.capacity) for a in net.arcs] == [Fraction, Fraction]
+    assert [a.capacity for a in net.arcs] == [2, rat(3, 2)]
+    assert nominal_max_flow(net)[0] == rat(7, 2)
 
 
 def test_rational_capacities_stay_exact():

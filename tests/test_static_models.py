@@ -1,17 +1,22 @@
 """Static robust flow models: frozen optima, evaluator agreement, edge cases."""
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 import robustflow
 from robustflow import (
+    Arc,
     InfeasibleFlowError,
+    ModelCheckError,
+    Network,
     NetworkError,
     StaticFlow,
     build_am_lp,
@@ -26,6 +31,7 @@ from robustflow import (
     gen_fan,
     gen_random,
     gen_two_hop,
+    min_arc_cut,
     nominal_max_flow,
     path_decompose,
     prune_low_indegree,
@@ -33,6 +39,8 @@ from robustflow import (
     solve_lp,
     solve_static,
 )
+
+from robustflow import model_lp, static_models
 
 from _oracles import brute_force_evaluate_static
 
@@ -183,6 +191,101 @@ def test_unknown_model_rejected(two_hop):
         solve_static(net, "nope", 1, catalog=catalog)
 
 
+# -- zero-optimum shortcut: a cut of at most Gamma arcs skips the simplex -------
+
+
+def _solve_both_ways(net, model, gamma, catalog):
+    """``solve_static`` as it is, and with its ``solve_model`` call given no
+    zero cut (the simplex path); returns both results and the cut it had."""
+    cuts = []
+
+    def lp_path(build, maximize_nominal, extract, evaluate, zero_cut=None):
+        cuts.append(zero_cut)
+        return model_lp.solve_model(build, maximize_nominal, extract, evaluate)
+
+    shortcut = solve_static(net, model, gamma, catalog=catalog)
+    with mock.patch.object(static_models, "solve_model", lp_path):
+        simplex = solve_static(net, model, gamma, catalog=catalog)
+    return shortcut, simplex, cuts[0]
+
+
+def test_zero_cut_shortcut_matches_the_simplex_path():
+    fired = []
+
+    @given(
+        kind=st.sampled_from(["dag", "general"]),
+        nodes=st.integers(3, 5),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 10_000),
+        model=st.sampled_from(["pm", "am", "gm", "gm1"]),
+        gamma_share=st.fractions(0, 1),
+    )
+    @settings(deadline=None, max_examples=120, derandomize=True)
+    def check(kind, nodes, extra, seed, model, gamma_share):
+        net = gen_random(kind, nodes, 2 * (nodes - 2) + extra, max_cap=3, seed=seed)
+        gamma = 1 if model == "gm1" else round(gamma_share * len(net.arcs))
+        catalog = enumerate_subpaths(net)
+        shortcut, simplex, zero_cut = _solve_both_ways(net, model, gamma, catalog)
+        assert (zero_cut is not None) == (len(min_arc_cut(net)) <= gamma)
+        if zero_cut is not None:
+            assert simplex[1].robust_value == 0
+        assert shortcut == simplex
+        fired.append(zero_cut is not None)
+
+    check()
+    assert len(fired) >= 100
+    assert 0.2 <= sum(fired) / len(fired) <= 0.8, sum(fired)
+
+
+def test_lexicographic_solves_take_no_zero_cut(two_hop):
+    net, catalog = two_hop
+    cuts = []
+    honest = static_models.solve_model
+
+    def spy(*args):
+        cuts.append(args[-1])
+        return honest(*args)
+
+    with mock.patch.object(static_models, "solve_model", spy):
+        solve_static(net, "gm", 2, catalog=catalog)
+        solve_static(net, "gm", 2, maximize_nominal=True, catalog=catalog)
+    assert [cut is not None for cut in cuts] == [True, False]
+
+
+@pytest.mark.parametrize(
+    "arcs, budget, message",
+    [
+        (("a3", "a4", "a5"), 2, "zero cut has 3 arcs, over the budget 2"),
+        (("a1",), 2, "zero cut ['a1'] leaves a source-sink path"),
+    ],
+)
+def test_zero_cut_is_rechecked(two_hop, arcs, budget, message):
+    net, catalog = two_hop
+    build = build_gm_lp(net, catalog, budget)
+    with pytest.raises(ModelCheckError, match=re.escape(message)):
+        model_lp.solve_model(
+            build,
+            False,
+            lambda values: StaticFlow("subpath", {}),
+            lambda flow: evaluate_static(flow, net, catalog, budget),
+            model_lp.ZeroCut(net, budget, arcs),
+        )
+
+
+def test_zero_cut_needs_a_sink_without_outgoing_arcs():
+    # Not a valid network: the circulation t -> u -> t counts as flow into
+    # the sink for am, so although arc a alone separates s from t, the
+    # optimum at Gamma = 1 is 1, not 0.
+    arcs = [Arc("a", "s", "t", 1)]
+    arcs += [Arc(f"b{k}", "t", "u", 1) for k in (1, 2)]
+    arcs += [Arc(f"c{k}", "u", "t", 1) for k in (1, 2)]
+    net = Network(("s", "u", "t"), arcs, "s", "t")
+    assert min_arc_cut(net) == ("a",)
+    assert solve_lp(build_am_lp(net, 1).lp).objective_value == 1
+    with pytest.raises(ModelCheckError, match="arcs leaving the sink"):
+        solve_static(net, "am", 1)
+
+
 # -- differential test of the evaluator against the brute-force oracle ---------
 
 
@@ -261,20 +364,14 @@ def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, no
 # -- model checks survive ``python -O`` ----------------------------------------
 
 
-def _planted_mismatch_raises(module, evaluator, call, expected):
-    # Plant a wrong robust value through ``module.evaluator``, run ``call``
-    # under ``python -O`` and check that the shared solve step still raises
-    # ModelCheckError with the ``expected`` disagreement.
+def _raises_under_python_O(plant, call, expected):
+    # Run the module-level code ``plant``, then ``call``, under ``python -O``
+    # and check that ``call`` raises ModelCheckError with ``expected``.
     code = f"""
 import dataclasses, sys
 from robustflow import ModelCheckError, gen_ti_gap, gen_two_hop, solve_dynamic, solve_static
-from robustflow import {module} as module
 assert False, "asserts must be stripped in this interpreter"
-honest = module.{evaluator}
-def lying(*args, **kwargs):
-    report = honest(*args, **kwargs)
-    return dataclasses.replace(report, robust_value=report.robust_value + 1)
-module.{evaluator} = lying
+{plant}
 try:
     {call}
 except ModelCheckError as exc:
@@ -288,7 +385,21 @@ sys.exit(1)
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert f"raised: evaluator disagrees with the LP: {expected}" in done.stdout
+    assert f"raised: {expected}" in done.stdout
+
+
+def _planted_mismatch_raises(module, evaluator, call, expected):
+    # Plant a wrong robust value through ``module.evaluator``: the shared
+    # solve step must still raise with the ``expected`` disagreement.
+    plant = f"""
+from robustflow import {module} as module
+honest = module.{evaluator}
+def lying(*args, **kwargs):
+    report = honest(*args, **kwargs)
+    return dataclasses.replace(report, robust_value=report.robust_value + 1)
+module.{evaluator} = lying
+"""
+    _raises_under_python_O(plant, call, f"evaluator disagrees with the LP: {expected}")
 
 
 def test_model_checks_raise_under_python_O():
@@ -303,4 +414,24 @@ def test_dynamic_model_checks_raise_under_python_O():
     # The dynamic solvers run the same shared check as the static ones.
     _planted_mismatch_raises(
         "dynamic_models", "evaluate_dynamic", 'solve_dynamic(gen_ti_gap(), "dpm")', "3 != 2"
+    )
+
+
+def test_zero_start_premise_raises_under_python_O():
+    # Two-hop gm at Gamma = 2 takes the zero-cut shortcut. A planted row with
+    # a negative right-hand side makes x = 0 infeasible, so the premise
+    # check must raise before any flow is returned.
+    plant = """
+from robustflow import static_models
+honest = static_models.build_gm_lp
+def planted(*args, **kwargs):
+    build = honest(*args, **kwargs)
+    build.lp.add_constraint({0: 1}, "<=", -1, "planted")
+    return build
+static_models.build_gm_lp = planted
+"""
+    _raises_under_python_O(
+        plant,
+        'solve_static(gen_two_hop(), "gm", 2)',
+        "x = 0 is not the starting vertex: row planted is <= -1",
     )
