@@ -244,28 +244,21 @@ def cmd_compare(args) -> int:
 def cmd_evaluate(args) -> int:
     instance = instance_from_json(_read_json(args.instance))
     flow = flow_from_json(_read_json(args.flow))
+    if isinstance(instance, DynamicInstance) and not isinstance(flow, DynamicFlow):
+        raise NetworkError("the instance is dynamic but the flow file is static (timed false)")
+    if not isinstance(instance, DynamicInstance) and isinstance(flow, DynamicFlow):
+        raise NetworkError("the instance is static but the flow file is timed")
+    if args.kind is not None and args.kind != flow.kind:
+        raise NetworkError(f"flow kind {flow.kind!r} does not match {args.kind!r}")
     if isinstance(instance, DynamicInstance):
-        if not isinstance(flow, DynamicFlow):
-            raise NetworkError(
-                "the instance is dynamic but the flow file is static (timed false)"
-            )
         inst = DynamicInstance(
             instance.network,
             args.horizon if args.horizon is not None else instance.horizon,
             args.gamma if args.gamma is not None else instance.gamma,
         )
-        report = evaluate_dynamic(flow, inst, kind=args.kind)
+        report = evaluate_dynamic(flow, inst)
     else:
-        if isinstance(flow, DynamicFlow):
-            raise NetworkError(
-                "the instance is static but the flow file is timed"
-            )
-        gamma = 1 if args.gamma is None else args.gamma
-        kind = args.kind or flow.kind
-        catalog = (
-            enumerate_subpaths(instance) if kind in ("path", "subpath") else None
-        )
-        report = evaluate_static(flow, instance, catalog, gamma)
+        report = evaluate_static(flow, instance, None, 1 if args.gamma is None else args.gamma)
     data = {"feasible": True}
     data.update(report_to_json(report))
     _write(dumps(data), args.out)

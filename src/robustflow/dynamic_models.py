@@ -13,6 +13,8 @@ by T counts.  Models mirror the static trio plus two extras:
 * ``dam-compact`` — a polynomial-size reformulation of ``dam`` with
   auxiliary bounding variables replacing the scenario enumeration.
 
+As in the static case, ``dpm`` and ``dam`` are ``dgm`` over whole
+source-sink paths and over single arcs, and one builder emits all three.
 Builders prune variables that can never reach the sink in time even without
 delays (``theta + travel + remaining distance > T``) and restrict scenario
 families to the positive-delay arcs that can actually shift a constraint;
@@ -45,8 +47,10 @@ from .network import (
     NetworkError,
     PathCatalog,
     ValidationReport,
+    arc_routes,
     enumerate_scenarios,
     enumerate_subpaths,
+    route_index,
     validate_network,
 )
 from .rational import ZERO, rat
@@ -140,119 +144,127 @@ def _check_instance(inst: DynamicInstance) -> None:
 
 
 class _Timed:
-    """Shared scaffolding for the timed builders: routes, pruning windows and prefixes."""
+    """Shared scaffolding for the timed builders: routes, pruning windows and prefixes.
 
-    def __init__(self, inst: DynamicInstance, paths) -> None:
+    ``routes`` maps each route's key to its :class:`Path`; the per-route
+    fields are keyed the same way.
+    """
+
+    def __init__(self, inst: DynamicInstance, routes: Mapping) -> None:
         self.T = inst.horizon
         self.net = net = inst.network
-        self.paths = paths
+        self.routes = routes
+        self.by_start, self.by_end, self.by_arc = route_index(routes)
         self.dist = _dist_to_sink(net)
-        self.tau = [_travel(net, p.arcs) for p in paths]
-        self.window = []
-        for p, tau in zip(paths, self.tau):
-            slack = self.T - tau - self.dist.get(p.end, self.T + 1)
-            self.window.append(max(0, slack))
-        # prefix[i][k] = nominal travel time of path i strictly before arc k
-        self.prefix = []
-        for p in paths:
+        self.tau = {i: _travel(net, p.arcs) for i, p in routes.items()}
+        self.window = {
+            i: max(0, self.T - self.tau[i] - self.dist.get(p.end, self.T + 1))
+            for i, p in routes.items()
+        }
+        # prefix[i][k] = nominal travel time of route i strictly before arc k
+        self.prefix = {}
+        for i, p in routes.items():
             acc, pre = 0, []
             for a in p.arcs:
                 pre.append(acc)
                 acc += net.arc_by_id[a].travel_time
-            self.prefix.append(pre)
+            self.prefix[i] = pre
 
-    def entry_time(self, i: int, k: int, theta: int, hit) -> int:
-        """Time flow departing at ``theta`` on path i enters its k-th arc,
+    def entry_time(self, i, k: int, theta: int, hit) -> int:
+        """Time flow departing at ``theta`` on route i enters its k-th arc,
         given the delayed-arc set ``hit``."""
         t = theta + self.prefix[i][k]
         if hit:
-            path = self.paths[i]
+            path = self.routes[i]
             for a in path.arcs[:k]:
                 if a in hit:
                     t += self.net.arc_by_id[a].delay
         return t
 
 
-def _timed_route_lp(inst: DynamicInstance, routes, sink_routes):
-    """Start a timed path-like model.
+def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
+    """The timed subpath model over ``routes`` (key -> Path), without capacity rows.
 
-    Adds one column per route and departure time inside its window, the
-    arrival bound ``w`` as the objective, and for each scenario over the
-    positive-delay arcs of the routes in ``sink_routes`` the row bounding
-    ``w`` by their flow that still arrives by T.  Returns
-    ``(timed, lp, xs, w, rows)``.
+    One column ``x[key,theta]`` per route and departure time inside its
+    window, and the arrival bound ``w`` as the objective.  Each scenario over
+    the positive-delay arcs of the routes into the sink bounds ``w`` by their
+    flow that still arrives by T; at each interior node where routes start,
+    each scenario over the positive-delay arcs of the routes ending there
+    keeps the departures at each time within the arrivals then.  Returns
+    ``(build, timed, rows)``; the caller adds the capacity rows.
     """
-    net, T = inst.network, inst.horizon
+    _check_instance(inst)
+    net, T, gamma = inst.network, inst.horizon, inst.gamma
     timed = _Timed(inst, routes)
+    by_start, by_end = timed.by_start, timed.by_end
     lp = LinearProgram("max")
     xs: dict = {}
-    for i in range(len(routes)):
+    for i in routes:
         for theta in range(1, timed.window[i] + 1):
             xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: 1})
     rows = Rows(lp)
-    universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in sink_routes)))
-    for scenario in enumerate_scenarios(universe, inst.gamma).scenarios:
-        hit = set(scenario)
+
+    def scenarios(ending):
+        """Each scenario over the positive-delay arcs of the routes ``ending``."""
+        universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in ending)))
+        for scenario in enumerate_scenarios(universe, gamma).scenarios:
+            hit = set(scenario)
+            yield scenario, {i: timed.tau[i] + path_delay(net, routes[i].arcs, hit) for i in ending}
+
+    enders = by_end.get(net.sink, ())
+    for scenario, shift in scenarios(enders):
         coeffs = {w: 1}
-        for i in sink_routes:
-            lim = min(timed.window[i], T - timed.tau[i] - path_delay(net, routes[i].arcs, hit))
-            for theta in range(1, lim + 1):
+        for i in enders:
+            for theta in range(1, min(timed.window[i], T - shift[i]) + 1):
                 coeffs[xs[(i, theta)]] = -1
         rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
-    return timed, lp, xs, w, rows
-
-
-def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
-    """Timed path flow against worst-case delays."""
-    _check_instance(inst)
-    paths = catalog.st_paths
-    timed, lp, xs, w, rows = _timed_route_lp(inst, paths, range(len(paths)))
-    _timed_capacity_rows(rows, timed, xs, catalog.st_by_arc, inst.gamma)
-    return ModelBuild(lp, "path", xs, w, nominal_coeffs={c: 1 for c in xs.values()})
-
-
-def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
-    """Timed subpath flow: flow may be re-declared at interior nodes."""
-    _check_instance(inst)
-    net, T, gamma = inst.network, inst.horizon, inst.gamma
-    subs = catalog.subpaths
-    enders = catalog.by_end.get(net.sink, ())
-    timed, lp, xs, w, rows = _timed_route_lp(inst, subs, enders)
     for v in net.nodes:
-        if v in (net.source, net.sink):
+        starting = by_start.get(v, ())
+        if v in (net.source, net.sink) or not starting:
             continue
-        ending = catalog.by_end.get(v, ())
-        starting = catalog.by_start.get(v, ())
-        if not starting:
-            continue
-        node_universe = _positive_delay_ids(net, arcs_on(net, (subs[i] for i in ending)))
-        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
-            hit = set(scenario)
-            shift = {i: timed.tau[i] + path_delay(net, subs[i].arcs, hit) for i in ending}
+        ending = by_end.get(v, ())
+        for scenario, shift in scenarios(ending):
             for theta in range(1, T + 1):
-                coeffs = {}
-                for j in starting:
-                    if (j, theta) in xs:
-                        coeffs[xs[(j, theta)]] = 1
+                coeffs = {xs[(j, theta)]: 1 for j in starting if (j, theta) in xs}
                 if not coeffs:
                     continue
                 for i in ending:
                     key = (i, theta - shift[i])
                     if key in xs:
                         coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
-                rows.add(
-                    coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}"
-                )
-    _timed_capacity_rows(rows, timed, xs, catalog.by_arc, gamma)
-    return ModelBuild(
-        lp,
-        "subpath",
-        xs,
-        w,
-        nominal_coeffs={xs[(i, theta)]: 1 for (i, theta) in xs if i in set(enders)},
+                rows.add(coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}")
+    sink_set = set(enders)
+    build = ModelBuild(
+        lp, kind, xs, w, nominal_coeffs={col: 1 for (i, _), col in xs.items() if i in sink_set}
     )
+    return build, timed, rows
+
+
+def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
+    """Timed path flow against worst-case delays: timed subpaths that are whole paths."""
+    build, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "path")
+    _timed_capacity_rows(rows, timed, build.flow_vars, inst.gamma)
+    return build
+
+
+def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
+    """Timed subpath flow: flow may be re-declared at interior nodes."""
+    build, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.subpaths)), "subpath")
+    _timed_capacity_rows(rows, timed, build.flow_vars, inst.gamma)
+    return build
+
+
+def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
+    """Timed arc flow with robust conservation: timed subpaths of one arc.
+
+    Its capacity rows carry no scenario: an arc's entry time is its own.
+    """
+    build, _, rows = _timed_route_lp(inst, arc_routes(inst.network), "arc")
+    for (a, theta), col in build.flow_vars.items():
+        rows.add({col: 1}, "<=", inst.network.arc_by_id[a].capacity, f"cap[{a},{theta}]")
+    return build
 
 
 def _arc_scenarios(timed, by_arc, gamma):
@@ -268,18 +280,18 @@ def _arc_scenarios(timed, by_arc, gamma):
         routes = by_arc.get(arc.id, ())
         if not routes:
             continue
-        positions = {i: timed.paths[i].arcs.index(arc.id) for i in routes}
-        upstream = {a for i, k in positions.items() for a in timed.paths[i].arcs[:k]}
+        positions = {i: timed.routes[i].arcs.index(arc.id) for i in routes}
+        upstream = {a for i, k in positions.items() for a in timed.routes[i].arcs[:k]}
         universe = _positive_delay_ids(net, upstream)
         for scenario in enumerate_scenarios(universe, gamma).scenarios:
             hit = set(scenario)
             yield arc, scenario, {i: timed.entry_time(i, k, 0, hit) for i, k in positions.items()}
 
 
-def _timed_capacity_rows(rows, timed, xs, by_arc, gamma) -> None:
+def _timed_capacity_rows(rows, timed, xs, gamma) -> None:
     """Capacity rows for the timed path-like builders: for each arc and
     scenario, tally which departures occupy the arc at each time step."""
-    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma):
+    for arc, scenario, offsets in _arc_scenarios(timed, timed.by_arc, gamma):
         by_theta: dict = {}
         for i, offset in offsets.items():
             for dep in range(1, timed.window[i] + 1):
@@ -294,68 +306,6 @@ def _timed_capacity_rows(rows, timed, xs, by_arc, gamma) -> None:
                 arc.capacity,
                 f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
             )
-
-
-def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
-    """Timed arc flow with robust conservation under worst-case delays."""
-    _check_instance(inst)
-    net, T, gamma = inst.network, inst.horizon, inst.gamma
-    dist = _dist_to_sink(net)
-    lp = LinearProgram("max")
-    xs: dict = {}
-    for arc in net.arcs:
-        limit = T - arc.travel_time - dist.get(arc.head, T + 1)
-        for theta in range(1, limit + 1):
-            xs[(arc.id, theta)] = lp.add_var(f"x[{arc.id},{theta}]")
-    w = lp.add_var("arrival_bound")
-    lp.set_objective({w: 1})
-    rows = Rows(lp)
-    sink_in = [a for a in net.in_arcs(net.sink)]
-    universe = _positive_delay_ids(net, [a.id for a in sink_in])
-    for scenario in enumerate_scenarios(universe, gamma).scenarios:
-        hit = set(scenario)
-        coeffs = {w: 1}
-        for arc in sink_in:
-            lim = T - arc.travel_time - (arc.delay if arc.id in hit else 0)
-            for theta in range(1, lim + 1):
-                if (arc.id, theta) in xs:
-                    coeffs[xs[(arc.id, theta)]] = -1
-        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
-    for v in net.nodes:
-        if v in (net.source, net.sink):
-            continue
-        incoming = net.in_arcs(v)
-        outgoing = net.out_arcs(v)
-        if not outgoing:
-            continue
-        node_universe = _positive_delay_ids(net, [a.id for a in incoming])
-        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
-            hit = set(scenario)
-            for theta in range(1, T + 1):
-                coeffs = {}
-                for arc in outgoing:
-                    if (arc.id, theta) in xs:
-                        coeffs[xs[(arc.id, theta)]] = 1
-                if not coeffs:
-                    continue
-                for arc in incoming:
-                    entry = theta - arc.travel_time - (arc.delay if arc.id in hit else 0)
-                    key = (arc.id, entry)
-                    if key in xs:
-                        coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
-                rows.add(
-                    coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}"
-                )
-    for (a, theta), col in xs.items():
-        rows.add({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
-    sink_ids = {a.id for a in sink_in}
-    return ModelBuild(
-        lp,
-        "arc",
-        xs,
-        w,
-        nominal_coeffs={col: 1 for (a, theta), col in xs.items() if a in sink_ids},
-    )
 
 
 def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
@@ -459,7 +409,7 @@ def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     paths = catalog.st_paths
-    timed = _Timed(inst, paths)
+    timed = _Timed(inst, dict(enumerate(paths)))
     lp = LinearProgram("max")
     xs = {
         i: lp.add_var(f"x[{i}]")
@@ -478,7 +428,7 @@ def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
             if window > 0:
                 coeffs[xs[i]] = -window
         rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
-    by_arc = {a: [i for i in ids if i in xs] for a, ids in catalog.st_by_arc.items()}
+    by_arc = {a: [i for i in ids if i in xs] for a, ids in timed.by_arc.items()}
     for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma):
         for theta in range(1, T + 1):
             coeffs = {}
@@ -549,7 +499,6 @@ def evaluate_dynamic(
     flow: DynamicFlow,
     inst: DynamicInstance,
     catalog: Optional[PathCatalog] = None,
-    kind: Optional[str] = None,
 ) -> DynamicRobustReport:
     """LP-free evaluation of a dynamic flow over the exhaustive scenario set.
 
@@ -558,11 +507,9 @@ def evaluate_dynamic(
     and the earliest arrival time guaranteed across scenarios.
     """
     _check_instance(inst)
-    kind = kind or flow.kind
+    kind = flow.kind
     if kind not in ("path", "arc", "subpath", "tr"):
         raise NetworkError(f"unknown dynamic flow kind {kind!r}")
-    if kind != flow.kind:
-        raise NetworkError(f"flow kind {flow.kind!r} does not match {kind!r}")
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     if kind in ("path", "subpath", "tr") and catalog is None:
         catalog = enumerate_subpaths(net)
@@ -754,5 +701,5 @@ def solve_dynamic(
         build,
         maximize_nominal,
         lambda values: DynamicFlow(build.kind, nonzero(build.flow_vars, values)),
-        lambda flow: evaluate_dynamic(flow, inst, catalog, build.kind),
+        lambda flow: evaluate_dynamic(flow, inst, catalog),
     )

@@ -307,29 +307,42 @@ def enumerate_subpaths(net: Network, *, guard: Optional[int] = None) -> PathCata
                     seen[key] = Path(key, path.nodes[i : j + 1])
     order = sorted(seen, key=lambda key: tuple(net.arc_rank[a] for a in key))
     subpaths = tuple(seen[key] for key in order)
-    by_end: dict = {}
-    by_start: dict = {}
-    by_arc: dict = {}
-    for idx, sub in enumerate(subpaths):
-        by_end.setdefault(sub.end, []).append(idx)
-        by_start.setdefault(sub.start, []).append(idx)
-        for a in sub.arcs:
-            by_arc.setdefault(a, []).append(idx)
-    st_by_arc: dict = {}
-    for idx, path in enumerate(st_paths):
-        for a in path.arcs:
-            st_by_arc.setdefault(a, []).append(idx)
+    by_start, by_end, by_arc = route_index(dict(enumerate(subpaths)))
     return PathCatalog(
         st_paths=st_paths,
         subpaths=subpaths,
-        by_end={v: tuple(ix) for v, ix in by_end.items()},
-        by_start={v: tuple(ix) for v, ix in by_start.items()},
-        by_arc={a: tuple(ix) for a, ix in by_arc.items()},
-        st_by_arc={a: tuple(ix) for a, ix in st_by_arc.items()},
+        by_end=by_end,
+        by_start=by_start,
+        by_arc=by_arc,
+        st_by_arc=route_index(dict(enumerate(st_paths)))[2],
         sub_index={sub.arcs: i for i, sub in enumerate(subpaths)},
         st_index={p.arcs: i for i, p in enumerate(st_paths)},
         sub_arcsets=tuple(frozenset(sub.arcs) for sub in subpaths),
         st_arcsets=tuple(frozenset(p.arcs) for p in st_paths),
+    )
+
+
+def arc_routes(net: Network) -> dict:
+    """Every arc as a one-arc route: ``{arc id: Path}``, in the network's arc order."""
+    return {a: Path((a,), (arc.tail, arc.head)) for a, arc in net.arc_by_id.items()}
+
+
+def route_index(routes: Mapping) -> tuple:
+    """``(by_start, by_end, by_arc)`` of a ``key -> Path`` mapping.
+
+    Each maps a node (the route's first or last node) or an arc id to the
+    tuple of the keys of the routes there, in the mapping's order.
+    """
+    by_start: dict = {}
+    by_end: dict = {}
+    by_arc: dict = {}
+    for key, route in routes.items():
+        by_start.setdefault(route.start, []).append(key)
+        by_end.setdefault(route.end, []).append(key)
+        for a in route.arcs:
+            by_arc.setdefault(a, []).append(key)
+    return tuple(
+        {k: tuple(keys) for k, keys in index.items()} for index in (by_start, by_end, by_arc)
     )
 
 

@@ -12,9 +12,11 @@ arcs after the flow is fixed:
 * ``gm`` — flow on contiguous subpaths of simple source-sink paths; strictly
   more expressive than both of the above (flow may be re-declared mid-route).
 
-Scenario families are restricted per constraint to the arcs that can affect
-it; ``full_lambda=True`` emits the unrestricted families instead (the two
-are equivalent; the test suite cross-checks).  A compact polynomial-size
+``pm`` and ``am`` are ``gm`` over other route sets: whole source-sink paths,
+and single arcs.  One builder emits all three from the routes it is given,
+and one evaluator checks a flow of any kind on its routes.  Scenario families
+are restricted per constraint to the arcs that can affect it (the test suite
+cross-checks against the unrestricted families).  A compact polynomial-size
 reformulation of ``gm`` for budget 1 is provided alongside, with an exact
 decomposition back to subpath flow.  Solving goes through the pipeline shared
 with the dynamic models (:mod:`robustflow.model_lp`).
@@ -41,8 +43,11 @@ from .network import (
     Network,
     NetworkError,
     PathCatalog,
+    arc_routes,
     enumerate_scenarios,
+    enumerate_st_paths,
     enumerate_subpaths,
+    route_index,
 )
 from .rational import ZERO, rat
 
@@ -99,138 +104,66 @@ class RobustReport:
     per_arc_exposure: Mapping
 
 
-def build_pm_lp(
-    net: Network,
-    catalog: PathCatalog,
-    gamma: int,
-    *,
-    full_lambda: bool = False,
-) -> ModelBuild:
-    """Path-flow model: maximize total flow minus worst-case lost flow."""
-    lp = LinearProgram("max")
-    xs = [lp.add_var(f"x[{i}]") for i in range(len(catalog.st_paths))]
-    lam = lp.add_var("loss_bound")
-    lp.set_objective({**{x: 1 for x in xs}, lam: -1})
-    rows = Rows(lp)
-    if full_lambda:
-        universe = [a.id for a in net.arcs]
-    else:
-        universe = list(catalog.st_by_arc)
-    for scenario in enumerate_scenarios(universe, gamma).scenarios:
-        touched = set()
-        for a in scenario:
-            touched.update(catalog.st_by_arc.get(a, ()))
-        coeffs = {xs[i]: 1 for i in touched}
-        coeffs[lam] = -1
-        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
-    for arc in net.arcs:
-        hit = catalog.st_by_arc.get(arc.id, ())
-        if hit:
-            rows.add({xs[i]: 1 for i in hit}, "<=", arc.capacity, f"cap[{arc.id}]")
-    return ModelBuild(
-        lp,
-        "path",
-        {i: xs[i] for i in range(len(xs))},
-        lam,
-        nominal_coeffs={x: 1 for x in xs},
-    )
+def build_pm_lp(net: Network, catalog: PathCatalog, gamma: int) -> ModelBuild:
+    """Path-flow model: the subpath model over the whole source-sink paths."""
+    return _route_lp(net, dict(enumerate(catalog.st_paths)), "path", gamma)
 
 
-def build_am_lp(
-    net: Network,
-    gamma: int,
-    *,
-    full_lambda: bool = False,
-) -> ModelBuild:
-    """Arc-flow model with robust conservation at every interior node."""
-    lp = LinearProgram("max")
-    xs = {arc.id: lp.add_var(f"x[{arc.id}]") for arc in net.arcs}
-    lam = lp.add_var("loss_bound")
-    sink_arcs = [a.id for a in net.in_arcs(net.sink)]
-    lp.set_objective({**{xs[a]: 1 for a in sink_arcs}, lam: -1})
-    rows = Rows(lp)
-    all_ids = [a.id for a in net.arcs]
-    universe = all_ids if full_lambda else sink_arcs
-    sink_set = set(sink_arcs)
-    for scenario in enumerate_scenarios(universe, gamma).scenarios:
-        coeffs = {xs[a]: 1 for a in scenario if a in sink_set}
-        coeffs[lam] = -1
-        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
-    for v in net.nodes:
-        if v in (net.source, net.sink):
-            continue
-        incoming = [a.id for a in net.in_arcs(v)]
-        outgoing = [a.id for a in net.out_arcs(v)]
-        if not outgoing:
-            continue
-        node_universe = all_ids if full_lambda else incoming
-        incoming_set = set(incoming)
-        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
-            removed = set(scenario) & incoming_set
-            coeffs = {xs[a]: 1 for a in outgoing}
-            for a in incoming:
-                if a not in removed:
-                    coeffs[xs[a]] = coeffs.get(xs[a], 0) - 1
-            rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
-    for arc in net.arcs:
-        rows.add({xs[arc.id]: 1}, "<=", arc.capacity, f"cap[{arc.id}]")
-    return ModelBuild(
-        lp,
-        "arc",
-        dict(xs),
-        lam,
-        nominal_coeffs={xs[a]: 1 for a in sink_arcs},
-    )
+def build_am_lp(net: Network, gamma: int) -> ModelBuild:
+    """Arc-flow model: the subpath model over the one-arc routes."""
+    return _route_lp(net, arc_routes(net), "arc", gamma)
 
 
-def build_gm_lp(
-    net: Network,
-    catalog: PathCatalog,
-    gamma: int,
-    *,
-    full_lambda: bool = False,
-) -> ModelBuild:
+def build_gm_lp(net: Network, catalog: PathCatalog, gamma: int) -> ModelBuild:
     """Subpath-flow model: the most general of the three static models."""
+    return _route_lp(net, dict(enumerate(catalog.subpaths)), "subpath", gamma)
+
+
+def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuild:
+    """Maximize the flow of ``routes`` (key -> Path) reaching the sink minus the worst loss.
+
+    One column ``x[key]`` per route.  Each scenario over the arcs of the
+    routes into the sink bounds the loss by the flow of those it hits; at
+    each interior node where routes start, each scenario over the arcs of the
+    routes ending there keeps the outflow within the inflow that survives;
+    each arc bounds the flow of the routes through it.
+    """
+    by_start, by_end, by_arc = route_index(routes)
     lp = LinearProgram("max")
-    xs = [lp.add_var(f"x[{i}]") for i in range(len(catalog.subpaths))]
+    xs = {key: lp.add_var(f"x[{key}]") for key in routes}
     lam = lp.add_var("loss_bound")
-    enders = catalog.by_end.get(net.sink, ())
-    lp.set_objective({**{xs[i]: 1 for i in enders}, lam: -1})
+    enders = by_end.get(net.sink, ())
+    nominal = {xs[key]: 1 for key in enders}
+    lp.set_objective({**nominal, lam: -1})
     rows = Rows(lp)
-    all_ids = [a.id for a in net.arcs]
-    subs = catalog.subpaths
-    universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in enders))
-    for scenario in enumerate_scenarios(universe, gamma).scenarios:
-        hit = set(scenario)
-        coeffs = {xs[i]: 1 for i in enders if catalog.sub_arcsets[i] & hit}
+
+    def scenarios(ending):
+        """Each scenario over the arcs of the routes ``ending``, with the routes it hits."""
+        universe = arcs_on(net, (routes[key] for key in ending))
+        for scenario in enumerate_scenarios(universe, gamma).scenarios:
+            yield scenario, set().union(*(by_arc[a] for a in scenario))
+
+    sink_set = set(enders)
+    for scenario, hit in scenarios(enders):
+        coeffs = {xs[key]: 1 for key in hit if key in sink_set}
         coeffs[lam] = -1
         rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
-        if v in (net.source, net.sink):
+        starting = by_start.get(v, ())
+        if v in (net.source, net.sink) or not starting:
             continue
-        ending = catalog.by_end.get(v, ())
-        starting = catalog.by_start.get(v, ())
-        if not starting:
-            continue
-        node_universe = all_ids if full_lambda else arcs_on(net, (subs[i] for i in ending))
-        for scenario in enumerate_scenarios(node_universe, gamma).scenarios:
-            hit = set(scenario)
-            coeffs = {xs[i]: 1 for i in starting}
-            for i in ending:
-                if not (catalog.sub_arcsets[i] & hit):
-                    coeffs[xs[i]] = coeffs.get(xs[i], 0) - 1
+        ending = by_end.get(v, ())
+        for scenario, hit in scenarios(ending):
+            coeffs = {xs[key]: 1 for key in starting}
+            for key in ending:
+                if key not in hit:
+                    coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
             rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
-        hit = catalog.by_arc.get(arc.id, ())
-        if hit:
-            rows.add({xs[i]: 1 for i in hit}, "<=", arc.capacity, f"cap[{arc.id}]")
-    return ModelBuild(
-        lp,
-        "subpath",
-        {i: xs[i] for i in range(len(xs))},
-        lam,
-        nominal_coeffs={xs[i]: 1 for i in enders},
-    )
+        through = by_arc.get(arc.id, ())
+        if through:
+            rows.add({xs[key]: 1 for key in through}, "<=", arc.capacity, f"cap[{arc.id}]")
+    return ModelBuild(lp, kind, xs, lam, nominal_coeffs=nominal)
 
 
 @dataclass(frozen=True)
@@ -412,10 +345,13 @@ def evaluate_static(
 ) -> RobustReport:
     """LP-free evaluation of a fixed flow.
 
-    Checks feasibility (capacity everywhere; robust conservation for the
-    arc/subpath kinds) and computes the worst case by exhaustive scenario
-    enumeration over all arcs.  Raises :class:`InfeasibleFlowError` with all
-    violations when the flow is not feasible.
+    Checks feasibility (capacity everywhere; robust conservation at every
+    interior node where flow starts, which path flow never does) and
+    computes the worst case by exhaustive scenario enumeration over all arcs.
+    Raises :class:`InfeasibleFlowError` with all violations when the flow is
+    not feasible.  Without a ``catalog`` only the routes of the flow's kind
+    are enumerated: the source-sink paths for a path flow, the subpaths for a
+    subpath flow.
 
     A sum over flow-carrying routes only depends on the part of a scenario
     that meets those routes' arcs, so each scenario is projected onto that
@@ -425,10 +361,24 @@ def evaluate_static(
     projection; violations and worst scenarios still come out in scenario
     order.
     """
-    if flow.kind not in ("path", "arc", "subpath"):
+    # An arc flow is a flow on one-arc routes.
+    if flow.kind == "arc":
+        routes = arc_routes(net)
+        noun, known = "arc id", routes.__contains__
+    elif flow.kind in ("path", "subpath"):
+        if catalog is not None:
+            routes = catalog.st_paths if flow.kind == "path" else catalog.subpaths
+        elif flow.kind == "path":
+            routes = enumerate_st_paths(net)
+        else:
+            routes = enumerate_subpaths(net).subpaths
+        noun = f"{flow.kind} index"
+
+        def known(key) -> bool:
+            return isinstance(key, int) and 0 <= key < len(routes)
+
+    else:
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
-    if flow.kind in ("path", "subpath") and catalog is None:
-        catalog = enumerate_subpaths(net)
     values = {}
     violations = []
     for key, raw in flow.values.items():
@@ -439,41 +389,22 @@ def evaluate_static(
         if value == 0:
             continue
         values[key] = value
-    support = []  # (key, arcset, value) of flow-carrying routes
-    if flow.kind == "path":
-        for key, value in values.items():
-            if not isinstance(key, int) or not 0 <= key < len(catalog.st_paths):
-                raise NetworkError(f"unknown path index {key!r}")
-            support.append((key, catalog.st_arcsets[key], value))
-        t_support = support
-    elif flow.kind == "subpath":
-        for key, value in values.items():
-            if not isinstance(key, int) or not 0 <= key < len(catalog.subpaths):
-                raise NetworkError(f"unknown subpath index {key!r}")
-            support.append((key, catalog.sub_arcsets[key], value))
-        enders = set(catalog.by_end.get(net.sink, ()))
-        t_support = [entry for entry in support if entry[0] in enders]
-    else:
-        for key in values:
-            if key not in net.arc_by_id:
-                raise NetworkError(f"unknown arc id {key!r}")
-        t_support = [
-            (a.id, frozenset([a.id]), values[a.id])
-            for a in net.in_arcs(net.sink)
-            if a.id in values
-        ]
-    # Capacity.
-    loads: dict = {}
+    for key in values:
+        if not known(key):
+            raise NetworkError(f"unknown {noun} {key!r}")
     if flow.kind == "arc":
-        for key, value in values.items():
-            loads[key] = value
-    else:
-        for key, arcset, value in support:
-            arcs = (
-                catalog.st_paths[key].arcs if flow.kind == "path" else catalog.subpaths[key].arcs
-            )
-            for a in arcs:
-                loads[a] = loads.get(a, ZERO) + value
+        values = {a: values[a] for a in routes if a in values}  # exposure in arc order
+    # (key, arcset, value) of the flow-carrying routes by last node; outflow by first node.
+    ending: dict = {}
+    outflow: dict = {}
+    loads: dict = {}
+    for key, value in values.items():
+        route = routes[key]
+        ending.setdefault(route.end, []).append((key, frozenset(route.arcs), value))
+        outflow[route.start] = outflow.get(route.start, ZERO) + value
+        for a in route.arcs:
+            loads[a] = loads.get(a, ZERO) + value
+    # Capacity.
     for a, load in sorted(loads.items(), key=lambda kv: net.arc_rank[kv[0]]):
         cap = net.arc_by_id[a].capacity
         if load > cap:
@@ -482,40 +413,28 @@ def evaluate_static(
             )
     scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
     # Robust conservation.
-    if flow.kind in ("arc", "subpath"):
-        for v in net.nodes:
-            if v in (net.source, net.sink):
-                continue
-            if flow.kind == "arc":
-                incoming = [
-                    (a.id, frozenset([a.id]), values[a.id])
-                    for a in net.in_arcs(v)
-                    if a.id in values
-                ]
-                outflow = sum((values[a.id] for a in net.out_arcs(v) if a.id in values), ZERO)
-            else:
-                ender_ids = set(catalog.by_end.get(v, ()))
-                starter_ids = set(catalog.by_start.get(v, ()))
-                incoming = [e for e in support if e[0] in ender_ids]
-                outflow = sum((e[2] for e in support if e[0] in starter_ids), ZERO)
-            if outflow == 0:
-                continue
-            total_in = sum((val for _, _, val in incoming), ZERO)
-            projections, hit_sums = _projected_sums(incoming, scenario_set.scenarios)
-            short = {}
-            for projection, hit in hit_sums.items():
-                surviving = total_in - hit
-                if surviving < outflow:
-                    short[projection] = f"surviving inflow {surviving} < outflow {outflow}"
-            if not short:
-                continue
-            for scenario, projection in zip(scenario_set.scenarios, projections):
-                detail = short.get(projection)
-                if detail is not None:
-                    violations.append(Violation("conservation", v, scenario, detail))
+    for v in net.nodes:
+        out = outflow.get(v, ZERO)
+        if v in (net.source, net.sink) or out == 0:
+            continue
+        incoming = ending.get(v, ())
+        total_in = sum((val for _, _, val in incoming), ZERO)
+        projections, hit_sums = _projected_sums(incoming, scenario_set.scenarios)
+        short = {}
+        for projection, hit in hit_sums.items():
+            surviving = total_in - hit
+            if surviving < out:
+                short[projection] = f"surviving inflow {surviving} < outflow {out}"
+        if not short:
+            continue
+        for scenario, projection in zip(scenario_set.scenarios, projections):
+            detail = short.get(projection)
+            if detail is not None:
+                violations.append(Violation("conservation", v, scenario, detail))
     if violations:
         raise InfeasibleFlowError(violations)
     # Worst case over the exhaustive scenario set.
+    t_support = ending.get(net.sink, [])
     nominal = sum((val for _, _, val in t_support), ZERO)
     projections, losses = _projected_sums(t_support, scenario_set.scenarios)
     worst_loss = max(losses.values())
@@ -526,13 +445,8 @@ def evaluate_static(
         if projection in top
     )
     exposure: dict = {}
-    for key, arcset, value in t_support:
-        arcs = arcset
-        if flow.kind == "path":
-            arcs = catalog.st_paths[key].arcs
-        elif flow.kind == "subpath":
-            arcs = catalog.subpaths[key].arcs
-        for a in arcs:
+    for key, _, value in t_support:
+        for a in routes[key].arcs:
             exposure[a] = exposure.get(a, ZERO) + value
     if gamma == 1 and worst_loss != max(exposure.values(), default=ZERO):
         raise ModelCheckError("budget-1 worst loss must equal the peak exposure")

@@ -4,8 +4,9 @@ Everything here is deliberately written with different algorithms and data
 structures than the library code: path enumeration is iterative instead of
 recursive, the min cut comes from node-partition enumeration instead of a
 max-flow run, the nominal dynamic value comes from an Edmonds-Karp solve of
-a freshly built time expansion, the subset-sum check is a DP bitset, and the
-static evaluator re-sums every scenario instead of each distinct projection.
+a freshly built time expansion, the subset-sum check is a DP bitset, the
+static evaluator re-sums every scenario instead of each distinct projection,
+and the static LPs are built with every row family over all arcs.
 """
 
 from fractions import Fraction
@@ -26,6 +27,63 @@ def st_paths(net):
             if arc.head not in seen:
                 stack.append((arc.head, seen | {arc.head}, arcs + (arc.id,)))
     return sorted(found)
+
+
+def full_family_lp(net, model, gamma):
+    """The ``pm``, ``am`` or ``gm`` LP with every scenario family over all arcs.
+
+    Routes are this module's source-sink paths (``pm``), their contiguous
+    pieces (``gm``) or single arcs (``am``).  Every loss row and every robust
+    conservation row ranges over all subsets of at most ``gamma`` arcs of the
+    network, not only over the arcs that can affect the row; exact repeats
+    are dropped.
+    """
+    from robustflow import LinearProgram
+
+    ends = {a.id: (a.tail, a.head) for a in net.arcs}
+    if model == "am":
+        routes = [(a.id,) for a in net.arcs]
+    else:
+        paths = st_paths(net)
+        routes = paths if model == "pm" else sorted(
+            {p[i:j] for p in paths for i in range(len(p)) for j in range(i + 1, len(p) + 1)}
+        )
+    lp = LinearProgram("max")
+    x = [lp.add_var() for _ in routes]
+    loss = lp.add_var()
+    into_sink = [k for k, r in enumerate(routes) if ends[r[-1]][1] == net.sink]
+    objective = {x[k]: 1 for k in into_sink}
+    objective[loss] = -1
+    lp.set_objective(objective)
+    ids = [a.id for a in net.arcs]
+    scenarios = [set(c) for size in range(min(gamma, len(ids)) + 1) for c in combinations(ids, size)]
+    seen = set()
+
+    def add(coeffs, rhs):
+        coeffs = {j: c for j, c in coeffs.items() if c}
+        key = (frozenset(coeffs.items()), rhs)
+        if coeffs and key not in seen:
+            seen.add(key)
+            lp.add_constraint(coeffs, "<=", rhs)
+
+    for hit in scenarios:
+        row = {x[k]: 1 for k in into_sink if hit.intersection(routes[k])}
+        row[loss] = -1
+        add(row, 0)
+    for v in net.nodes:
+        if v in (net.source, net.sink):
+            continue
+        for hit in scenarios:
+            row = {}
+            for k, r in enumerate(routes):
+                if ends[r[0]][0] == v:
+                    row[x[k]] = row.get(x[k], 0) + 1
+                if ends[r[-1]][1] == v and not hit.intersection(r):
+                    row[x[k]] = row.get(x[k], 0) - 1
+            add(row, 0)
+    for a in net.arcs:
+        add({x[k]: 1 for k, r in enumerate(routes) if a.id in r}, a.capacity)
+    return lp
 
 
 def min_cut_value(net):

@@ -98,6 +98,25 @@ def test_solve_model_instance_mismatch(tmp_path, capsys):
     assert "dynamic instance" in err
 
 
+@pytest.mark.parametrize(
+    "family, model, kind",
+    [("two-hop", "pm", "arc"), ("two-hop", "pm", "tr"), ("ti-gap", "dpm", "arc")],
+)
+def test_evaluate_rejects_a_kind_the_flow_does_not_have(tmp_path, capsys, family, model, kind):
+    # Static and dynamic instances check --kind against the flow file alike.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", family, "-o", str(inst))
+    result = tmp_path / "result.json"
+    assert run(capsys, "solve", str(inst), "--model", model, "-o", str(result))[0] == 0
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(json.loads(result.read_text())["flow"]))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path), "--kind", kind)
+    assert code == 2
+    assert out == ""
+    assert f"flow kind 'path' does not match '{kind}'" in err
+    assert run(capsys, "evaluate", str(inst), str(flow_path), "--kind", "path")[0] == 0
+
+
 def test_evaluate_infeasible_flow_exits_4(tmp_path, capsys):
     inst = tmp_path / "two-hop.json"
     run(capsys, "generate", "two-hop", "-o", str(inst))

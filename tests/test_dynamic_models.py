@@ -142,7 +142,7 @@ def test_temporally_repeated_flow_shape(ti_gap):
     assert report.robust_value == rat(3, 2)
     # Keys are bare path indices; the evaluator expands them over departures.
     assert all(isinstance(k, int) for k in flow.values)
-    again = evaluate_dynamic(flow, inst, catalog=catalog, kind="tr")
+    again = evaluate_dynamic(flow, inst, catalog=catalog)
     assert again.robust_value == report.robust_value
 
 

@@ -26,10 +26,12 @@ from robustflow import (
     enumerate_subpaths,
     format_rational,
     gen_bottleneck,
+    gen_fan,
     gen_partition,
     gen_por_static,
     gen_random,
     gen_ti_gap,
+    gen_two_hop,
     lexicographic_solve,
     rat,
     solve_lp,
@@ -341,6 +343,57 @@ def test_golden_model_lps(key):
     forms = [build.lp.objective, build.nominal_coeffs] + [con.coeffs for con in build.lp.constraints]
     assert all(type(c) is int for form in forms for c in form.values())
     assert all(type(con.rhs) in (int, Fraction) for con in build.lp.constraints)
+
+
+# One sha256 over the ``dump_lp`` text of the path, arc and subpath LPs (static
+# and timed) on a wider set of networks than ``LP_GOLDEN``: the structured
+# families and seeded random graphs at budgets 0-3, and the partitions and
+# random dynamic instances the timed benchmark solves.
+BROAD_DIGEST = "a1f2d6e74e877f11fd4319d84067737d17a6900f6f0f645472259d13365846a2"
+TIMED_PARTITIONS = {
+    (1, 1): ("dpm", "dgm", "dam"),
+    (2, 2): ("dpm", "dgm", "dam"),
+    (2, 4): ("dpm", "dgm", "dam"),
+    (1, 1, 2): ("dpm", "dgm", "dam"),
+    (2, 2, 2): ("dpm", "dgm", "dam"),
+    (2, 2, 4): ("dpm", "dgm", "dam"),
+    (1, 1, 1, 1): ("dpm", "dam"),
+    (2, 2, 2, 4): ("dpm",),
+}
+
+
+def _broad_lps():
+    nets = [gen_two_hop()] + [gen_fan(g) for g in (1, 2, 3)]
+    nets += [gen_bottleneck(g, b) for g in (1, 2) for b in (1, 2)]
+    for seed in range(20):
+        for kind in ("dag", "general"):
+            nets.append(gen_random(kind, 5 + seed % 2, 8 + seed % 3, max_cap=3, seed=seed))
+    for net in nets:
+        catalog = enumerate_subpaths(net)
+        for gamma in range(4):
+            yield build_pm_lp(net, catalog, gamma)
+            yield build_am_lp(net, gamma)
+            yield build_gm_lp(net, catalog, gamma)
+    timed = [(gen_partition(values), models) for values, models in TIMED_PARTITIONS.items()]
+    for seed in range(20):
+        inst = gen_random(
+            "dynamic", 6, 8, max_cap=3, max_tau=2, max_delay=2, horizon=6, gamma=2, seed=seed
+        )
+        timed.append((inst, ("dpm", "dgm", "dam")))
+    for inst, models in timed:
+        catalog = enumerate_subpaths(inst.network)
+        for model in models:
+            if model == "dam":
+                yield build_dam_lp(inst)
+            else:
+                yield {"dpm": build_dpm_lp, "dgm": build_dgm_lp}[model](inst, catalog)
+
+
+def test_broad_model_lp_digest():
+    digest = hashlib.sha256()
+    for build in _broad_lps():
+        digest.update(dump_lp(build.lp).encode() + b"\0")
+    assert digest.hexdigest() == BROAD_DIGEST
 
 
 def test_checks_raise_under_python_O():

@@ -42,7 +42,7 @@ from robustflow import (
 
 from robustflow import model_lp, static_models
 
-from _oracles import brute_force_evaluate_static
+from _oracles import brute_force_evaluate_static, full_family_lp
 
 
 @pytest.fixture(scope="module")
@@ -117,15 +117,13 @@ def test_full_scenario_families_match_restricted():
         net = gen_random("dag", 5, 8, max_cap=3, seed=seed)
         catalog = enumerate_subpaths(net)
         for gamma in (1, 2):
-            for build_fn, needs_catalog in (
-                (build_pm_lp, True),
-                (build_am_lp, False),
-                (build_gm_lp, True),
+            for model, restricted in (
+                ("pm", build_pm_lp(net, catalog, gamma)),
+                ("am", build_am_lp(net, gamma)),
+                ("gm", build_gm_lp(net, catalog, gamma)),
             ):
-                args = (net, catalog, gamma) if needs_catalog else (net, gamma)
-                restricted = solve_lp(build_fn(*args).lp)
-                full = solve_lp(build_fn(*args, full_lambda=True).lp)
-                assert restricted.objective_value == full.objective_value
+                full = solve_lp(full_family_lp(net, model, gamma))
+                assert solve_lp(restricted.lp).objective_value == full.objective_value
 
 
 def test_gamma1_compact_matches_and_decomposes(two_hop):
