@@ -49,11 +49,12 @@ from .network import (
     ValidationReport,
     arc_routes,
     enumerate_scenarios,
+    enumerate_st_paths,
     enumerate_subpaths,
     route_index,
     validate_network,
 )
-from .rational import ZERO, rat
+from .rational import ZERO, common_denominator, rat
 from .static_models import InfeasibleFlowError, Violation
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
@@ -504,15 +505,43 @@ def evaluate_dynamic(
 
     Checks capacities under every scenario (and robust conservation for the
     arc/subpath kinds), then reports per-scenario arrivals, their minimum,
-    and the earliest arrival time guaranteed across scenarios.
+    and the earliest arrival time guaranteed across scenarios.  Without a
+    ``catalog`` only the routes of the flow's kind are enumerated.
+
+    An arc flow is a flow on one-arc routes; only its capacity check, which
+    no scenario changes, stays apart.  Each route's ends, nominal travel time
+    and delaying arcs are found once, before the scenario loops, and the
+    values are put over one common denominator D
+    (:func:`~robustflow.rational.common_denominator`): loads, inflow, outflow
+    and arrivals are summed as integers, a capacity is exceeded when
+    ``n * cap.denominator > cap.numerator * D``, and only reported values
+    and violation texts are turned back into ``Fraction``s.
     """
     _check_instance(inst)
     kind = flow.kind
-    if kind not in ("path", "arc", "subpath", "tr"):
-        raise NetworkError(f"unknown dynamic flow kind {kind!r}")
     net, T, gamma = inst.network, inst.horizon, inst.gamma
-    if kind in ("path", "subpath", "tr") and catalog is None:
-        catalog = enumerate_subpaths(net)
+    # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
+    if kind == "arc":
+        routes = arc_routes(net)
+        noun, known, word = "arc id", routes.__contains__, "entry"
+
+        def order(item):
+            return net.arc_rank.get(item[0][0], -1), item[0][1]
+
+    elif kind in ("path", "subpath", "tr"):
+        if catalog is not None:
+            routes = catalog.subpaths if kind == "subpath" else catalog.st_paths
+        elif kind == "subpath":
+            routes = enumerate_subpaths(net).subpaths
+        else:
+            routes = enumerate_st_paths(net)
+        noun, word, order = ("path" if kind == "tr" else "route") + " index", "departure", None
+
+        def known(key) -> bool:
+            return isinstance(key, int) and 0 <= key < len(routes)
+
+    else:
+        raise NetworkError(f"unknown dynamic flow kind {kind!r}")
     violations = []
     values = {}
     for key, raw in flow.values.items():
@@ -532,143 +561,130 @@ def evaluate_dynamic(
                 raise NetworkError(
                     f"timed flow keys are (key, theta) pairs, got {key!r}"
                 )
-    routes = None
-    if kind in ("path", "tr"):
-        routes = catalog.st_paths
-    elif kind == "subpath":
-        routes = catalog.subpaths
+    # Per route: (start, end, nominal travel time, ((delaying arc, delay), ...),
+    # ((arc, travel time, delay), ...)).
+    info = {}
 
-    def ends(key) -> tuple:
-        """Start and end node of the arc or route ``key``."""
-        if kind == "arc":
-            return net.arc_by_id[key].tail, net.arc_by_id[key].head
-        return routes[key].start, routes[key].end
+    def route_info(key) -> tuple:
+        if not known(key):
+            raise NetworkError(f"unknown {noun} {key!r}")
+        if key not in info:
+            route = routes[key]
+            walk = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
+            tau = sum(travel for _, travel, _ in walk)
+            delaying = tuple((a, delay) for a, _, delay in walk if delay > 0)
+            info[key] = (route.start, route.end, tau, delaying, walk)
+        return info[key]
 
-    def shift(key, hit) -> int:
-        """Travel time along the arc or route ``key`` when the arcs in ``hit`` are delayed."""
-        if kind == "arc":
-            arc = net.arc_by_id[key]
-            return arc.travel_time + (arc.delay if key in hit else 0)
-        return _travel(net, routes[key].arcs) + path_delay(net, routes[key].arcs, hit)
-
-    support = []  # (route index or arc id, departure, value)
+    support = []  # (route key, departure, value)
     if kind == "tr":
         for i, value in values.items():
-            if not isinstance(i, int) or not 0 <= i < len(routes):
-                raise NetworkError(f"unknown path index {i!r}")
-            for dep in range(1, T - _travel(net, routes[i].arcs) + 1):
+            for dep in range(1, T - route_info(i)[2] + 1):
                 support.append((i, dep, value))
-    elif kind in ("path", "subpath"):
-        for (i, theta), value in sorted(values.items()):
-            if not isinstance(i, int) or not 0 <= i < len(routes):
-                raise NetworkError(f"unknown route index {i!r}")
-            if not 1 <= theta <= T:
-                violations.append(
-                    Violation("horizon", (i, theta), None, f"departure {theta} outside 1..{T}")
-                )
-                continue
-            support.append((i, theta, value))
     else:
-        for (a, theta), value in sorted(values.items(), key=lambda kv: (net.arc_rank.get(kv[0][0], -1), kv[0][1])):
-            if a not in net.arc_by_id:
-                raise NetworkError(f"unknown arc id {a!r}")
+        for (key, theta), value in sorted(values.items(), key=order):
+            route_info(key)
             if not 1 <= theta <= T:
                 violations.append(
-                    Violation("horizon", (a, theta), None, f"entry {theta} outside 1..{T}")
+                    Violation("horizon", (key, theta), None, f"{word} {theta} outside 1..{T}")
                 )
                 continue
-            support.append((a, theta, value))
-    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
+            support.append((key, theta, value))
+    den, nums = common_denominator([value for _, _, value in support])
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma).scenarios
     # Capacity under every scenario.
     if kind == "arc":
-        for a, theta, value in support:
+        for (a, theta, value), n in zip(support, nums):
             cap = net.arc_by_id[a].capacity
-            if value > cap:
+            if n * cap.denominator > cap.numerator * den:
                 violations.append(
                     Violation("capacity", (a, theta), None, f"load {value} exceeds {cap}")
                 )
     else:
-        for scenario in scenario_set.scenarios:
+        loaded = [(info[key][4], dep, n) for (key, dep, _), n in zip(support, nums)]
+        for scenario in scenarios:
             hit = set(scenario)
             loads: dict = {}
-            for i, dep, value in support:
-                t = dep
-                for a in routes[i].arcs:
+            for walk, t, n in loaded:
+                for a, travel, delay in walk:
                     if t > T:
                         break
-                    loads[(a, t)] = loads.get((a, t), ZERO) + value
-                    arc = net.arc_by_id[a]
-                    t += arc.travel_time + (arc.delay if a in hit else 0)
-            for (a, theta), load in sorted(
-                loads.items(), key=lambda kv: (net.arc_rank[kv[0][0]], kv[0][1])
-            ):
+                    loads[(a, t)] = loads.get((a, t), 0) + n
+                    t += travel + delay if a in hit else travel
+            over = []
+            for (a, theta), load in loads.items():
                 cap = net.arc_by_id[a].capacity
-                if load > cap:
-                    violations.append(
-                        Violation(
-                            "capacity",
-                            (a, theta),
-                            scenario,
-                            f"load {load} exceeds {cap}",
-                        )
+                if load * cap.denominator > cap.numerator * den:
+                    over.append((net.arc_rank[a], theta, a, load, cap))
+            for _, theta, a, load, cap in sorted(over):
+                violations.append(
+                    Violation(
+                        "capacity",
+                        (a, theta),
+                        scenario,
+                        f"load {rat(load, den)} exceeds {cap}",
                     )
-    # Robust conservation for the declarable kinds.
-    if kind in ("arc", "subpath"):
-        interior = [v for v in net.nodes if v not in (net.source, net.sink)]
-        outflow: dict = {}  # departures do not depend on the scenario
-        for key, dep, value in support:
-            start = ends(key)[0]
-            if start != net.source:
-                outflow[(start, dep)] = outflow.get((start, dep), ZERO) + value
-        demands = [(slot, out) for slot, out in sorted(outflow.items()) if slot[0] in interior]
-        for scenario in scenario_set.scenarios:
-            hit = set(scenario)
-            inflow: dict = {}
-            for key, dep, value in support:
-                end = ends(key)[1]
-                if end == net.sink:
-                    continue
-                arrival = dep + shift(key, hit)
-                if arrival <= T:
-                    inflow[(end, arrival)] = inflow.get((end, arrival), ZERO) + value
-            for (v, theta), out in demands:
-                have = inflow.get((v, theta), ZERO)
-                if have < out:
-                    violations.append(
-                        Violation(
-                            "conservation",
-                            (v, theta),
-                            scenario,
-                            f"surviving inflow {have} < outflow {out}",
-                        )
+                )
+    # Entries as (end, nominal arrival, delaying arcs, scaled value), split at
+    # the sink, and the departures from interior nodes, which no scenario moves.
+    into_sink = []
+    inner = []
+    outflow: dict = {}
+    for (key, dep, _), n in zip(support, nums):
+        start, end, tau, delaying, _ = info[key]
+        (into_sink if end == net.sink else inner).append((end, dep + tau, delaying, n))
+        if start not in (net.source, net.sink):
+            outflow[(start, dep)] = outflow.get((start, dep), 0) + n
+    # Robust conservation: only arc and subpath flows depart from interior nodes.
+    demands = sorted(outflow.items())
+    for scenario in scenarios:
+        hit = set(scenario)
+        inflow: dict = {}
+        for end, arrival, delaying, n in inner:
+            for a, delay in delaying:
+                if a in hit:
+                    arrival += delay
+            if arrival <= T:
+                inflow[(end, arrival)] = inflow.get((end, arrival), 0) + n
+        for slot, out in demands:
+            have = inflow.get(slot, 0)
+            if have < out:
+                violations.append(
+                    Violation(
+                        "conservation",
+                        slot,
+                        scenario,
+                        f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}",
                     )
+                )
     if violations:
         raise InfeasibleFlowError(violations)
     # Arrivals per scenario.
-    arrivals = []
+    totals = []
     arrival_times = []
-    for scenario in scenario_set.scenarios:
+    for scenario in scenarios:
         hit = set(scenario)
-        total = ZERO
+        total = 0
         times = set()
-        for key, dep, value in support:
-            if ends(key)[1] != net.sink:
-                continue
-            arrival = dep + shift(key, hit)
+        for _, arrival, delaying, n in into_sink:
+            for a, delay in delaying:
+                if a in hit:
+                    arrival += delay
             if arrival <= T:
-                total += value
+                total += n
                 times.add(arrival)
-        arrivals.append((scenario, total))
+        totals.append(total)
         arrival_times.append(times)
-    robust = min(total for _, total in arrivals)
-    minimizing = tuple(sc for sc, total in arrivals if total == robust)
-    nominal = arrivals[0][1]
+    exact = {n: rat(n, den) for n in set(totals)}
+    arrivals = tuple((scenario, exact[n]) for scenario, n in zip(scenarios, totals))
+    robust = min(totals)
+    minimizing = tuple(sc for sc, n in zip(scenarios, totals) if n == robust)
     common = set.intersection(*arrival_times) if arrival_times else set()
     earliest = min(common) if common else None
     return DynamicRobustReport(
-        robust_value=robust,
-        nominal_value=nominal,
-        per_scenario_arrival=tuple(arrivals),
+        robust_value=exact[robust],
+        nominal_value=arrivals[0][1],
+        per_scenario_arrival=arrivals,
         minimizing_scenarios=minimizing,
         earliest_arrival=earliest,
     )

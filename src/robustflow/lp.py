@@ -14,8 +14,10 @@ the values it is given (only zeros are dropped) and :func:`_integer_row`
 turns each row into integers once, on its way into the tableau.  Values are
 returned as ``Fraction``s.
 
-Every optimum is re-checked against the constraints before it is returned;
-a failed check raises :class:`LpCheckError`, also under ``python -O``.
+Every optimum is re-checked against the constraints before it is returned,
+in integers: the values are put over one common denominator and each row
+compares integer sums (:func:`_verify`).  A failed check raises
+:class:`LpCheckError`, also under ``python -O``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .rational import ZERO, rat
+from .rational import ZERO, common_denominator, rat
 
 KERNEL = "sparse-int"
 
@@ -409,12 +411,28 @@ def _solve_with(simplex: _Simplex):
 
 
 def _verify(lp: LinearProgram, values: Sequence) -> None:
-    for j in range(lp.n_vars):
-        if not (lp.free[j] or values[j] >= 0):
+    """Re-check an optimum ``values`` against every row of ``lp``, exactly.
+
+    ``values`` is put over one common denominator D once
+    (:func:`common_denominator`), so each row compares the integer
+    ``sum(c_j * X_j)`` over its nonzero columns (D times its left side) with
+    D times its right side.  A ``Fraction`` coefficient keeps its row's sum
+    exact, only slower.
+    """
+    den, nums = common_denominator(values)
+    for x, free in zip(nums, lp.free):
+        if x < 0 and not free:
             raise LpCheckError("solver produced a negative variable")
+    get = {j: x for j, x in enumerate(nums) if x}.get
     for con in lp.constraints:
-        lhs = sum((c * values[j] for j, c in con.coeffs.items()), ZERO)
-        ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
+        lhs = 0
+        for j, c in con.coeffs.items():
+            x = get(j)
+            if x is not None:
+                lhs += c * x
+        lhs *= con.rhs.denominator
+        rhs = con.rhs.numerator * den
+        ok = lhs <= rhs if con.rel == "<=" else lhs >= rhs if con.rel == ">=" else lhs == rhs
         if not ok:
             raise LpCheckError(f"solver violated constraint {con.label or ''}")
 

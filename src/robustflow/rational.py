@@ -4,13 +4,16 @@ All flow values and capacities in this package are exact rationals of the
 one type ``fractions.Fraction``; ``rat()`` is the canonical constructor.
 Model LP coefficients are plain ``int``s, which hash, compare and print
 like the equal ``Fraction``; the LP layer turns each row into integers
-once, on its way into the tableau (:mod:`robustflow.lp`).
+once, on its way into the tableau (:mod:`robustflow.lp`).  The exact
+checks put a whole vector of values over one common denominator
+(:func:`common_denominator`) and compare integers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 BACKEND = "fractions"
 
@@ -22,6 +25,13 @@ def rat(p: Union[int, str, Fraction] = 0, q: int = 1) -> Fraction:
 
 ZERO = rat(0)
 ONE = rat(1)
+
+
+def common_denominator(values: Sequence) -> tuple:
+    """``(D, numerators)``: the least common denominator of ``values`` (ints
+    or Fractions) and the list of the integers ``value * D``, in order."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:

@@ -6,7 +6,9 @@ recursive, the min cut comes from node-partition enumeration instead of a
 max-flow run, the nominal dynamic value comes from an Edmonds-Karp solve of
 a freshly built time expansion, the subset-sum check is a DP bitset, the
 static evaluator re-sums every scenario instead of each distinct projection,
-and the static LPs are built with every row family over all arcs.
+the static LPs are built with every row family over all arcs, the dynamic
+evaluator re-walks every route for every scenario, and the optimum check
+sums each row as Fractions.
 """
 
 from fractions import Fraction
@@ -297,3 +299,167 @@ def brute_force_evaluate_static(flow, net, catalog, gamma):
         "per_arc_exposure": exposure,
     }
     return (), fields
+
+
+def _line(constraint, where, scenario, detail):
+    """One violation as the evaluators' ``InfeasibleFlowError.lines`` print it."""
+    parts = [f"{constraint} at {where!r}"]
+    if scenario is not None:
+        parts.append(f"scenario {list(scenario)}")
+    parts.append(detail)
+    return "; ".join(parts)
+
+
+def brute_force_evaluate_dynamic(flow, inst, catalog=None):
+    """Reference dynamic evaluator: Fraction sums, every route re-walked per scenario.
+
+    The loops of the original ``evaluate_dynamic``, kept as the brute-force
+    side of a differential test.  Returns ``(lines, None)`` with the
+    violation lines in the evaluator's order when the flow is infeasible,
+    else ``((), fields)`` with the ``DynamicRobustReport`` fields as a dict.
+    Keys must name known routes or arcs.
+    """
+    from robustflow import ZERO, enumerate_scenarios, enumerate_subpaths, rat
+
+    kind = flow.kind
+    net, T, gamma = inst.network, inst.horizon, inst.gamma
+    if kind in ("path", "subpath", "tr") and catalog is None:
+        catalog = enumerate_subpaths(net)
+    violations = []
+    values = {}
+    for key, raw in flow.values.items():
+        value = rat(raw)
+        if value < 0:
+            violations.append(("nonnegativity", key, None, f"value {value}"))
+        elif value > 0:
+            values[key] = value
+    routes = None
+    if kind in ("path", "tr"):
+        routes = catalog.st_paths
+    elif kind == "subpath":
+        routes = catalog.subpaths
+
+    def travel(arcs):
+        return sum(net.arc_by_id[a].travel_time for a in arcs)
+
+    def ends(key):
+        if kind == "arc":
+            return net.arc_by_id[key].tail, net.arc_by_id[key].head
+        return routes[key].start, routes[key].end
+
+    def shift(key, hit):
+        if kind == "arc":
+            arc = net.arc_by_id[key]
+            return arc.travel_time + (arc.delay if key in hit else 0)
+        arcs = routes[key].arcs
+        return travel(arcs) + sum(net.arc_by_id[a].delay for a in arcs if a in hit)
+
+    support = []
+    if kind == "tr":
+        for i, value in values.items():
+            for dep in range(1, T - travel(routes[i].arcs) + 1):
+                support.append((i, dep, value))
+    elif kind in ("path", "subpath"):
+        for (i, theta), value in sorted(values.items()):
+            if not 1 <= theta <= T:
+                violations.append(("horizon", (i, theta), None, f"departure {theta} outside 1..{T}"))
+                continue
+            support.append((i, theta, value))
+    else:
+        for (a, theta), value in sorted(values.items(), key=lambda kv: (net.arc_rank[kv[0][0]], kv[0][1])):
+            if not 1 <= theta <= T:
+                violations.append(("horizon", (a, theta), None, f"entry {theta} outside 1..{T}"))
+                continue
+            support.append((a, theta, value))
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma).scenarios
+    if kind == "arc":
+        for a, theta, value in support:
+            cap = net.arc_by_id[a].capacity
+            if value > cap:
+                violations.append(("capacity", (a, theta), None, f"load {value} exceeds {cap}"))
+    else:
+        for scenario in scenarios:
+            hit = set(scenario)
+            loads = {}
+            for i, dep, value in support:
+                t = dep
+                for a in routes[i].arcs:
+                    if t > T:
+                        break
+                    loads[(a, t)] = loads.get((a, t), ZERO) + value
+                    arc = net.arc_by_id[a]
+                    t += arc.travel_time + (arc.delay if a in hit else 0)
+            for (a, theta), load in sorted(loads.items(), key=lambda kv: (net.arc_rank[kv[0][0]], kv[0][1])):
+                cap = net.arc_by_id[a].capacity
+                if load > cap:
+                    violations.append(("capacity", (a, theta), scenario, f"load {load} exceeds {cap}"))
+    if kind in ("arc", "subpath"):
+        interior = [v for v in net.nodes if v not in (net.source, net.sink)]
+        outflow = {}
+        for key, dep, value in support:
+            start = ends(key)[0]
+            if start != net.source:
+                outflow[(start, dep)] = outflow.get((start, dep), ZERO) + value
+        for scenario in scenarios:
+            hit = set(scenario)
+            inflow = {}
+            for key, dep, value in support:
+                end = ends(key)[1]
+                if end == net.sink:
+                    continue
+                arrival = dep + shift(key, hit)
+                if arrival <= T:
+                    inflow[(end, arrival)] = inflow.get((end, arrival), ZERO) + value
+            for (v, theta), out in sorted(outflow.items()):
+                if v not in interior:
+                    continue
+                have = inflow.get((v, theta), ZERO)
+                if have < out:
+                    violations.append(
+                        ("conservation", (v, theta), scenario, f"surviving inflow {have} < outflow {out}")
+                    )
+    if violations:
+        return tuple(_line(*v) for v in violations), None
+    arrivals = []
+    arrival_times = []
+    for scenario in scenarios:
+        hit = set(scenario)
+        total = ZERO
+        times = set()
+        for key, dep, value in support:
+            if ends(key)[1] != net.sink:
+                continue
+            arrival = dep + shift(key, hit)
+            if arrival <= T:
+                total += value
+                times.add(arrival)
+        arrivals.append((scenario, total))
+        arrival_times.append(times)
+    robust = min(total for _, total in arrivals)
+    common = set.intersection(*arrival_times) if arrival_times else set()
+    fields = {
+        "robust_value": robust,
+        "nominal_value": arrivals[0][1],
+        "per_scenario_arrival": tuple(arrivals),
+        "minimizing_scenarios": tuple(sc for sc, total in arrivals if total == robust),
+        "earliest_arrival": min(common) if common else None,
+    }
+    return (), fields
+
+
+def row_by_row_verify(lp, values):
+    """Reference optimum check: each row's left side summed as Fractions.
+
+    The original ``lp._verify``; raises ``LpCheckError`` with the same
+    messages.
+    """
+    from robustflow.lp import LpCheckError
+
+    for j in range(lp.n_vars):
+        if not (lp.free[j] or values[j] >= 0):
+            raise LpCheckError("solver produced a negative variable")
+    for con in lp.constraints:
+        lhs = sum((c * values[j] for j, c in con.coeffs.items()), Fraction(0))
+        ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
+        if not ok:
+            raise LpCheckError(f"solver violated constraint {con.label or ''}")

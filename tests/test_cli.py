@@ -11,10 +11,13 @@ from robustflow import (
     LpSolution,
     dumps,
     gen_bottleneck,
+    gen_partition,
     gen_random,
+    gen_ti_gap,
     gen_two_hop,
     instance_to_json,
     min_arc_cut,
+    nominal_dynamic_max_flow,
     nominal_max_flow,
     rat,
     rational_to_json,
@@ -347,3 +350,100 @@ def test_suite_conjecture_probe(capsys):
     assert code == 0
     assert "max observed gm/pm = 15/8 on bottleneck(1,8)" in out
     assert "consistent" in out
+
+
+# Dynamic solves on the built-in instances, with each instance's own horizon
+# and Gamma: (instance, model, sha256 of the --format csv --no-timing output,
+# sha256 of the JSON output). Recorded from the Fraction-summing evaluator,
+# before it compared integers over one common denominator.
+DYNAMIC_GOLDEN = [
+    (
+        gen_ti_gap,
+        "dpm",
+        "80755a385fddd3decf7a2cfc1b5aa907f9a803e990e8608b7b72799f46678e28",
+        "18d79409ea590511321615c3ee24fc2cc06f7578dac7315e1e997d6031eb7838",
+    ),
+    (
+        gen_ti_gap,
+        "dam",
+        "e10981a0159b01edec16df2d99a91bb21cd10d033ad034e6c08e533dfd390cde",
+        "f9e39fd6f21b160de72d7ef9b57c738fce0683f2f86be136dabfcc10a10b8ce4",
+    ),
+    (
+        gen_ti_gap,
+        "tr",
+        "a3e654065e8d32f9cefe6b5dfca5ed4479b8f746a2be7da91927c2852522df90",
+        "b1267354437e9450b9ce979fcf7450d50efad4e704678ff34d4764ecd971a4a9",
+    ),
+    (
+        lambda: gen_partition((2, 2, 4)),
+        "dgm",
+        "7e8be15d9fea8c262d5e164994d84da9a6ab08a85669b36b46ae13aca5c7a270",
+        "f5fff7cf9488dd31dbd17c6a6659f0be31f5919127e53c46797026bd2382693f",
+    ),
+    (
+        lambda: gen_partition((2, 2, 4)),
+        "dam-compact",
+        "2fdc09d730d644d732f631339e411cd4e4bdf7d3918aebc29d1f25a65fb0fe7c",
+        "ca4e8d9e9633a86e0751d7b2c8e40c4758409bc2f5283346b2e1e29ac3ae56d0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, model, csv_digest, json_digest",
+    DYNAMIC_GOLDEN,
+    ids=[f"{case[1]}-{k}" for k, case in enumerate(DYNAMIC_GOLDEN)],
+)
+def test_dynamic_solves_are_golden(tmp_path, capsys, monkeypatch, make, model, csv_digest, json_digest):
+    monkeypatch.chdir(tmp_path)  # the manifest names the instance path
+    (tmp_path / "net.json").write_text(dumps(instance_to_json(make())))
+    digests = []
+    for out, extra in (("out.csv", ["--format", "csv", "--no-timing"]), ("out.json", [])):
+        code, stdout, stderr = run(capsys, "solve", "net.json", "--model", model, *extra, "-o", out)
+        assert (code, stdout, stderr) == (0, "", "")
+        digests.append(hashlib.sha256((tmp_path / out).read_bytes()).hexdigest())
+    assert digests == [csv_digest, json_digest]
+
+
+def _partition_arc_flow_times_3_2():
+    """The nominal timed arc flow of partition (2,2,4), scaled by 3/2."""
+    _, flow = nominal_dynamic_max_flow(gen_partition((2, 2, 4)))
+    return [
+        [a, theta, rational_to_json(v * Fraction(3, 2))]
+        for (a, theta), v in sorted(flow.values.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, flow, lines, digest",
+    [
+        (  # 15 capacity and 9 conservation violations
+            lambda: gen_partition((2, 2, 4)),
+            lambda: {"kind": "arc", "timed": True, "entries": _partition_arc_flow_times_3_2()},
+            25,
+            "83540a395baf33d98d31f3c14793aa21b3dff9301dafd1cdc123b6d878b16caa",
+        ),
+        (  # a negative entry and two departures outside 1..T
+            gen_ti_gap,
+            lambda: {
+                "kind": "path",
+                "timed": True,
+                "entries": [[0, 0, 1], [1, 1, "1/2"], [2, 3, 2], [2, 1, "-1/3"]],
+            },
+            3,
+            "06c874d79738d32183144384b8f0e44c312de39808113d0853f5f08629c4d1e5",
+        ),
+    ],
+    ids=["arc-capacity-conservation", "path-horizon"],
+)
+def test_evaluate_dynamic_infeasible_stderr_is_golden(tmp_path, capsys, make, flow, lines, digest):
+    # Recorded from the Fraction-summing evaluator, like DYNAMIC_GOLDEN.
+    inst = tmp_path / "net.json"
+    inst.write_text(dumps(instance_to_json(make())))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(flow()))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == lines + 1
+    assert hashlib.sha256(err.encode()).hexdigest() == digest

@@ -1,13 +1,16 @@
 """Dynamic robust flow models: frozen optima, duals, evaluator, embedding."""
 
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from robustflow import (
     DynamicFlow,
     DynamicInstance,
     InfeasibleFlowError,
+    Network,
     NetworkError,
     build_dam_compact_lp,
     embed_static,
@@ -28,7 +31,7 @@ from robustflow import (
     validate_dynamic_instance,
 )
 
-from _oracles import nominal_dynamic_value
+from _oracles import brute_force_evaluate_dynamic, nominal_dynamic_value
 
 
 @pytest.fixture(scope="module")
@@ -211,3 +214,90 @@ def test_lexicographic_dynamic_solve(ti_gap):
     assert lex.robust_value == plain.robust_value == 2
     assert lex.nominal_value >= plain.nominal_value
     assert lex.nominal_value == 3
+
+
+def _evaluated_dynamic(flow, inst, catalog):
+    """The evaluator's result in the oracle's shape: ``(lines, None)`` or ``((), fields)``."""
+    try:
+        report = evaluate_dynamic(flow, inst, catalog)
+    except InfeasibleFlowError as exc:
+        return exc.lines, None
+    return (), {f.name: getattr(report, f.name) for f in fields(report)}
+
+
+def _perturbed(flow, horizon, noise):
+    """``flow``; scaled by 7/3; with some values replaced by negative, zero or
+    positive ones; and, for the timed kinds, with entries moved outside 1..T."""
+    yield flow
+    items = sorted(flow.values.items(), key=repr)
+    yield DynamicFlow(flow.kind, {k: v * Fraction(7, 3) for k, v in items})
+    if not items:
+        return
+    negated = dict(items)
+    for pick, num, den in noise:
+        key = items[pick % len(items)][0]
+        negated[key] = Fraction(num - 2, den)
+    yield DynamicFlow(flow.kind, negated)
+    if flow.kind != "tr":
+        outside = dict(items)
+        for pick, num, den in noise:
+            (key, _), value = items[pick % len(items)]
+            outside[(key, 0 if num % 2 else horizon + 1 + num)] = value * Fraction(num + 1, den)
+        yield DynamicFlow(flow.kind, outside)
+
+
+@given(
+    nodes=st.integers(3, 5),
+    extra=st.integers(0, 3),
+    seed=st.integers(0, 10_000),
+    horizon=st.integers(1, 5),
+    gamma=st.integers(0, 3),
+    cap_scale=st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(5, 3)]),
+    noise=st.lists(
+        st.tuples(st.integers(0, 50), st.integers(0, 4), st.integers(1, 3)), min_size=1, max_size=4
+    ),
+)
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_dynamic_evaluator_matches_brute_force_oracle(
+    nodes, extra, seed, horizon, gamma, cap_scale, noise
+):
+    try:
+        inst = gen_random(
+            "dynamic", nodes, max(1, 2 * (nodes - 2)) + extra, max_cap=3, max_tau=2,
+            max_delay=2, horizon=horizon, gamma=gamma, seed=seed,
+        )
+    except NetworkError:
+        reject()
+    net = inst.network
+    arcs = [replace(a, capacity=a.capacity * cap_scale) for a in net.arcs]
+    inst = DynamicInstance(Network(net.nodes, arcs, net.source, net.sink), horizon, gamma)
+    catalog = enumerate_subpaths(inst.network)
+    flows = [nominal_dynamic_max_flow(inst)[1]]
+    flows += [solve_dynamic(inst, model, catalog=catalog)[0] for model in ("dam", "dpm", "dgm", "tr")]
+    # Flow on arbitrary routes, so that conservation and capacity can fail.
+    keys = {
+        "path": range(len(catalog.st_paths)),
+        "subpath": range(len(catalog.subpaths)),
+        "arc": [a.id for a in inst.network.arcs],
+    }
+    for kind, choices in keys.items():
+        if choices:
+            flows.append(
+                DynamicFlow(
+                    kind,
+                    {
+                        (choices[pick % len(choices)], 1 + num % horizon): Fraction(num + 1, den)
+                        for pick, num, den in noise
+                    },
+                )
+            )
+    if catalog.st_paths:
+        paths = len(catalog.st_paths)
+        flows.append(DynamicFlow("tr", {pick % paths: Fraction(num, den) for pick, num, den in noise}))
+    for base in flows:
+        # Path flows are also evaluated without a catalog, over the source-sink paths alone.
+        given_catalog = None if base.kind in ("path", "tr") else catalog
+        for flow in _perturbed(base, horizon, noise):
+            assert _evaluated_dynamic(flow, inst, given_catalog) == brute_force_evaluate_dynamic(
+                flow, inst, catalog
+            ), flow

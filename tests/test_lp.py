@@ -36,7 +36,9 @@ from robustflow import (
     rat,
     solve_lp,
 )
-from robustflow.lp import dump_lp
+from robustflow.lp import LpCheckError, _verify, dump_lp
+
+from _oracles import row_by_row_verify
 
 
 def test_small_max_lp():
@@ -400,6 +402,7 @@ def test_checks_raise_under_python_O():
     # The solver's self-checks are explicit raises, so ``python -O`` keeps them.
     code = """
 import sys
+from fractions import Fraction
 from robustflow import LinearProgram
 from robustflow.lp import LpCheckError, _verify
 assert False, "asserts must be stripped in this interpreter"
@@ -408,6 +411,14 @@ x = lp.add_var("x")
 lp.add_constraint({x: 1}, "<=", 1, label="cap")
 try:
     _verify(lp, (2,))
+except LpCheckError as exc:
+    print("raised:", exc)
+# x + y <= 1 at (1/2, 4/7): over D = 14 the left side is 15/14, one 1/D too many.
+y = lp.add_var("y")
+lp.add_constraint({x: 1, y: 1}, "<=", 1, label="sum")
+_verify(lp, (Fraction(1, 2), Fraction(3, 7)))
+try:
+    _verify(lp, (Fraction(1, 2), Fraction(4, 7)))
 except LpCheckError as exc:
     print("raised:", exc)
     sys.exit(0)
@@ -419,7 +430,10 @@ sys.exit(1)
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert "raised: solver violated constraint cap" in done.stdout
+    assert done.stdout.splitlines() == [
+        "raised: solver violated constraint cap",
+        "raised: solver violated constraint sum",
+    ]
 
 
 # -- differential test against a floating-point solver -------------------------
@@ -508,3 +522,34 @@ def test_statuses_and_optima_agree_with_highs(lp):
     if status == "optimal":
         exact = float(sol.objective_value)
         assert abs(exact - value) <= REL_TOL * max(1.0, abs(exact))
+
+
+def _check_outcome(check, lp, values):
+    """``None`` when ``check`` accepts ``values``, else its ``LpCheckError`` message."""
+    try:
+        check(lp, values)
+    except LpCheckError as exc:
+        return str(exc)
+    return None
+
+
+POINT = st.one_of(st.integers(-3, 3), st.builds(rat, st.integers(-14, 14), st.integers(1, 7)))
+
+
+@given(lp=random_lps(), data=st.data())
+@settings(deadline=None, max_examples=300, derandomize=True)
+def test_integer_verify_matches_row_by_row_oracle(lp, data):
+    for i, con in enumerate(lp.constraints):
+        con.label = f"r{i}"  # so the message names the first violated row
+    points = [data.draw(st.lists(POINT, min_size=lp.n_vars, max_size=lp.n_vars)) for _ in range(3)]
+    sol = solve_lp(lp)
+    if sol.status == "optimal":
+        # The optimum, and the optimum moved by 1/7 in one coordinate.
+        points.append(list(sol.values))
+        j = data.draw(st.integers(0, lp.n_vars - 1))
+        moved = list(sol.values)
+        moved[j] += data.draw(st.sampled_from([Fraction(1, 7), Fraction(-1, 7)]))
+        points.append(moved)
+    for values in points:
+        expected = _check_outcome(row_by_row_verify, lp, values)
+        assert _check_outcome(_verify, lp, values) == expected, values

@@ -45,3 +45,15 @@ def test_format_rational_roundtrips():
         assert parse_rational(format_rational(value)) == value
     assert format_rational(rat(4, 2)) == "2"
     assert format_rational(rat(1, 2)) == "1/2"
+
+
+def test_common_denominator_scales_exactly():
+    from robustflow.rational import common_denominator
+
+    assert common_denominator([]) == (1, [])
+    assert common_denominator([3, -2]) == (1, [3, -2])
+    values = [Fraction(1, 2), 4, Fraction(-5, 6), ZERO, Fraction(2, 7)]
+    den, nums = common_denominator(values)
+    assert den == 42
+    assert nums == [21, 168, -35, 0, 12]
+    assert [Fraction(n, den) for n in nums] == values
