@@ -14,7 +14,8 @@ by T counts.  Models mirror the static trio plus two extras:
   auxiliary bounding variables replacing the scenario enumeration.
 
 As in the static case, ``dpm`` and ``dam`` are ``dgm`` over whole
-source-sink paths and over single arcs, and one builder emits all three.
+source-sink paths and over single arcs, and ``tr`` is ``dpm`` whose
+departures from one path share one rate column; one builder emits all four.
 Builders prune variables that can never reach the sink in time even without
 delays (``theta + travel + remaining distance > T``) and restrict scenario
 families to the positive-delay arcs that can actually shift a constraint;
@@ -148,23 +149,24 @@ class _Timed:
     """Shared scaffolding for the timed builders: routes, pruning windows and prefixes.
 
     ``routes`` maps each route's key to its :class:`Path`; the per-route
-    fields are keyed the same way.
+    fields are keyed the same way.  ``self.routes`` and its indices keep only
+    the routes with a nonempty departure window.
     """
 
     def __init__(self, inst: DynamicInstance, routes: Mapping) -> None:
         self.T = inst.horizon
         self.net = net = inst.network
-        self.routes = routes
-        self.by_start, self.by_end, self.by_arc = route_index(routes)
         self.dist = _dist_to_sink(net)
         self.tau = {i: _travel(net, p.arcs) for i, p in routes.items()}
         self.window = {
             i: max(0, self.T - self.tau[i] - self.dist.get(p.end, self.T + 1))
             for i, p in routes.items()
         }
+        self.routes = {i: p for i, p in routes.items() if self.window[i] > 0}
+        self.by_start, self.by_end, self.by_arc = route_index(self.routes)
         # prefix[i][k] = nominal travel time of route i strictly before arc k
         self.prefix = {}
-        for i, p in routes.items():
+        for i, p in self.routes.items():
             acc, pre = 0, []
             for a in p.arcs:
                 pre.append(acc)
@@ -187,12 +189,19 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
     """The timed subpath model over ``routes`` (key -> Path), without capacity rows.
 
     One column ``x[key,theta]`` per route and departure time inside its
-    window, and the arrival bound ``w`` as the objective.  Each scenario over
-    the positive-delay arcs of the routes into the sink bounds ``w`` by their
-    flow that still arrives by T; at each interior node where routes start,
-    each scenario over the positive-delay arcs of the routes ending there
-    keeps the departures at each time within the arrivals then.  Returns
-    ``(build, timed, rows)``; the caller adds the capacity rows.
+    window (kind ``tr``: one rate column ``x[key]`` per route, shared by all
+    its departures), and the arrival bound ``w`` as the objective.  Each
+    scenario over the positive-delay arcs of the routes into the sink bounds
+    ``w`` by their flow that still arrives by T; at each interior node where
+    routes start, each scenario over the positive-delay arcs of the routes
+    ending there keeps the departures at each time within the arrivals then.
+    Returns ``(build, xs, timed, rows)``, where ``xs`` maps ``(key, theta)``
+    to its column; the caller adds the capacity rows.
+
+    Routes whose window is empty carry no column and are left out of the
+    scenario universes.  With them in, a scenario would only yield the row of
+    its restriction to the arcs of routes with departures, which comes
+    earlier in (size, arc order), and :class:`Rows` would drop the repeat.
     """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
@@ -200,9 +209,12 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
     by_start, by_end = timed.by_start, timed.by_end
     lp = LinearProgram("max")
     xs: dict = {}
-    for i in routes:
+    for i in timed.routes:
         for theta in range(1, timed.window[i] + 1):
-            xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
+            if kind != "tr":
+                xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
+            else:
+                xs[(i, theta)] = xs[(i, 1)] if theta > 1 else lp.add_var(f"x[{i}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: 1})
     rows = Rows(lp)
@@ -210,7 +222,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
     def scenarios(ending):
         """Each scenario over the positive-delay arcs of the routes ``ending``."""
         universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in ending)))
-        for scenario in enumerate_scenarios(universe, gamma).scenarios:
+        for scenario in enumerate_scenarios(universe, gamma):
             hit = set(scenario)
             yield scenario, {i: timed.tau[i] + path_delay(net, routes[i].arcs, hit) for i in ending}
 
@@ -219,7 +231,8 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
         coeffs = {w: 1}
         for i in enders:
             for theta in range(1, min(timed.window[i], T - shift[i]) + 1):
-                coeffs[xs[(i, theta)]] = -1
+                col = xs[(i, theta)]
+                coeffs[col] = coeffs.get(col, 0) - 1
         rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
     for v in net.nodes:
         starting = by_start.get(v, ())
@@ -237,23 +250,33 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
                         coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
                 rows.add(coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}")
     sink_set = set(enders)
-    build = ModelBuild(
-        lp, kind, xs, w, nominal_coeffs={col: 1 for (i, _), col in xs.items() if i in sink_set}
-    )
-    return build, timed, rows
+    nominal: dict = {}
+    for (i, _), col in xs.items():
+        if i in sink_set:
+            nominal[col] = nominal.get(col, 0) + 1
+    flow_vars = {i: col for (i, theta), col in xs.items() if theta == 1} if kind == "tr" else xs
+    build = ModelBuild(lp, kind, flow_vars, w, nominal_coeffs=nominal)
+    return build, xs, timed, rows
 
 
 def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed path flow against worst-case delays: timed subpaths that are whole paths."""
-    build, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "path")
-    _timed_capacity_rows(rows, timed, build.flow_vars, inst.gamma)
+    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "path")
+    _timed_capacity_rows(rows, timed, xs, inst.gamma)
     return build
 
 
 def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed subpath flow: flow may be re-declared at interior nodes."""
-    build, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.subpaths)), "subpath")
-    _timed_capacity_rows(rows, timed, build.flow_vars, inst.gamma)
+    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.subpaths)), "subpath")
+    _timed_capacity_rows(rows, timed, xs, inst.gamma)
+    return build
+
+
+def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
+    """Temporally repeated flow: ``dpm`` with one rate per path, shipped every slot."""
+    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "tr")
+    _timed_capacity_rows(rows, timed, xs, inst.gamma)
     return build
 
 
@@ -262,51 +285,42 @@ def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
 
     Its capacity rows carry no scenario: an arc's entry time is its own.
     """
-    build, _, rows = _timed_route_lp(inst, arc_routes(inst.network), "arc")
-    for (a, theta), col in build.flow_vars.items():
+    build, xs, _, rows = _timed_route_lp(inst, arc_routes(inst.network), "arc")
+    for (a, theta), col in xs.items():
         rows.add({col: 1}, "<=", inst.network.arc_by_id[a].capacity, f"cap[{a},{theta}]")
     return build
 
 
-def _arc_scenarios(timed, by_arc, gamma):
-    """Per-arc scenarios for the timed capacity rows.
+def _timed_capacity_rows(rows, timed, xs, gamma) -> None:
+    """Capacity rows for the timed path-like builders.
 
     For each arc with routes through it, and each scenario over the
     positive-delay arcs that sit strictly upstream on some of those routes,
-    yields ``(arc, scenario, offsets)``: ``offsets[i]`` is the time flow
-    departing at 0 on route i enters the arc under that scenario.
+    tally which departures occupy the arc at each time step by T.
     """
     net = timed.net
     for arc in net.arcs:
-        routes = by_arc.get(arc.id, ())
+        routes = timed.by_arc.get(arc.id, ())
         if not routes:
             continue
         positions = {i: timed.routes[i].arcs.index(arc.id) for i in routes}
         upstream = {a for i, k in positions.items() for a in timed.routes[i].arcs[:k]}
-        universe = _positive_delay_ids(net, upstream)
-        for scenario in enumerate_scenarios(universe, gamma).scenarios:
+        for scenario in enumerate_scenarios(_positive_delay_ids(net, upstream), gamma):
             hit = set(scenario)
-            yield arc, scenario, {i: timed.entry_time(i, k, 0, hit) for i, k in positions.items()}
-
-
-def _timed_capacity_rows(rows, timed, xs, gamma) -> None:
-    """Capacity rows for the timed path-like builders: for each arc and
-    scenario, tally which departures occupy the arc at each time step."""
-    for arc, scenario, offsets in _arc_scenarios(timed, timed.by_arc, gamma):
-        by_theta: dict = {}
-        for i, offset in offsets.items():
-            for dep in range(1, timed.window[i] + 1):
-                occupied = dep + offset
-                if occupied <= timed.T:
-                    by_theta.setdefault(occupied, []).append((i, dep))
-        for theta in sorted(by_theta):
-            coeffs = {xs[(i, dep)]: 1 for i, dep in by_theta[theta]}
-            rows.add(
-                coeffs,
-                "<=",
-                arc.capacity,
-                f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
-            )
+            by_theta: dict = {}
+            for i, k in positions.items():
+                # Flow departing at 0 on route i enters the arc at ``offset``.
+                offset = timed.entry_time(i, k, 0, hit)
+                for dep in range(1, min(timed.window[i], timed.T - offset) + 1):
+                    by_theta.setdefault(dep + offset, []).append((i, dep))
+            for theta in sorted(by_theta):
+                coeffs = {xs[(i, dep)]: 1 for i, dep in by_theta[theta]}
+                rows.add(
+                    coeffs,
+                    "<=",
+                    arc.capacity,
+                    f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
+                )
 
 
 def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
@@ -403,49 +417,6 @@ def extract_dam_dual(build: ModelBuild, values, objective) -> DamDualSolution:
         nu={k: values[c] for k, c in aux["nu"].items()},
         objective=objective,
     )
-
-
-def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
-    """Temporally repeated flow: one rate per path, shipped every slot."""
-    _check_instance(inst)
-    net, T, gamma = inst.network, inst.horizon, inst.gamma
-    paths = catalog.st_paths
-    timed = _Timed(inst, dict(enumerate(paths)))
-    lp = LinearProgram("max")
-    xs = {
-        i: lp.add_var(f"x[{i}]")
-        for i in range(len(paths))
-        if T - timed.tau[i] >= 1
-    }
-    w = lp.add_var("arrival_bound")
-    lp.set_objective({w: 1})
-    rows = Rows(lp)
-    universe = _positive_delay_ids(net, arcs_on(net, (paths[i] for i in xs)))
-    for scenario in enumerate_scenarios(universe, gamma).scenarios:
-        hit = set(scenario)
-        coeffs = {w: 1}
-        for i in xs:
-            window = T - timed.tau[i] - path_delay(net, paths[i].arcs, hit)
-            if window > 0:
-                coeffs[xs[i]] = -window
-        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
-    by_arc = {a: [i for i in ids if i in xs] for a, ids in timed.by_arc.items()}
-    for arc, scenario, offsets in _arc_scenarios(timed, by_arc, gamma):
-        for theta in range(1, T + 1):
-            coeffs = {}
-            for i, offset in offsets.items():
-                dep = theta - offset
-                if 1 <= dep <= T - timed.tau[i]:
-                    coeffs[xs[i]] = 1
-            if coeffs:
-                rows.add(
-                    coeffs,
-                    "<=",
-                    arc.capacity,
-                    f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
-                )
-    nominal = {xs[i]: T - timed.tau[i] for i in xs}
-    return ModelBuild(lp, "tr", dict(xs), w, nominal_coeffs=nominal)
 
 
 def nominal_dynamic_max_flow(inst: DynamicInstance):
@@ -591,7 +562,7 @@ def evaluate_dynamic(
                 continue
             support.append((key, theta, value))
     den, nums = common_denominator([value for _, _, value in support])
-    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma).scenarios
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
     # Capacity under every scenario.
     if kind == "arc":
         for (a, theta, value), n in zip(support, nums):

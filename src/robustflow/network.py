@@ -7,7 +7,7 @@ by the dynamic models; static instances leave both at 0).
 Enumeration helpers are deterministic: arcs are ordered by id, simple paths
 lexicographically by their arc-id sequences, scenarios by (size, arc order).
 Exhaustive enumerations are protected by guards that raise ``GuardExceeded``
-instead of looping for hours; defaults can be overridden per call or via the
+instead of looping for hours; the defaults can be overridden with the
 ``ROBUSTFLOW_GUARD_PATHS`` / ``ROBUSTFLOW_GUARD_SCENARIOS`` environment
 variables.
 """
@@ -49,15 +49,11 @@ def _env_guard(name: str, default: int) -> int:
     return value
 
 
-def guard_paths(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def guard_paths() -> int:
     return _env_guard("ROBUSTFLOW_GUARD_PATHS", DEFAULT_GUARD_PATHS)
 
 
-def guard_scenarios(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
+def guard_scenarios() -> int:
     return _env_guard("ROBUSTFLOW_GUARD_SCENARIOS", DEFAULT_GUARD_SCENARIOS)
 
 
@@ -238,8 +234,7 @@ class PathCatalog:
     """All simple source-sink paths and their contiguous subpaths.
 
     ``subpaths`` is deduplicated and sorted; ``by_end``/``by_start``/``by_arc``
-    map nodes / arc ids to subpath indices, ``st_by_arc`` maps arc ids to
-    source-sink path indices.
+    map nodes / arc ids to subpath indices.
     """
 
     st_paths: tuple
@@ -247,19 +242,15 @@ class PathCatalog:
     by_end: Mapping
     by_start: Mapping
     by_arc: Mapping
-    st_by_arc: Mapping
     sub_index: Mapping = field(repr=False)
-    st_index: Mapping = field(repr=False)
-    sub_arcsets: tuple = field(repr=False)
-    st_arcsets: tuple = field(repr=False)
 
     def subpath_id(self, arcs: Sequence) -> Optional[int]:
         return self.sub_index.get(tuple(arcs))
 
 
-def enumerate_st_paths(net: Network, *, guard: Optional[int] = None) -> tuple:
+def enumerate_st_paths(net: Network) -> tuple:
     """All simple source-sink paths, lexicographic in the arc order."""
-    limit = guard_paths(guard)
+    limit = guard_paths()
     paths = []
     arc_stack = []
     node_stack = [net.source]
@@ -289,10 +280,10 @@ def enumerate_st_paths(net: Network, *, guard: Optional[int] = None) -> tuple:
     return tuple(paths)
 
 
-def enumerate_subpaths(net: Network, *, guard: Optional[int] = None) -> PathCatalog:
+def enumerate_subpaths(net: Network) -> PathCatalog:
     """Catalog of simple s-t paths plus every contiguous segment of one."""
-    st_paths = enumerate_st_paths(net, guard=guard)
-    limit = guard_paths(guard)
+    st_paths = enumerate_st_paths(net)
+    limit = guard_paths()
     seen = {}
     for path in st_paths:
         n = len(path.arcs)
@@ -314,11 +305,7 @@ def enumerate_subpaths(net: Network, *, guard: Optional[int] = None) -> PathCata
         by_end=by_end,
         by_start=by_start,
         by_arc=by_arc,
-        st_by_arc=route_index(dict(enumerate(st_paths)))[2],
         sub_index={sub.arcs: i for i, sub in enumerate(subpaths)},
-        st_index={p.arcs: i for i, p in enumerate(st_paths)},
-        sub_arcsets=tuple(frozenset(sub.arcs) for sub in subpaths),
-        st_arcsets=tuple(frozenset(p.arcs) for p in st_paths),
     )
 
 
@@ -349,31 +336,19 @@ def route_index(routes: Mapping) -> tuple:
 Scenario = tuple
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """All failure scenarios: subsets of ``universe`` of size at most ``gamma``."""
-
-    universe: tuple
-    gamma: int
-    scenarios: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.scenarios)
-
-
 def scenario_count(universe_size: int, gamma: int) -> int:
     return sum(math.comb(universe_size, k) for k in range(0, min(gamma, universe_size) + 1))
 
 
-def enumerate_scenarios(
-    universe: Iterable[Hashable], gamma: int, *, guard: Optional[int] = None
-) -> ScenarioSet:
-    """All subsets of ``universe`` of size <= gamma, ordered by (size, arc order)."""
+def enumerate_scenarios(universe: Iterable[Hashable], gamma: int) -> tuple:
+    """All subsets of ``universe`` of size <= gamma, ordered by (size, arc order).
+
+    Each scenario is a tuple of arc ids.
+    """
     if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 0:
         raise NetworkError(f"gamma must be an integer >= 0, got {gamma!r}")
     ordered = tuple(sorted(set(universe), key=arc_sort_key))
-    limit = guard_scenarios(guard)
+    limit = guard_scenarios()
     total = scenario_count(len(ordered), gamma)
     if total > limit:
         raise GuardExceeded(
@@ -382,4 +357,4 @@ def enumerate_scenarios(
     scenarios = []
     for k in range(0, min(gamma, len(ordered)) + 1):
         scenarios.extend(itertools.combinations(ordered, k))
-    return ScenarioSet(universe=ordered, gamma=gamma, scenarios=tuple(scenarios))
+    return tuple(scenarios)

@@ -140,7 +140,7 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
     def scenarios(ending):
         """Each scenario over the arcs of the routes ``ending``, with the routes it hits."""
         universe = arcs_on(net, (routes[key] for key in ending))
-        for scenario in enumerate_scenarios(universe, gamma).scenarios:
+        for scenario in enumerate_scenarios(universe, gamma):
             yield scenario, set().union(*(by_arc[a] for a in scenario))
 
     sink_set = set(enders)
@@ -411,7 +411,7 @@ def evaluate_static(
             violations.append(
                 Violation("capacity", a, None, f"load {load} exceeds capacity {cap}")
             )
-    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
     # Robust conservation.
     for v in net.nodes:
         out = outflow.get(v, ZERO)
@@ -419,7 +419,7 @@ def evaluate_static(
             continue
         incoming = ending.get(v, ())
         total_in = sum((val for _, _, val in incoming), ZERO)
-        projections, hit_sums = _projected_sums(incoming, scenario_set.scenarios)
+        projections, hit_sums = _projected_sums(incoming, scenarios)
         short = {}
         for projection, hit in hit_sums.items():
             surviving = total_in - hit
@@ -427,7 +427,7 @@ def evaluate_static(
                 short[projection] = f"surviving inflow {surviving} < outflow {out}"
         if not short:
             continue
-        for scenario, projection in zip(scenario_set.scenarios, projections):
+        for scenario, projection in zip(scenarios, projections):
             detail = short.get(projection)
             if detail is not None:
                 violations.append(Violation("conservation", v, scenario, detail))
@@ -436,12 +436,12 @@ def evaluate_static(
     # Worst case over the exhaustive scenario set.
     t_support = ending.get(net.sink, [])
     nominal = sum((val for _, _, val in t_support), ZERO)
-    projections, losses = _projected_sums(t_support, scenario_set.scenarios)
+    projections, losses = _projected_sums(t_support, scenarios)
     worst_loss = max(losses.values())
     top = {projection for projection, loss in losses.items() if loss == worst_loss}
     worst = tuple(
         scenario
-        for scenario, projection in zip(scenario_set.scenarios, projections)
+        for scenario, projection in zip(scenarios, projections)
         if projection in top
     )
     exposure: dict = {}

@@ -210,11 +210,11 @@ def brute_force_evaluate_static(flow, net, catalog, gamma):
     support = []
     if flow.kind == "path":
         for key, value in values.items():
-            support.append((key, catalog.st_arcsets[key], value))
+            support.append((key, frozenset(catalog.st_paths[key].arcs), value))
         t_support = support
     elif flow.kind == "subpath":
         for key, value in values.items():
-            support.append((key, catalog.sub_arcsets[key], value))
+            support.append((key, frozenset(catalog.subpaths[key].arcs), value))
         enders = set(catalog.by_end.get(net.sink, ()))
         t_support = [entry for entry in support if entry[0] in enders]
     else:
@@ -238,7 +238,7 @@ def brute_force_evaluate_static(flow, net, catalog, gamma):
         cap = rat(net.arc_by_id[a].capacity)
         if load > cap:
             violations.append(("capacity", a, None, f"load {load} exceeds capacity {cap}"))
-    scenario_set = enumerate_scenarios([a.id for a in net.arcs], gamma)
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
     if flow.kind in ("arc", "subpath"):
         for v in net.nodes:
             if v in (net.source, net.sink):
@@ -257,7 +257,7 @@ def brute_force_evaluate_static(flow, net, catalog, gamma):
                 outflow = sum((e[2] for e in support if e[0] in starter_ids), ZERO)
             if outflow == 0:
                 continue
-            for scenario in scenario_set.scenarios:
+            for scenario in scenarios:
                 hit = set(scenario)
                 surviving = sum((val for _, arcset, val in incoming if not (arcset & hit)), ZERO)
                 if surviving < outflow:
@@ -274,7 +274,7 @@ def brute_force_evaluate_static(flow, net, catalog, gamma):
     nominal = sum((val for _, _, val in t_support), ZERO)
     worst_loss = None
     worst = []
-    for scenario in scenario_set.scenarios:
+    for scenario in scenarios:
         hit = set(scenario)
         loss = sum((val for _, arcset, val in t_support if arcset & hit), ZERO)
         if worst_loss is None or loss > worst_loss:
@@ -371,7 +371,7 @@ def brute_force_evaluate_dynamic(flow, inst, catalog=None):
                 violations.append(("horizon", (a, theta), None, f"entry {theta} outside 1..{T}"))
                 continue
             support.append((a, theta, value))
-    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma).scenarios
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
     if kind == "arc":
         for a, theta, value in support:
             cap = net.arc_by_id[a].capacity

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: generate, solve, evaluate, compare, suites, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -15,6 +16,7 @@ from robustflow import (
     gen_random,
     gen_ti_gap,
     gen_two_hop,
+    instance_from_json,
     instance_to_json,
     min_arc_cut,
     nominal_dynamic_max_flow,
@@ -23,7 +25,7 @@ from robustflow import (
     rational_to_json,
     split_capacities,
 )
-from robustflow import model_lp
+from robustflow import cli, model_lp
 from robustflow.cli import build_parser, main
 
 
@@ -336,6 +338,33 @@ def test_suite_static_invariants_passes(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_suite_failure_prints_minimized_counterexample(capsys, monkeypatch):
+    # A planted broken invariant: on networks with at least 4 arcs, gm reports
+    # a robust value below pm's.
+    solve = cli._static_value
+
+    def planted(net, model, gamma, catalog=None, lex=False):
+        report = solve(net, model, gamma, catalog, lex)
+        if model == "gm" and len(net.arcs) >= 4:
+            return dataclasses.replace(report, robust_value=Fraction(-1))
+        return report
+
+    def still_fails(net):
+        values = {m: planted(net, m, 1).robust_value for m in ("pm", "am", "gm")}
+        return values["gm"] < values["pm"] or values["gm"] < values["am"]
+
+    monkeypatch.setattr(cli, "_static_value", planted)
+    code, out, _ = run(capsys, "suite", "static-invariants", "--seeds", "1")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL static-invariants: seed 0 gamma 1: gm below pm/am: ")
+    assert lines[1] == "minimized counterexample:"
+    small = instance_from_json(json.loads("\n".join(lines[2:])))
+    original = gen_random("dag", 6, 10, max_cap=4, seed=0)
+    assert 4 <= len(small.arcs) < len(original.arcs)
+    assert still_fails(small)
 
 
 def test_suite_partition_roundtrip_reports_refutation(capsys):

@@ -28,6 +28,7 @@ from robustflow import (
     gen_bottleneck,
     gen_fan,
     gen_partition,
+    gen_por_dynamic,
     gen_por_static,
     gen_random,
     gen_ti_gap,
@@ -348,19 +349,21 @@ def test_golden_model_lps(key):
 
 
 # One sha256 over the ``dump_lp`` text of the path, arc and subpath LPs (static
-# and timed) on a wider set of networks than ``LP_GOLDEN``: the structured
-# families and seeded random graphs at budgets 0-3, and the partitions and
-# random dynamic instances the timed benchmark solves.
-BROAD_DIGEST = "a1f2d6e74e877f11fd4319d84067737d17a6900f6f0f645472259d13365846a2"
+# and timed) and the temporally repeated LPs on a wider set of networks than
+# ``LP_GOLDEN``: the structured families and seeded random graphs at budgets
+# 0-3, and ti-gap, the partitions, the scaled por-dynamic twins and the random
+# dynamic instances the timed benchmark solves.  Each LP's text is followed by
+# its kind, flow columns, arrival column and nominal objective.
+BROAD_DIGEST = "85f22719cea30bd496d0226045d44d30dd103caf98881928910f4fd08b61b0ac"
 TIMED_PARTITIONS = {
-    (1, 1): ("dpm", "dgm", "dam"),
-    (2, 2): ("dpm", "dgm", "dam"),
-    (2, 4): ("dpm", "dgm", "dam"),
-    (1, 1, 2): ("dpm", "dgm", "dam"),
-    (2, 2, 2): ("dpm", "dgm", "dam"),
-    (2, 2, 4): ("dpm", "dgm", "dam"),
-    (1, 1, 1, 1): ("dpm", "dam"),
-    (2, 2, 2, 4): ("dpm",),
+    (1, 1): ("dpm", "dgm", "dam", "tr"),
+    (2, 2): ("dpm", "dgm", "dam", "tr"),
+    (2, 4): ("dpm", "dgm", "dam", "tr"),
+    (1, 1, 2): ("dpm", "dgm", "dam", "tr"),
+    (2, 2, 2): ("dpm", "dgm", "dam", "tr"),
+    (2, 2, 4): ("dpm", "dgm", "dam", "tr"),
+    (1, 1, 1, 1): ("dpm", "dam", "tr"),
+    (2, 2, 2, 4): ("dpm", "tr"),
 }
 
 
@@ -381,20 +384,27 @@ def _broad_lps():
         inst = gen_random(
             "dynamic", 6, 8, max_cap=3, max_tau=2, max_delay=2, horizon=6, gamma=2, seed=seed
         )
-        timed.append((inst, ("dpm", "dgm", "dam")))
+        timed.append((inst, ("dpm", "dgm", "dam", "tr")))
+    timed.append((gen_ti_gap(), ("tr",)))
+    for gamma, alpha in ((1, "3/2"), (2, "2")):
+        timed.append((gen_por_dynamic(gamma, rat(alpha))[1], ("tr",)))
     for inst, models in timed:
         catalog = enumerate_subpaths(inst.network)
         for model in models:
             if model == "dam":
                 yield build_dam_lp(inst)
             else:
-                yield {"dpm": build_dpm_lp, "dgm": build_dgm_lp}[model](inst, catalog)
+                builder = {"dpm": build_dpm_lp, "dgm": build_dgm_lp, "tr": build_tr_lp}[model]
+                yield builder(inst, catalog)
 
 
 def test_broad_model_lp_digest():
     digest = hashlib.sha256()
     for build in _broad_lps():
-        digest.update(dump_lp(build.lp).encode() + b"\0")
+        columns = (build.kind, list(build.flow_vars.items()), build.lam_var)
+        nominal = sorted(build.nominal_coeffs.items())
+        text = f"{dump_lp(build.lp)}{columns!r}{nominal!r}"
+        digest.update(text.encode() + b"\0")
     assert digest.hexdigest() == BROAD_DIGEST
 
 

@@ -153,14 +153,14 @@ def test_subpath_catalog_indices_are_consistent():
 
 def test_scenario_enumeration_counts_and_order():
     scenarios = enumerate_scenarios(["b", "a", "c"], 2)
-    assert scenarios.scenarios[0] == ()
-    assert len(scenarios.scenarios) == scenario_count(3, 2) == 1 + 3 + 3
-    sizes = [len(z) for z in scenarios.scenarios]
+    assert scenarios[0] == ()
+    assert len(scenarios) == scenario_count(3, 2) == 1 + 3 + 3
+    sizes = [len(z) for z in scenarios]
     assert sizes == sorted(sizes)
-    assert ("a", "b") in scenarios.scenarios
+    assert ("a", "b") in scenarios
 
 
-def test_guards_raise_instead_of_exploding():
+def test_guards_raise_instead_of_exploding(monkeypatch):
     # A 12-layer diamond chain has 2^12 paths; a tiny guard must trip.
     nodes = ["s"] + [f"n{i}" for i in range(1, 12)] + ["t"]
     arcs = []
@@ -169,10 +169,12 @@ def test_guards_raise_instead_of_exploding():
         arcs.append(Arc(f"u{i}", layer[i], layer[i + 1], rat(1)))
         arcs.append(Arc(f"w{i}", layer[i], layer[i + 1], rat(1)))
     net = Network(nodes=nodes, arcs=arcs, source="s", sink="t")
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_PATHS", "100")
     with pytest.raises(GuardExceeded):
-        enumerate_st_paths(net, guard=100)
+        enumerate_st_paths(net)
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_SCENARIOS", "50")
     with pytest.raises(GuardExceeded):
-        enumerate_scenarios([f"u{i}" for i in range(12)], 6, guard=50)
+        enumerate_scenarios([f"u{i}" for i in range(12)], 6)
 
 
 def test_guard_env_override(monkeypatch):

@@ -306,7 +306,8 @@ def _candidate_flows(net, catalog, gamma, noise):
     arc_flow = {a: v for a, v in arc_flow.items() if v != 0}
     flows.append(StaticFlow("arc", arc_flow))
     pieces = path_decompose(arc_flow, net, net.source, net.sink)
-    path_flow = {catalog.st_index[tuple(piece.arcs)]: val for piece, val in pieces}
+    st_index = {p.arcs: i for i, p in enumerate(catalog.st_paths)}
+    path_flow = {st_index[tuple(piece.arcs)]: val for piece, val in pieces}
     flows.append(StaticFlow("path", path_flow))
     flows.append(
         StaticFlow("subpath", {catalog.subpath_id(catalog.st_paths[i].arcs): v for i, v in path_flow.items()})
