@@ -338,6 +338,12 @@ def _static_value(net, model, gamma, catalog=None, lex=False):
     return report
 
 
+def _trio(net, gamma, catalog=None) -> dict:
+    """The robust values of pm, am and gm on ``net`` at budget ``gamma``."""
+    catalog = enumerate_subpaths(net) if catalog is None else catalog
+    return {m: _static_value(net, m, gamma, catalog).robust_value for m in ("pm", "am", "gm")}
+
+
 def _suite_static_invariants(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "6,10")
     lines = []
@@ -346,17 +352,10 @@ def _suite_static_invariants(args) -> list:
         catalog = enumerate_subpaths(net)
         nominal, _, _ = nominal_max_flow(net)
         for gamma in (1, 2):
-            vals = {
-                m: _static_value(net, m, gamma, catalog).robust_value
-                for m in ("pm", "am", "gm")
-            }
+            vals = _trio(net, gamma, catalog)
 
             def bad_order(candidate, g=gamma):
-                cat = enumerate_subpaths(candidate)
-                v = {
-                    m: _static_value(candidate, m, g, cat).robust_value
-                    for m in ("pm", "am", "gm")
-                }
+                v = _trio(candidate, g)
                 return v["gm"] < v["pm"] or v["gm"] < v["am"]
 
             _check(
@@ -367,11 +366,7 @@ def _suite_static_invariants(args) -> list:
             )
             if gamma == 1:
                 def bad_factor(candidate):
-                    cat = enumerate_subpaths(candidate)
-                    v = {
-                        m: _static_value(candidate, m, 1, cat).robust_value
-                        for m in ("pm", "am", "gm")
-                    }
+                    v = _trio(candidate, 1)
                     return v["gm"] > 2 * v["pm"] or v["am"] > 2 * v["pm"]
 
                 _check(
@@ -430,27 +425,23 @@ def _random_dynamic(seed: int, nodes: int, arcs: int) -> DynamicInstance:
     )
 
 
+def _timed_values(inst: DynamicInstance) -> dict:
+    """The robust values of dpm, dam, dgm and tr on ``inst``."""
+    catalog = enumerate_subpaths(inst.network)
+    models = ("dpm", "dam", "dgm", "tr")
+    return {m: solve_dynamic(inst, m, catalog=catalog)[1].robust_value for m in models}
+
+
 def _suite_dynamic_invariants(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "5,7")
     lines = []
     for seed in range(args.seeds):
         inst = _random_dynamic(seed, nodes, arcs)
-        catalog = enumerate_subpaths(inst.network)
-        vals = {}
-        for model in ("dpm", "dam", "dgm", "tr"):
-            _, report = solve_dynamic(inst, model, catalog=catalog)
-            vals[model] = report.robust_value
+        vals = _timed_values(inst)
 
         def bad(candidate, base=inst):
-            probe = DynamicInstance(candidate, base.horizon, base.gamma)
-            cat = enumerate_subpaths(candidate)
-            v = {}
-            for model in ("dpm", "dam", "dgm", "tr"):
-                _, rep = solve_dynamic(probe, model, catalog=cat)
-                v[model] = rep.robust_value
-            return (
-                v["dgm"] < v["dpm"] or v["dgm"] < v["dam"] or v["tr"] > v["dpm"]
-            )
+            v = _timed_values(DynamicInstance(candidate, base.horizon, base.gamma))
+            return v["dgm"] < v["dpm"] or v["dgm"] < v["dam"] or v["tr"] > v["dpm"]
 
         _check(
             vals["dgm"] >= vals["dpm"] and vals["dgm"] >= vals["dam"],

@@ -50,8 +50,8 @@ from .network import (
     ValidationReport,
     arc_routes,
     enumerate_scenarios,
-    enumerate_st_paths,
     enumerate_subpaths,
+    flow_routes,
     route_index,
     validate_network,
 )
@@ -491,28 +491,18 @@ def evaluate_dynamic(
     _check_instance(inst)
     kind = flow.kind
     net, T, gamma = inst.network, inst.horizon, inst.gamma
+    if kind not in ("arc", "path", "subpath", "tr"):
+        raise NetworkError(f"unknown dynamic flow kind {kind!r}")
+    routes, known = flow_routes(net, kind, catalog)
     # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
     if kind == "arc":
-        routes = arc_routes(net)
-        noun, known, word = "arc id", routes.__contains__, "entry"
+        noun, word = "arc id", "entry"
 
         def order(item):
             return net.arc_rank.get(item[0][0], -1), item[0][1]
 
-    elif kind in ("path", "subpath", "tr"):
-        if catalog is not None:
-            routes = catalog.subpaths if kind == "subpath" else catalog.st_paths
-        elif kind == "subpath":
-            routes = enumerate_subpaths(net).subpaths
-        else:
-            routes = enumerate_st_paths(net)
-        noun, word, order = ("path" if kind == "tr" else "route") + " index", "departure", None
-
-        def known(key) -> bool:
-            return isinstance(key, int) and 0 <= key < len(routes)
-
     else:
-        raise NetworkError(f"unknown dynamic flow kind {kind!r}")
+        noun, word, order = ("path" if kind == "tr" else "route") + " index", "departure", None
     violations = []
     values = {}
     for key, raw in flow.values.items():

@@ -14,10 +14,18 @@ the values it is given (only zeros are dropped) and :func:`_integer_row`
 turns each row into integers once, on its way into the tableau.  Values are
 returned as ``Fraction``s.
 
-Every optimum is re-checked against the constraints before it is returned,
-in integers: the values are put over one common denominator and each row
-compares integer sums (:func:`_verify`).  A failed check raises
-:class:`LpCheckError`, also under ``python -O``.
+An exact presolve (:func:`_forced_zero`, after Brearley, Mitra & Williams,
+1975) fixes columns at 0 before the simplex.  A forcing row has right-hand
+side 0, no free column, and live coefficients of one sign: positive for
+``<=``, negative for ``>=``, either for ``==``.  Nonnegative terms of one
+sign sum to 0 only if each is 0, so its columns are 0 at every feasible
+point; fixing them can make another row forcing, up to a fixpoint.
+
+Every optimum is re-checked against every row of the original LP, fixed
+columns included, before it is returned, in integers: the values are put
+over one common denominator and each row compares integer sums
+(:func:`_verify`).  A failed check raises :class:`LpCheckError`, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -199,8 +207,56 @@ def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int, colrows=None, 
     return _normalize(row, rhs - f * prhs)
 
 
+def _holds(lhs, rel: str, rhs) -> bool:
+    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
+
+
+def _forced_zero(lp: LinearProgram) -> list:
+    """Flags of the variables that forcing rows (module docstring) fix at 0, to a fixpoint.
+
+    Per-row counts of live positive and negative entries, kept through a
+    column-to-rows index, reach it in O(nonzeros); each row fires at most once.
+    """
+    fixed = [False] * lp.n_vars
+    rows = lp.constraints
+    free = lp.free if any(lp.free) else None
+    live = {}  # row -> [live positive entries, live negative entries]
+    rows_of = defaultdict(list)
+    for i, con in enumerate(rows):
+        if con.rhs == 0 and not (free and any(free[j] for j in con.coeffs)):
+            neg = sum(1 for c in con.coeffs.values() if c < 0)
+            live[i] = [len(con.coeffs) - neg, neg]
+            for j in con.coeffs:
+                rows_of[j].append(i)
+
+    def forcing(i):
+        pos, neg = live[i]
+        rel = rows[i].rel
+        return neg == 0 if rel == "<=" else pos == 0 if rel == ">=" else pos == 0 or neg == 0
+
+    ready = [i for i in live if forcing(i)]
+    fired = set(ready)
+    while ready:
+        for j in rows[ready.pop()].coeffs:
+            if not fixed[j]:
+                fixed[j] = True
+                for k in rows_of[j]:
+                    live[k][rows[k].coeffs[j] < 0] -= 1
+                    if k not in fired and forcing(k):
+                        fired.add(k)
+                        ready.append(k)
+    return fixed
+
+
 class _Simplex:
     """Two-phase primal simplex with Bland's rule on sparse integer rows.
+
+    The tableau is the presolved LP.  A forcing row (right-hand side 0, no
+    free column, live coefficients of the one sign its relation allows) fixes
+    its columns at 0, as nonnegative terms of one sign sum to 0 only if each
+    is 0.  Fixed columns get no tableau column and read 0; a row left with no
+    column is dropped if ``0 rel rhs`` holds and kept otherwise.
+    :func:`_verify` still checks every optimum against the original LP.
 
     Columns are the structural ones (a free variable takes two), one slack
     per ``<=`` row (an equality is split into two ``<=`` rows), then one
@@ -218,7 +274,7 @@ class _Simplex:
     and is dropped when it leaves the basis, so it can never enter.  The
     entering column is the smallest one with a positive reduced cost and the
     ratio test breaks ties on the smallest basic column, the same pivots as
-    on a dense rational tableau.
+    on a dense rational tableau of the presolved LP.
 
     Kept as an object so a solved tableau can be extended with pin rows and
     re-optimized for lexicographic objectives without a cold restart.
@@ -226,13 +282,15 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram) -> None:
         self.lp = lp
-        # Structural columns: free variables are split into two parts.
+        # Structural columns: free variables are split into two parts; a fixed
+        # variable (never a free one) gets none.
         self.col_pos: list = []
         self.col_neg: list = []
         n = 0
-        for j in range(lp.n_vars):
-            self.col_pos.append(n)
-            n += 1
+        for j, fixed in enumerate(_forced_zero(lp)):
+            self.col_pos.append(None if fixed else n)
+            if not fixed:
+                n += 1
             if lp.free[j]:
                 self.col_neg.append(n)
                 n += 1
@@ -242,6 +300,8 @@ class _Simplex:
         halves = []
         for con in lp.constraints:
             coeffs = self._columns(con.coeffs)
+            if not coeffs and _holds(0, con.rel, con.rhs):
+                continue
             if con.rel in ("<=", "=="):
                 halves.append((coeffs, con.rhs))
             if con.rel in (">=", "=="):
@@ -269,7 +329,8 @@ class _Simplex:
         """Column coefficients of a (zero-free) linear form over the LP's variables."""
         out = {}
         for j, c in coeffs.items():
-            out[self.col_pos[j]] = sign * c
+            if self.col_pos[j] is not None:
+                out[self.col_pos[j]] = sign * c
             if self.col_neg[j] is not None:
                 out[self.col_neg[j]] = -sign * c
         return out
@@ -338,6 +399,11 @@ class _Simplex:
 
     def _phase1(self) -> bool:
         """Returns True when a feasible basis was reached."""
+        # The presolve kept the original feasible set: it fixed at 0 only the
+        # columns of forcing rows, whose nonnegative terms of one sign sum to
+        # 0 only if each is 0, and kept each emptied row that ``0 rel rhs``
+        # breaks, such as ``0 <= -1``, whose artificial then stays positive.
+        # The optimum is checked against the original LP (``_verify``).
         if not self.artificial:
             return True
         self._set_objective({a: -1 for a in self.artificial})
@@ -364,7 +430,7 @@ class _Simplex:
         cols = {b: rat(self.rhs[i], self.rows[i][b]) for i, b in enumerate(self.basis)}
         out = []
         for j in range(self.lp.n_vars):
-            v = cols.get(self.col_pos[j], ZERO)
+            v = cols.get(self.col_pos[j], ZERO)  # a fixed column (None) reads 0
             if self.col_neg[j] is not None:
                 v = v - cols.get(self.col_neg[j], ZERO)
             out.append(v)
@@ -393,13 +459,11 @@ class _Simplex:
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve exactly; statuses are ``optimal``/``infeasible``/``unbounded``."""
+    return _solve(lp)[0]
+
+
+def _solve(lp: LinearProgram):
     simplex = _Simplex(lp)
-    solution, _ = _solve_with(simplex)
-    return solution
-
-
-def _solve_with(simplex: _Simplex):
-    lp = simplex.lp
     if not simplex._phase1():
         return LpSolution("infeasible", None, ()), simplex
     status = simplex._phase2(lp.objective)
@@ -413,6 +477,7 @@ def _solve_with(simplex: _Simplex):
 def _verify(lp: LinearProgram, values: Sequence) -> None:
     """Re-check an optimum ``values`` against every row of ``lp``, exactly.
 
+    ``lp`` is the original LP, with the presolve's dropped rows and fixed columns.
     ``values`` is put over one common denominator D once
     (:func:`common_denominator`), so each row compares the integer
     ``sum(c_j * X_j)`` over its nonzero columns (D times its left side) with
@@ -430,10 +495,7 @@ def _verify(lp: LinearProgram, values: Sequence) -> None:
             x = get(j)
             if x is not None:
                 lhs += c * x
-        lhs *= con.rhs.denominator
-        rhs = con.rhs.numerator * den
-        ok = lhs <= rhs if con.rel == "<=" else lhs >= rhs if con.rel == ">=" else lhs == rhs
-        if not ok:
+        if not _holds(lhs * con.rhs.denominator, con.rel, con.rhs.numerator * den):
             raise LpCheckError(f"solver violated constraint {con.label or ''}")
 
 
@@ -444,7 +506,7 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
     from the optimal tableau with the primary objective pinned to its value.
     """
     secondary = lp._clean(secondary)
-    first, simplex = _solve_with(_Simplex(lp))
+    first, simplex = _solve(lp)
     if first.status != "optimal":
         return LexSolution(first.status, None, None, ())
     simplex.pin_objective(lp.objective, first.objective_value)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, LpSolution, lexicographic_solve, solve_lp
+from .lp import LinearProgram, LpSolution, _Constraint, lexicographic_solve, solve_lp
 from .network import Network, separates
 from .rational import ZERO
 
@@ -63,10 +63,11 @@ class ZeroCut:
 class Rows:
     """Adds constraints with exact-duplicate elimination.
 
-    Builders hand in ``int`` coefficients and ``int`` or ``Fraction``
-    right-hand sides; they are kept as given (zeros dropped), and an ``int``
-    keys a row like the equal ``Fraction`` would.  Rows with no nonzero
-    coefficient, and repeats of a row already added, are skipped.
+    Builders hand in ``int`` coefficients on the LP's own columns and ``int``
+    or ``Fraction`` right-hand sides; they are appended as given (zeros
+    dropped) without the input checks of :meth:`LinearProgram.add_constraint`,
+    and an ``int`` keys a row like the equal ``Fraction`` would.  Rows with no
+    nonzero coefficient, and repeats of a row already added, are skipped.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -81,7 +82,7 @@ class Rows:
         if key in self.seen:
             return
         self.seen.add(key)
-        self.lp.add_constraint(clean, rel, rhs, label)
+        self.lp.constraints.append(_Constraint(clean, rel, rhs, label))
 
 
 def scenario_label(scenario) -> str:

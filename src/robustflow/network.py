@@ -183,8 +183,8 @@ def validate_network(net: Network) -> ValidationReport:
         if arc.tail == net.sink:
             bad.append(f"arc {arc.id!r} leaves the sink")
     if net.source in nodeset and net.sink in nodeset and net.source != net.sink:
-        fwd = _reachable(net, net.source, forward=True)
-        bwd = _reachable(net, net.sink, forward=False)
+        fwd = reachable(net, net.source, forward=True)
+        bwd = reachable(net, net.sink, forward=False)
         for v in net.nodes:
             if v not in fwd or v not in bwd:
                 bad.append(f"node {v!r} is not on any source-sink path")
@@ -193,10 +193,11 @@ def validate_network(net: Network) -> ValidationReport:
 
 def separates(net: Network, arc_ids) -> bool:
     """True when removing the arcs ``arc_ids`` leaves no source-sink path."""
-    return net.sink not in _reachable(net, net.source, forward=True, removed=frozenset(arc_ids))
+    return net.sink not in reachable(net, net.source, forward=True, removed=frozenset(arc_ids))
 
 
-def _reachable(net: Network, start: str, *, forward: bool, removed=frozenset()) -> set:
+def reachable(net: Network, start: str, *, forward: bool = True, removed=frozenset()) -> set:
+    """The nodes reachable from ``start`` (reaching it, if not ``forward``) avoiding ``removed``."""
     seen = {start}
     stack = [start]
     while stack:
@@ -233,15 +234,14 @@ class Path:
 class PathCatalog:
     """All simple source-sink paths and their contiguous subpaths.
 
-    ``subpaths`` is deduplicated and sorted; ``by_end``/``by_start``/``by_arc``
-    map nodes / arc ids to subpath indices.
+    ``subpaths`` is deduplicated and sorted; ``by_end``/``by_start`` map
+    nodes to subpath indices.
     """
 
     st_paths: tuple
     subpaths: tuple
     by_end: Mapping
     by_start: Mapping
-    by_arc: Mapping
     sub_index: Mapping = field(repr=False)
 
     def subpath_id(self, arcs: Sequence) -> Optional[int]:
@@ -298,13 +298,12 @@ def enumerate_subpaths(net: Network) -> PathCatalog:
                     seen[key] = Path(key, path.nodes[i : j + 1])
     order = sorted(seen, key=lambda key: tuple(net.arc_rank[a] for a in key))
     subpaths = tuple(seen[key] for key in order)
-    by_start, by_end, by_arc = route_index(dict(enumerate(subpaths)))
+    by_start, by_end, _ = route_index(dict(enumerate(subpaths)))
     return PathCatalog(
         st_paths=st_paths,
         subpaths=subpaths,
         by_end=by_end,
         by_start=by_start,
-        by_arc=by_arc,
         sub_index={sub.arcs: i for i, sub in enumerate(subpaths)},
     )
 
@@ -312,6 +311,23 @@ def enumerate_subpaths(net: Network) -> PathCatalog:
 def arc_routes(net: Network) -> dict:
     """Every arc as a one-arc route: ``{arc id: Path}``, in the network's arc order."""
     return {a: Path((a,), (arc.tail, arc.head)) for a, arc in net.arc_by_id.items()}
+
+
+def flow_routes(net: Network, kind: str, catalog: Optional[PathCatalog]) -> tuple:
+    """``(routes, known)``: the routes the keys of a ``kind`` flow name, and a key test.
+
+    An ``arc`` flow is keyed by arc id (:func:`arc_routes`), a ``subpath``
+    flow by subpath index and any other kind by source-sink path index, into
+    ``catalog`` or, without one, into only the routes of that kind.
+    """
+    if kind == "arc":
+        routes = arc_routes(net)
+        return routes, routes.__contains__
+    if kind == "subpath":
+        routes = (enumerate_subpaths(net) if catalog is None else catalog).subpaths
+    else:
+        routes = enumerate_st_paths(net) if catalog is None else catalog.st_paths
+    return routes, lambda key: isinstance(key, int) and 0 <= key < len(routes)
 
 
 def route_index(routes: Mapping) -> tuple:

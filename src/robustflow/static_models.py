@@ -45,8 +45,9 @@ from .network import (
     PathCatalog,
     arc_routes,
     enumerate_scenarios,
-    enumerate_st_paths,
     enumerate_subpaths,
+    flow_routes,
+    reachable,
     route_index,
 )
 from .rational import ZERO, rat
@@ -187,7 +188,7 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
     decomposition.
     """
     source, sink = net.source, net.sink
-    reach_from = {v: _forward_reach(net, v) for v in net.nodes}
+    reach_from = {v: reachable(net, v) for v in net.nodes}
     commodities = [
         (v, w)
         for v in net.nodes
@@ -273,18 +274,6 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
     return build
 
 
-def _forward_reach(net: Network, start: str) -> frozenset:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for arc in net.out_arcs(v):
-            if arc.head not in seen:
-                seen.add(arc.head)
-                stack.append(arc.head)
-    return frozenset(seen)
-
-
 def extract_gamma1_solution(build: ModelBuild, values) -> CompactGamma1Solution:
     y = nonzero(build.flow_vars, values)
     nu = values[build.lam_var]
@@ -361,24 +350,11 @@ def evaluate_static(
     projection; violations and worst scenarios still come out in scenario
     order.
     """
-    # An arc flow is a flow on one-arc routes.
-    if flow.kind == "arc":
-        routes = arc_routes(net)
-        noun, known = "arc id", routes.__contains__
-    elif flow.kind in ("path", "subpath"):
-        if catalog is not None:
-            routes = catalog.st_paths if flow.kind == "path" else catalog.subpaths
-        elif flow.kind == "path":
-            routes = enumerate_st_paths(net)
-        else:
-            routes = enumerate_subpaths(net).subpaths
-        noun = f"{flow.kind} index"
-
-        def known(key) -> bool:
-            return isinstance(key, int) and 0 <= key < len(routes)
-
-    else:
+    if flow.kind not in ("arc", "path", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
+    # An arc flow is a flow on one-arc routes.
+    routes, known = flow_routes(net, flow.kind, catalog)
+    noun = "arc id" if flow.kind == "arc" else f"{flow.kind} index"
     values = {}
     violations = []
     for key, raw in flow.values.items():

@@ -37,7 +37,7 @@ from robustflow import (
     rat,
     solve_lp,
 )
-from robustflow.lp import LpCheckError, _verify, dump_lp
+from robustflow.lp import LpCheckError, _forced_zero, _verify, dump_lp
 
 from _oracles import row_by_row_verify
 
@@ -485,35 +485,39 @@ def random_lps(draw):
     return lp
 
 
-def _highs(lp):
+def _highs(lp, objective=None, sense=None):
+    """HiGHS's status and optimum of ``lp``, or of ``objective`` (in ``sense``) over its rows."""
     import numpy as np
     from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
 
     n = lp.n_vars
-    sign = -1.0 if lp.sense == "max" else 1.0
+    sense = sense or lp.sense
+    sign = -1.0 if sense == "max" else 1.0
     c = np.zeros(n)
-    for j, v in lp.objective.items():
+    for j, v in (lp.objective if objective is None else objective).items():
         c[j] = sign * float(v)
-    ub, b_ub, eq, b_eq = [], [], [], []
+    parts = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
     for con in lp.constraints:
-        row = np.zeros(n)
+        data, rows, cols, rhs = parts["eq" if con.rel == "==" else "ub"]
+        flip = -1.0 if con.rel == ">=" else 1.0
         for j, v in con.coeffs.items():
-            row[j] = float(v)
-        if con.rel == "==":
-            eq.append(row)
-            b_eq.append(float(con.rhs))
-        elif con.rel == "<=":
-            ub.append(row)
-            b_ub.append(float(con.rhs))
-        else:
-            ub.append(-row)
-            b_ub.append(-float(con.rhs))
+            data.append(flip * float(v))
+            rows.append(len(rhs))
+            cols.append(j)
+        rhs.append(flip * float(con.rhs))
+    matrices = {
+        key: (csr_matrix((data, (rows, cols)), shape=(len(rhs), n)), np.array(rhs))
+        if rhs
+        else (None, None)
+        for key, (data, rows, cols, rhs) in parts.items()
+    }
     res = linprog(
         c,
-        A_ub=np.array(ub) if ub else None,
-        b_ub=np.array(b_ub) if ub else None,
-        A_eq=np.array(eq) if eq else None,
-        b_eq=np.array(b_eq) if eq else None,
+        A_ub=matrices["ub"][0],
+        b_ub=matrices["ub"][1],
+        A_eq=matrices["eq"][0],
+        b_eq=matrices["eq"][1],
         bounds=[(None, None) if lp.free[j] else (0, None) for j in range(n)],
         method="highs",
         options={"presolve": False},
@@ -563,3 +567,147 @@ def test_integer_verify_matches_row_by_row_oracle(lp, data):
     for values in points:
         expected = _check_outcome(row_by_row_verify, lp, values)
         assert _check_outcome(_verify, lp, values) == expected, values
+
+
+# -- the exact presolve ---------------------------------------------------------
+
+# A HiGHS point may break a row by up to HiGHS's primal feasibility tolerance,
+# 1e-7, so a column that the presolve proves is 0 may read that much there.
+ZERO_TOL = 1e-7
+# (LPs where the presolve fixes a column, columns fixed) over ``_broad_lps``.
+PRESOLVE_FIRES = (328, 4021)
+
+
+def _check_presolve_against_highs(lp) -> list:
+    """Compare ``lp`` with HiGHS; returns the columns the presolve fixes.
+
+    Status and optimum must agree, and over the rows of ``lp`` HiGHS's
+    maximum of the sum of the fixed columns must be 0: one solve per LP.
+    """
+    sol = solve_lp(lp)
+    status, value = _highs(lp)
+    assert sol.status == status
+    if status == "optimal":
+        exact = float(sol.objective_value)
+        assert abs(exact - value) <= REL_TOL * max(1.0, abs(exact))
+    fixed = [j for j, flag in enumerate(_forced_zero(lp)) if flag]
+    if fixed and status != "infeasible":
+        top_status, top = _highs(lp, {j: 1 for j in fixed}, "max")
+        assert top_status == "optimal" and abs(top) <= ZERO_TOL
+    if fixed and status == "optimal":
+        assert all(sol.values[j] == 0 for j in fixed)
+    return fixed
+
+
+def test_presolve_on_model_lps_agrees_with_highs():
+    pytest.importorskip("scipy")
+    fixed = [len(_check_presolve_against_highs(build.lp)) for build in _broad_lps()]
+    assert (sum(1 for k in fixed if k), sum(fixed)) == PRESOLVE_FIRES
+
+
+POSITIVE = st.builds(rat, st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def forcing_lps(draw):
+    """Small LPs built around rows with right-hand side 0, so the presolve fires.
+
+    Each such row has coefficients of the sign its relation makes forcing;
+    some also get one entry of the other sign, or a free column, which keeps
+    the row from firing until (or unless) that column is fixed by another
+    row.  A few random rows with any right-hand side, and bounds on some
+    columns, follow.
+    """
+    n = draw(st.integers(1, 5))
+    lp = LinearProgram(draw(st.sampled_from(["max", "min"])))
+    for _ in range(n):
+        lp.add_var(free=draw(st.integers(0, 3)) == 0)
+    for _ in range(draw(st.integers(1, 5))):
+        rel = draw(st.sampled_from(["<=", ">=", "=="]))
+        sign = {"<=": 1, ">=": -1, "==": draw(st.sampled_from([1, -1]))}[rel]
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coeffs = {j: sign * draw(POSITIVE) for j in cols}
+        if draw(st.booleans()):
+            coeffs[draw(st.integers(0, n - 1))] = -sign * draw(POSITIVE)
+        lp.add_constraint(coeffs, rel, 0)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = {j: draw(SMALL) for j in range(n) if draw(st.booleans())}
+        lp.add_constraint(coeffs, draw(st.sampled_from(["<=", ">=", "=="])), draw(SMALL))
+    for j in range(n):
+        if draw(st.booleans()):
+            lp.add_constraint({j: 1}, "<=", draw(st.integers(0, 3)))
+            if lp.free[j]:
+                lp.add_constraint({j: 1}, ">=", -draw(st.integers(0, 3)))
+    lp.set_objective({j: draw(SMALL) for j in range(n)})
+    return lp
+
+
+@given(lp=forcing_lps())
+@settings(deadline=None, max_examples=200, derandomize=True)
+def test_presolve_statuses_and_optima_agree_with_highs(lp):
+    pytest.importorskip("scipy")
+    _check_presolve_against_highs(lp)
+
+
+def _lp(n, rows, objective, sense="max", free=()):
+    """An LP over ``n`` variables from ``(coeffs, rel, rhs)`` rows."""
+    lp = LinearProgram(sense)
+    for j in range(n):
+        lp.add_var(f"x{j}", free=j in free)
+    for coeffs, rel, rhs in rows:
+        lp.add_constraint(coeffs, rel, rhs)
+    lp.set_objective(objective)
+    return lp
+
+
+def test_presolve_follows_a_chain_of_forcing_rows():
+    # x0 <= 0 forces x0; then x1 - x0 <= 0 has only a positive live entry
+    # and forces x1; x2 is bounded by 5 and not fixed.
+    rows = [({1: 1, 0: -1}, "<=", 0), ({0: 1}, "<=", 0), ({2: 1}, "<=", 5)]
+    lp = _lp(3, rows, {0: 1, 1: 1, 2: 1})
+    assert _forced_zero(lp) == [True, True, False]
+    sol = solve_lp(lp)
+    assert (sol.status, sol.objective_value, sol.values) == ("optimal", 5, (0, 0, 5))
+
+
+def test_presolve_fixes_all_negative_ge_and_eq_rows():
+    # -x0 - 2 x1 >= 0 (or == 0) holds only at x0 = x1 = 0; as <= it is slack.
+    for rel in (">=", "=="):
+        lp = _lp(3, [({0: -1, 1: -2}, rel, 0), ({0: 1, 1: 1, 2: 1}, "<=", 4)], {0: 3, 1: 2, 2: 1})
+        assert _forced_zero(lp) == [True, True, False]
+        assert solve_lp(lp).values == (0, 0, 4)
+    loose = _lp(3, [({0: -1, 1: -2}, "<=", 0), ({0: 1, 1: 1, 2: 1}, "<=", 4)], {0: 3, 1: 2, 2: 1})
+    assert _forced_zero(loose) == [False, False, False]
+    assert solve_lp(loose).objective_value == 12
+
+
+def test_a_free_column_blocks_the_presolve():
+    # x0 + z <= 0 with z free allows x0 = -z > 0; here z >= -3, so x0 = 3.
+    lp = _lp(2, [({0: 1, 1: 1}, "<=", 0), ({1: 1}, ">=", -3)], {0: 1}, free=(1,))
+    assert _forced_zero(lp) == [False, False]
+    sol = solve_lp(lp)
+    assert (sol.objective_value, sol.values) == (3, (3, -3))
+
+
+def test_a_row_left_without_columns_stays_infeasible():
+    # x0 <= 0 fixes x0, which leaves x0 <= -1 as 0 <= -1: phase 1 must see it.
+    lp = _lp(2, [({0: 1}, "<=", 0), ({0: 1}, "<=", -1), ({1: 1}, "<=", 1)], {1: 1})
+    assert _forced_zero(lp) == [True, False]
+    assert solve_lp(lp).status == "infeasible"
+    # An emptied row that holds (0 == 0, 0 >= -1) is dropped, not infeasible.
+    rows = [({0: 1}, "<=", 0), ({0: 2}, "==", 0), ({0: 1}, ">=", -1), ({1: 1}, "<=", 1)]
+    ok = _lp(2, rows, {1: 1})
+    assert _forced_zero(ok) == [True, False]
+    assert solve_lp(ok).values == (0, 1)
+
+
+def test_lexicographic_secondary_over_fixed_columns():
+    # x0 - x1 <= 0 and x1 <= 0 fix x0 and x1; x2 <= 2 bounds the primary.
+    # The secondary objective rewards the fixed columns, which stay at 0.
+    lp = _lp(3, [({0: 1, 1: -1}, "<=", 0), ({1: 1}, "<=", 0), ({2: 1}, "<=", 2)], {2: 1})
+    assert _forced_zero(lp) == [True, True, False]
+    lex = lexicographic_solve(lp, {0: 5, 1: 1, 2: 1})
+    assert (lex.status, lex.primary_value, lex.secondary_value) == ("optimal", 2, 2)
+    assert lex.values == (0, 0, 2)
+    only_fixed = lexicographic_solve(lp, {0: 1, 1: 1})
+    assert (only_fixed.secondary_value, only_fixed.values) == (0, (0, 0, 2))
