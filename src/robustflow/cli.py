@@ -51,13 +51,7 @@ from .instances import (
     split_capacities,
 )
 from .maxflow import nominal_max_flow
-from .network import (
-    GuardExceeded,
-    Network,
-    NetworkError,
-    enumerate_subpaths,
-    validate_network,
-)
+from .network import GuardExceeded, Network, NetworkError, reachable, validate_network
 from .rational import rat
 from .serialize import (
     compare_to_csv,
@@ -150,16 +144,13 @@ def cmd_generate(args) -> int:
 
 
 def _solve_any(instance, model: str, gamma, horizon, lex: bool):
-    """Solve one model on a loaded instance; returns (flow, report, catalog, meta)."""
+    """Solve one model on a loaded instance; returns (flow, report, meta)."""
     if model in STATIC_MODELS:
         if isinstance(instance, DynamicInstance):
             raise NetworkError(f"model {model!r} needs a static instance")
         g = 1 if gamma is None else gamma
-        catalog = enumerate_subpaths(instance) if model != "am" else None
-        flow, report = solve_static(
-            instance, model, g, maximize_nominal=lex, catalog=catalog
-        )
-        return flow, report, catalog, {"gamma": g, "horizon": None}
+        flow, report = solve_static(instance, model, g, maximize_nominal=lex)
+        return flow, report, {"gamma": g, "horizon": None}
     if not isinstance(instance, DynamicInstance):
         raise NetworkError(f"model {model!r} needs a dynamic instance (horizon field)")
     inst = DynamicInstance(
@@ -167,13 +158,8 @@ def _solve_any(instance, model: str, gamma, horizon, lex: bool):
         horizon if horizon is not None else instance.horizon,
         gamma if gamma is not None else instance.gamma,
     )
-    catalog = (
-        enumerate_subpaths(inst.network) if model in ("dpm", "dgm", "tr") else None
-    )
-    flow, report = solve_dynamic(
-        inst, model, maximize_nominal=lex, catalog=catalog
-    )
-    return flow, report, catalog, {"gamma": inst.gamma, "horizon": inst.horizon}
+    flow, report = solve_dynamic(inst, model, maximize_nominal=lex)
+    return flow, report, {"gamma": inst.gamma, "horizon": inst.horizon}
 
 
 def _csv_row(model: str, report, wall_ms: float) -> dict:
@@ -191,7 +177,7 @@ def _csv_row(model: str, report, wall_ms: float) -> dict:
 def cmd_solve(args) -> int:
     instance = instance_from_json(_read_json(args.instance))
     start = time.perf_counter()
-    flow, report, catalog, meta = _solve_any(
+    flow, report, meta = _solve_any(
         instance, args.model, args.gamma, args.horizon, args.lex_nominal
     )
     wall_ms = (time.perf_counter() - start) * 1000.0
@@ -205,7 +191,7 @@ def cmd_solve(args) -> int:
         flow,
         report,
         horizon=meta["horizon"],
-        catalog=catalog,
+        catalog=(instance.network if isinstance(instance, DynamicInstance) else instance).catalog,
     )
     result["manifest"] = {
         "command": "solve",
@@ -233,7 +219,7 @@ def cmd_compare(args) -> int:
     rows = []
     for model in models:
         start = time.perf_counter()
-        flow, report, catalog, meta = _solve_any(
+        _, report, _ = _solve_any(
             instance, model, args.gamma, args.horizon, args.lex_nominal
         )
         rows.append(_csv_row(model, report, (time.perf_counter() - start) * 1000.0))
@@ -258,7 +244,7 @@ def cmd_evaluate(args) -> int:
         )
         report = evaluate_dynamic(flow, inst)
     else:
-        report = evaluate_static(flow, instance, None, 1 if args.gamma is None else args.gamma)
+        report = evaluate_static(flow, instance, 1 if args.gamma is None else args.gamma)
     data = {"feasible": True}
     data.update(report_to_json(report))
     _write(dumps(data), args.out)
@@ -267,22 +253,12 @@ def cmd_evaluate(args) -> int:
 
 def _drop_arc(net: Network, arc_id):
     """Remove one arc and every node no longer on a source-sink route."""
-    arcs = [a for a in net.arcs if a.id != arc_id]
-    forward, backward = {net.source}, {net.sink}
-    changed = True
-    while changed:
-        changed = False
-        for a in arcs:
-            if a.tail in forward and a.head not in forward:
-                forward.add(a.head)
-                changed = True
-            if a.head in backward and a.tail not in backward:
-                backward.add(a.tail)
-                changed = True
-    keep = forward & backward
+    removed = {arc_id}
+    keep = reachable(net, net.source, removed=removed)
+    keep &= reachable(net, net.sink, forward=False, removed=removed)
     if net.source not in keep or net.sink not in keep:
         return None
-    arcs = [a for a in arcs if a.tail in keep and a.head in keep]
+    arcs = [a for a in net.arcs if a.id != arc_id and a.tail in keep and a.head in keep]
     if not arcs:
         return None
     nodes = [v for v in net.nodes if v in keep]
@@ -331,17 +307,13 @@ def _parse_sizes(text: str):
     return nodes, arcs
 
 
-def _static_value(net, model, gamma, catalog=None, lex=False):
-    flow, report = solve_static(
-        net, model, gamma, maximize_nominal=lex, catalog=catalog
-    )
-    return report
+def _static_value(net, model, gamma, lex=False):
+    return solve_static(net, model, gamma, maximize_nominal=lex)[1]
 
 
-def _trio(net, gamma, catalog=None) -> dict:
+def _trio(net, gamma) -> dict:
     """The robust values of pm, am and gm on ``net`` at budget ``gamma``."""
-    catalog = enumerate_subpaths(net) if catalog is None else catalog
-    return {m: _static_value(net, m, gamma, catalog).robust_value for m in ("pm", "am", "gm")}
+    return {m: _static_value(net, m, gamma).robust_value for m in ("pm", "am", "gm")}
 
 
 def _suite_static_invariants(args) -> list:
@@ -349,10 +321,9 @@ def _suite_static_invariants(args) -> list:
     lines = []
     for seed in range(args.seeds):
         net = gen_random("dag", nodes, arcs, max_cap=4, seed=seed)
-        catalog = enumerate_subpaths(net)
         nominal, _, _ = nominal_max_flow(net)
         for gamma in (1, 2):
-            vals = _trio(net, gamma, catalog)
+            vals = _trio(net, gamma)
 
             def bad_order(candidate, g=gamma):
                 v = _trio(candidate, g)
@@ -377,13 +348,12 @@ def _suite_static_invariants(args) -> list:
                 )
 
                 def bad_compact(candidate):
-                    cat = enumerate_subpaths(candidate)
                     return (
-                        _static_value(candidate, "gm1", 1, cat).robust_value
-                        != _static_value(candidate, "gm", 1, cat).robust_value
+                        _static_value(candidate, "gm1", 1).robust_value
+                        != _static_value(candidate, "gm", 1).robust_value
                     )
 
-                compact = _static_value(net, "gm1", 1, catalog).robust_value
+                compact = _static_value(net, "gm1", 1).robust_value
                 _check(
                     compact == vals["gm"],
                     f"seed {seed}: compact budget-1 model diverges: {compact} vs {vals['gm']}",
@@ -392,12 +362,11 @@ def _suite_static_invariants(args) -> list:
                 )
 
                 def bad_lex(candidate):
-                    cat = enumerate_subpaths(candidate)
                     best = nominal_max_flow(candidate)[0]
-                    rep = _static_value(candidate, "gm", 1, cat, lex=True)
+                    rep = _static_value(candidate, "gm", 1, lex=True)
                     return rep.nominal_value != best
 
-                lex_report = _static_value(net, "gm", 1, catalog, lex=True)
+                lex_report = _static_value(net, "gm", 1, lex=True)
                 _check(
                     lex_report.nominal_value == nominal,
                     f"seed {seed}: lexicographic gm nominal {lex_report.nominal_value} != {nominal}",
@@ -427,9 +396,8 @@ def _random_dynamic(seed: int, nodes: int, arcs: int) -> DynamicInstance:
 
 def _timed_values(inst: DynamicInstance) -> dict:
     """The robust values of dpm, dam, dgm and tr on ``inst``."""
-    catalog = enumerate_subpaths(inst.network)
     models = ("dpm", "dam", "dgm", "tr")
-    return {m: solve_dynamic(inst, m, catalog=catalog)[1].robust_value for m in models}
+    return {m: solve_dynamic(inst, m)[1].robust_value for m in models}
 
 
 def _suite_dynamic_invariants(args) -> list:
@@ -470,17 +438,13 @@ def _suite_embedding(args) -> list:
     lines = []
     for label, net, gamma in cases:
         inst = embed_static(net, gamma)
-        catalog = enumerate_subpaths(net)
-        dyn_catalog = enumerate_subpaths(inst.network)
         for s_model, d_model in pairs:
-            s_val = _static_value(net, s_model, gamma, catalog).robust_value
-            _, d_report = solve_dynamic(inst, d_model, catalog=dyn_catalog)
+            s_val = _static_value(net, s_model, gamma).robust_value
+            _, d_report = solve_dynamic(inst, d_model)
 
             def bad(candidate, sm=s_model, dm=d_model, g=gamma):
-                cat = enumerate_subpaths(candidate)
-                emb = embed_static(candidate, g)
-                _, rep = solve_dynamic(emb, dm, catalog=enumerate_subpaths(emb.network))
-                return _static_value(candidate, sm, g, cat).robust_value != rep.robust_value
+                _, rep = solve_dynamic(embed_static(candidate, g), dm)
+                return _static_value(candidate, sm, g).robust_value != rep.robust_value
 
             _check(
                 s_val == d_report.robust_value,
@@ -564,9 +528,8 @@ def _suite_conjecture_probe(args) -> list:
 
     def ratio_of(net, label):
         nonlocal best, best_label
-        catalog = enumerate_subpaths(net)
-        pm = _static_value(net, "pm", gamma, catalog).robust_value
-        gm = _static_value(net, "gm", gamma, catalog).robust_value
+        pm = _static_value(net, "pm", gamma).robust_value
+        gm = _static_value(net, "gm", gamma).robust_value
         if pm > 0:
             ratio = gm / pm
             if ratio > best:

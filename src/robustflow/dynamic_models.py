@@ -50,7 +50,6 @@ from .network import (
     ValidationReport,
     arc_routes,
     enumerate_scenarios,
-    enumerate_subpaths,
     flow_routes,
     route_index,
     validate_network,
@@ -69,12 +68,17 @@ class DynamicInstance:
 
 
 def validate_dynamic_instance(inst: DynamicInstance) -> ValidationReport:
-    bad = list(validate_network(inst.network).violations)
+    return ValidationReport(validate_network(inst.network).violations + timing_violations(inst))
+
+
+def timing_violations(inst: DynamicInstance) -> tuple:
+    """The horizon and budget violations of a timed instance, its network's aside."""
+    bad = []
     if isinstance(inst.horizon, bool) or not isinstance(inst.horizon, int) or inst.horizon < 1:
         bad.append(f"horizon must be an integer >= 1, got {inst.horizon!r}")
     if isinstance(inst.gamma, bool) or not isinstance(inst.gamma, int) or inst.gamma < 0:
         bad.append(f"gamma must be an integer >= 0, got {inst.gamma!r}")
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 @dataclass(frozen=True)
@@ -203,7 +207,6 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
     its restriction to the arcs of routes with departures, which comes
     earlier in (size, arc order), and :class:`Rows` would drop the repeat.
     """
-    _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     timed = _Timed(inst, routes)
     by_start, by_end = timed.by_start, timed.by_end
@@ -261,21 +264,24 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
 
 def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed path flow against worst-case delays: timed subpaths that are whole paths."""
-    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "path")
-    _timed_capacity_rows(rows, timed, xs, inst.gamma)
-    return build
+    return _timed_path_lp(inst, catalog, "path")
 
 
 def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed subpath flow: flow may be re-declared at interior nodes."""
-    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.subpaths)), "subpath")
-    _timed_capacity_rows(rows, timed, xs, inst.gamma)
-    return build
+    return _timed_path_lp(inst, catalog, "subpath")
 
 
 def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Temporally repeated flow: ``dpm`` with one rate per path, shipped every slot."""
-    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(catalog.st_paths)), "tr")
+    return _timed_path_lp(inst, catalog, "tr")
+
+
+def _timed_path_lp(inst: DynamicInstance, catalog: PathCatalog, kind: str) -> ModelBuild:
+    """The timed model over the subpaths (kind ``subpath``) or the source-sink paths."""
+    _check_instance(inst)
+    routes = catalog.subpaths if kind == "subpath" else catalog.st_paths
+    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(routes)), kind)
     _timed_capacity_rows(rows, timed, xs, inst.gamma)
     return build
 
@@ -285,6 +291,7 @@ def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
 
     Its capacity rows carry no scenario: an arc's entry time is its own.
     """
+    _check_instance(inst)
     build, xs, _, rows = _timed_route_lp(inst, arc_routes(inst.network), "arc")
     for (a, theta), col in xs.items():
         rows.add({col: 1}, "<=", inst.network.arc_by_id[a].capacity, f"cap[{a},{theta}]")
@@ -467,17 +474,12 @@ def embed_static(net: Network, gamma: int) -> DynamicInstance:
     return DynamicInstance(embedded, horizon=1, gamma=gamma)
 
 
-def evaluate_dynamic(
-    flow: DynamicFlow,
-    inst: DynamicInstance,
-    catalog: Optional[PathCatalog] = None,
-) -> DynamicRobustReport:
+def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustReport:
     """LP-free evaluation of a dynamic flow over the exhaustive scenario set.
 
     Checks capacities under every scenario (and robust conservation for the
     arc/subpath kinds), then reports per-scenario arrivals, their minimum,
-    and the earliest arrival time guaranteed across scenarios.  Without a
-    ``catalog`` only the routes of the flow's kind are enumerated.
+    and the earliest arrival time guaranteed across scenarios.
 
     An arc flow is a flow on one-arc routes; only its capacity check, which
     no scenario changes, stays apart.  Each route's ends, nominal travel time
@@ -493,7 +495,7 @@ def evaluate_dynamic(
     net, T, gamma = inst.network, inst.horizon, inst.gamma
     if kind not in ("arc", "path", "subpath", "tr"):
         raise NetworkError(f"unknown dynamic flow kind {kind!r}")
-    routes, known = flow_routes(net, kind, catalog)
+    routes, known = flow_routes(net, kind)
     # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
     if kind == "arc":
         noun, word = "arc id", "entry"
@@ -656,14 +658,14 @@ def solve_dynamic(
     model: str,
     *,
     maximize_nominal: bool = False,
-    catalog: Optional[PathCatalog] = None,
 ):
-    """Build, solve and cross-validate one dynamic model; returns (flow, report)."""
+    """Build, solve and cross-validate one dynamic model; returns (flow, report).
+
+    Each builder validates the instance before it reads a route.
+    """
     if model not in DYNAMIC_MODELS:
         raise NetworkError(f"unknown dynamic model {model!r}")
-    _check_instance(inst)
-    if catalog is None and model in ("dpm", "dgm", "tr"):
-        catalog = enumerate_subpaths(inst.network)
+    catalog = inst.network.catalog
     if model == "dpm":
         build = build_dpm_lp(inst, catalog)
     elif model == "dgm":
@@ -678,5 +680,5 @@ def solve_dynamic(
         build,
         maximize_nominal,
         lambda values: DynamicFlow(build.kind, nonzero(build.flow_vars, values)),
-        lambda flow: evaluate_dynamic(flow, inst, catalog),
+        lambda flow: evaluate_dynamic(flow, inst),
     )

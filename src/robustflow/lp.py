@@ -276,7 +276,7 @@ class _Simplex:
     ratio test breaks ties on the smallest basic column, the same pivots as
     on a dense rational tableau of the presolved LP.
 
-    Kept as an object so a solved tableau can be extended with pin rows and
+    Kept as an object so a solved tableau can be extended with a pin row and
     re-optimized for lexicographic objectives without a cold restart.
     """
 
@@ -442,19 +442,23 @@ class _Simplex:
     # -- lexicographic continuation ----------------------------------------
 
     def pin_objective(self, coeffs: Mapping, value) -> None:
-        """Add rows fixing ``coeffs . x == value``; the current vertex stays basic."""
-        for sign in (1, -1):
-            slack = self.ncols
-            self.ncols += 1
-            pin = self._columns(coeffs, sign)
-            pin[slack] = 1
-            row, rhs = _integer_row(pin, sign * value)
-            for i, b in enumerate(self.basis):
-                if b in row:
-                    rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
-            if rhs != 0:
-                raise LpCheckError("pin row must be tight at the solved vertex")
-            self._add_row(row, rhs, slack)
+        """Pin ``coeffs . x`` at its optimum ``value`` with one row; the vertex stays basic.
+
+        Optimality already bounds ``coeffs . x`` by ``value`` on one side (from
+        above for ``max``, from below for ``min``), so the row bounds the other.
+        """
+        sign = -1 if self.lp.sense == "max" else 1
+        slack = self.ncols
+        self.ncols += 1
+        pin = self._columns(coeffs, sign)
+        pin[slack] = 1
+        row, rhs = _integer_row(pin, sign * value)
+        for i, b in enumerate(self.basis):
+            if b in row:
+                rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
+        if rhs != 0:
+            raise LpCheckError("pin row must be tight at the solved vertex")
+        self._add_row(row, rhs, slack)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

@@ -15,10 +15,11 @@ variables.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -119,6 +120,11 @@ class Network:
         self._out = {v: tuple(lst) for v, lst in out.items()}
         self._in = {v: tuple(lst) for v, lst in inc.items()}
         self.arc_rank = {arc.id: i for i, arc in enumerate(self.arcs)}
+
+    @functools.cached_property
+    def catalog(self) -> PathCatalog:
+        """This network's routes; each route set is enumerated on its first read."""
+        return enumerate_subpaths(self)
 
     def out_arcs(self, v: str) -> tuple:
         return self._out.get(v, ())
@@ -230,19 +236,55 @@ class Path:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
 class PathCatalog:
-    """All simple source-sink paths and their contiguous subpaths.
+    """The simple source-sink paths of a network and their contiguous subpaths.
 
-    ``subpaths`` is deduplicated and sorted; ``by_end``/``by_start`` map
-    nodes to subpath indices.
+    Each route set is enumerated on first read, under the path guard:
+    ``st_paths`` lexicographic in the arc order; ``subpaths`` deduplicated
+    and sorted; ``by_end``/``by_start`` map nodes to subpath indices.
     """
 
-    st_paths: tuple
-    subpaths: tuple
-    by_end: Mapping
-    by_start: Mapping
-    sub_index: Mapping = field(repr=False)
+    def __init__(self, net: Network) -> None:
+        self._net = net
+
+    @functools.cached_property
+    def st_paths(self) -> tuple:
+        return enumerate_st_paths(self._net)
+
+    @functools.cached_property
+    def subpaths(self) -> tuple:
+        st_paths = self.st_paths
+        limit = guard_paths()
+        seen = {}
+        for path in st_paths:
+            n = len(path.arcs)
+            for i in range(n):
+                for j in range(i + 1, n + 1):
+                    key = path.arcs[i:j]
+                    if key not in seen:
+                        if len(seen) >= limit:
+                            raise GuardExceeded(
+                                f"more than {limit} subpaths; raise the guard to proceed"
+                            )
+                        seen[key] = Path(key, path.nodes[i : j + 1])
+        rank = self._net.arc_rank
+        return tuple(seen[key] for key in sorted(seen, key=lambda key: tuple(rank[a] for a in key)))
+
+    @functools.cached_property
+    def _ends(self) -> tuple:
+        return route_index(dict(enumerate(self.subpaths)))
+
+    @property
+    def by_start(self) -> Mapping:
+        return self._ends[0]
+
+    @property
+    def by_end(self) -> Mapping:
+        return self._ends[1]
+
+    @functools.cached_property
+    def sub_index(self) -> Mapping:
+        return {sub.arcs: i for i, sub in enumerate(self.subpaths)}
 
     def subpath_id(self, arcs: Sequence) -> Optional[int]:
         return self.sub_index.get(tuple(arcs))
@@ -281,31 +323,12 @@ def enumerate_st_paths(net: Network) -> tuple:
 
 
 def enumerate_subpaths(net: Network) -> PathCatalog:
-    """Catalog of simple s-t paths plus every contiguous segment of one."""
-    st_paths = enumerate_st_paths(net)
-    limit = guard_paths()
-    seen = {}
-    for path in st_paths:
-        n = len(path.arcs)
-        for i in range(n):
-            for j in range(i + 1, n + 1):
-                key = path.arcs[i:j]
-                if key not in seen:
-                    if len(seen) >= limit:
-                        raise GuardExceeded(
-                            f"more than {limit} subpaths; raise the guard to proceed"
-                        )
-                    seen[key] = Path(key, path.nodes[i : j + 1])
-    order = sorted(seen, key=lambda key: tuple(net.arc_rank[a] for a in key))
-    subpaths = tuple(seen[key] for key in order)
-    by_start, by_end, _ = route_index(dict(enumerate(subpaths)))
-    return PathCatalog(
-        st_paths=st_paths,
-        subpaths=subpaths,
-        by_end=by_end,
-        by_start=by_start,
-        sub_index={sub.arcs: i for i, sub in enumerate(subpaths)},
-    )
+    """Catalog of simple s-t paths plus every contiguous segment of one.
+
+    Each route set is enumerated when it is first read; ``net.catalog`` is
+    the network's own catalog, so each set is enumerated at most once.
+    """
+    return PathCatalog(net)
 
 
 def arc_routes(net: Network) -> dict:
@@ -313,20 +336,17 @@ def arc_routes(net: Network) -> dict:
     return {a: Path((a,), (arc.tail, arc.head)) for a, arc in net.arc_by_id.items()}
 
 
-def flow_routes(net: Network, kind: str, catalog: Optional[PathCatalog]) -> tuple:
+def flow_routes(net: Network, kind: str) -> tuple:
     """``(routes, known)``: the routes the keys of a ``kind`` flow name, and a key test.
 
     An ``arc`` flow is keyed by arc id (:func:`arc_routes`), a ``subpath``
     flow by subpath index and any other kind by source-sink path index, into
-    ``catalog`` or, without one, into only the routes of that kind.
+    ``net.catalog``.
     """
     if kind == "arc":
         routes = arc_routes(net)
         return routes, routes.__contains__
-    if kind == "subpath":
-        routes = (enumerate_subpaths(net) if catalog is None else catalog).subpaths
-    else:
-        routes = enumerate_st_paths(net) if catalog is None else catalog.st_paths
+    routes = net.catalog.subpaths if kind == "subpath" else net.catalog.st_paths
     return routes, lambda key: isinstance(key, int) and 0 <= key < len(routes)
 
 

@@ -16,7 +16,7 @@ from .dynamic_models import (
     DynamicFlow,
     DynamicInstance,
     DynamicRobustReport,
-    validate_dynamic_instance,
+    timing_violations,
 )
 from .network import Arc, Network, NetworkError, PathCatalog, validate_network
 from .model_lp import scenario_label
@@ -106,16 +106,13 @@ def instance_from_json(data):
     if not isinstance(meta, dict):
         raise NetworkError("provenance must be a JSON object")
     net = Network(data["nodes"], arcs, data["source"], data["sink"], meta=meta)
-    report = validate_network(net)
-    if not report.ok:
-        raise NetworkError("invalid instance: " + "; ".join(report.violations))
-    if "horizon" not in data:
-        return net
-    horizon, gamma = data["horizon"], data.get("gamma", 1)
-    instance = DynamicInstance(net, horizon=horizon, gamma=gamma)
-    dyn_report = validate_dynamic_instance(instance)
-    if not dyn_report.ok:
-        raise NetworkError("invalid instance: " + "; ".join(dyn_report.violations))
+    violations = validate_network(net).violations
+    instance = net
+    if not violations and "horizon" in data:
+        instance = DynamicInstance(net, horizon=data["horizon"], gamma=data.get("gamma", 1))
+        violations = timing_violations(instance)
+    if violations:
+        raise NetworkError("invalid instance: " + "; ".join(violations))
     return instance
 
 

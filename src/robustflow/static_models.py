@@ -45,7 +45,6 @@ from .network import (
     PathCatalog,
     arc_routes,
     enumerate_scenarios,
-    enumerate_subpaths,
     flow_routes,
     reachable,
     route_index,
@@ -60,7 +59,7 @@ class StaticFlow:
     """A flow of one of the three kinds.
 
     ``values`` maps path indices (``path``/``subpath`` kinds, indices into
-    the catalog) or arc ids (``arc`` kind) to rational values.
+    the network's catalog) or arc ids (``arc`` kind) to rational values.
     """
 
     kind: str
@@ -281,22 +280,16 @@ def extract_gamma1_solution(build: ModelBuild, values) -> CompactGamma1Solution:
     return CompactGamma1Solution(y=y, nu=nu, objective=nominal - nu, nominal=nominal)
 
 
-def decompose_gamma1_solution(
-    solution: CompactGamma1Solution,
-    net: Network,
-    catalog: Optional[PathCatalog] = None,
-) -> StaticFlow:
+def decompose_gamma1_solution(solution: CompactGamma1Solution, net: Network) -> StaticFlow:
     """Turn a compact solution into subpath flow; loud error if a decomposed
     piece is not a contiguous segment of any simple source-sink path."""
-    if catalog is None:
-        catalog = enumerate_subpaths(net)
     per_commodity: dict = {}
     for (a, v, w), value in solution.y.items():
         per_commodity.setdefault((v, w), {})[a] = value
     values: dict = {}
     for (v, w), arc_flow in sorted(per_commodity.items()):
         for piece, val in path_decompose(arc_flow, net, v, w):
-            idx = catalog.subpath_id(piece.arcs)
+            idx = net.catalog.subpath_id(piece.arcs)
             if idx is None:
                 raise NetworkError(
                     f"decomposed piece {list(piece.arcs)} is not a subpath of any "
@@ -326,21 +319,14 @@ def _projected_sums(entries, scenarios):
     return projections, sums
 
 
-def evaluate_static(
-    flow: StaticFlow,
-    net: Network,
-    catalog: Optional[PathCatalog],
-    gamma: int,
-) -> RobustReport:
+def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     """LP-free evaluation of a fixed flow.
 
     Checks feasibility (capacity everywhere; robust conservation at every
     interior node where flow starts, which path flow never does) and
     computes the worst case by exhaustive scenario enumeration over all arcs.
     Raises :class:`InfeasibleFlowError` with all violations when the flow is
-    not feasible.  Without a ``catalog`` only the routes of the flow's kind
-    are enumerated: the source-sink paths for a path flow, the subpaths for a
-    subpath flow.
+    not feasible.
 
     A sum over flow-carrying routes only depends on the part of a scenario
     that meets those routes' arcs, so each scenario is projected onto that
@@ -353,7 +339,7 @@ def evaluate_static(
     if flow.kind not in ("arc", "path", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
     # An arc flow is a flow on one-arc routes.
-    routes, known = flow_routes(net, flow.kind, catalog)
+    routes, known = flow_routes(net, flow.kind)
     noun = "arc id" if flow.kind == "arc" else f"{flow.kind} index"
     values = {}
     violations = []
@@ -435,12 +421,7 @@ def evaluate_static(
     )
 
 
-def prune_low_indegree(
-    flow: StaticFlow,
-    net: Network,
-    catalog: PathCatalog,
-    gamma: int,
-) -> StaticFlow:
+def prune_low_indegree(flow: StaticFlow, net: Network, gamma: int) -> StaticFlow:
     """Zero out subpath flow ending at interior nodes of indegree <= gamma.
 
     At such a node the adversary can cut all incoming arcs, so feasibility
@@ -450,24 +431,24 @@ def prune_low_indegree(
     """
     if flow.kind != "subpath":
         raise NetworkError("pruning applies to subpath flow")
-    before = evaluate_static(flow, net, catalog, gamma)
+    before = evaluate_static(flow, net, gamma)
     doomed = set()
     for v in net.nodes:
         if v in (net.source, net.sink):
             continue
         if len(net.in_arcs(v)) <= gamma:
-            for i in catalog.by_start.get(v, ()):
+            for i in net.catalog.by_start.get(v, ()):
                 if rat(flow.values.get(i, 0)) > 0:
                     raise NetworkError(
                         f"feasible flow cannot start at node {v!r} whose indegree "
                         f"{len(net.in_arcs(v))} is within the failure budget"
                     )
-            doomed.update(catalog.by_end.get(v, ()))
+            doomed.update(net.catalog.by_end.get(v, ()))
     pruned = StaticFlow(
         "subpath",
         {i: v for i, v in flow.values.items() if i not in doomed and rat(v) != 0},
     )
-    after = evaluate_static(pruned, net, catalog, gamma)
+    after = evaluate_static(pruned, net, gamma)
     if after.robust_value != before.robust_value:
         raise ModelCheckError("pruning changed the robust value")
     return pruned
@@ -479,7 +460,6 @@ def solve_static(
     gamma: int,
     *,
     maximize_nominal: bool = False,
-    catalog: Optional[PathCatalog] = None,
 ):
     """Build, solve and cross-validate one static model.
 
@@ -524,14 +504,12 @@ def solve_static(
         raise NetworkError(f"gamma must be an integer >= 0, got {gamma!r}")
     if model == "gm1" and gamma != 1:
         raise NetworkError("the compact model is defined for gamma = 1 only")
-    if catalog is None and model in ("pm", "gm", "gm1"):
-        catalog = enumerate_subpaths(net)
     if model == "pm":
-        build = build_pm_lp(net, catalog, gamma)
+        build = build_pm_lp(net, net.catalog, gamma)
     elif model == "am":
         build = build_am_lp(net, gamma)
     elif model == "gm":
-        build = build_gm_lp(net, catalog, gamma)
+        build = build_gm_lp(net, net.catalog, gamma)
     else:
         build = build_gamma1_compact_lp(net)
     zero_cut = None
@@ -543,13 +521,13 @@ def solve_static(
     def extract(values) -> StaticFlow:
         if model == "gm1":
             compact = extract_gamma1_solution(build, values)
-            return decompose_gamma1_solution(compact, net, catalog)
+            return decompose_gamma1_solution(compact, net)
         return StaticFlow(build.kind, nonzero(build.flow_vars, values))
 
     return solve_model(
         build,
         maximize_nominal,
         extract,
-        lambda flow: evaluate_static(flow, net, catalog, gamma),
+        lambda flow: evaluate_static(flow, net, gamma),
         zero_cut,
     )

@@ -1,8 +1,8 @@
-"""Shared fixtures: instance catalog cache and a session-wide solve registry."""
+"""Shared fixtures: a session-wide solve registry."""
 
 import pytest
 
-from robustflow import enumerate_subpaths, solve_dynamic, solve_static
+from robustflow import solve_dynamic, solve_static
 
 # Extra report lines (e.g. the conjecture probe's observed ratios) that the
 # acceptance tests want echoed into the terminal summary.
@@ -44,25 +44,15 @@ class SolveRegistry:
     def __init__(self):
         self.static = {}  # key -> (net, gamma)
         self.dynamic = {}  # key -> instance
-        self._catalogs = {}
         self._static_reports = {}
         self._dynamic_reports = {}
-
-    def catalog_for(self, net):
-        marker = id(net)
-        if marker not in self._catalogs:
-            # Keep the network alive alongside its catalog so the id key
-            # can never be recycled by a later allocation.
-            self._catalogs[marker] = (net, enumerate_subpaths(net))
-        return self._catalogs[marker][1]
 
     def solve_static(self, key, net, model, gamma, *, lex=False):
         self.static.setdefault(key, (net, gamma))
         cache_key = (key, model, gamma, lex)
         if cache_key not in self._static_reports:
-            catalog = self.catalog_for(net) if model != "am" else None
             self._static_reports[cache_key] = solve_static(
-                net, model, gamma, maximize_nominal=lex, catalog=catalog
+                net, model, gamma, maximize_nominal=lex
             )
         return self._static_reports[cache_key]
 
@@ -70,13 +60,8 @@ class SolveRegistry:
         self.dynamic.setdefault(key, inst)
         cache_key = (key, model, lex)
         if cache_key not in self._dynamic_reports:
-            catalog = (
-                self.catalog_for(inst.network)
-                if model not in ("dam", "dam-compact")
-                else None
-            )
             self._dynamic_reports[cache_key] = solve_dynamic(
-                inst, model, maximize_nominal=lex, catalog=catalog
+                inst, model, maximize_nominal=lex
             )
         return self._dynamic_reports[cache_key]
 

@@ -16,7 +16,6 @@ from robustflow import (
     DynamicFlow,
     brute_force_partition,
     embed_static,
-    enumerate_subpaths,
     evaluate_dynamic,
     evaluate_static,
     gen_bottleneck,
@@ -109,8 +108,7 @@ def test_criterion_04_gamma1_compact_lp_matches_integrated_model(registry):
         flow, report = registry.solve_static(key, net, "gm1", 1)
         assert report.robust_value == gm, key
         assert flow.kind == "subpath"
-        catalog = registry.catalog_for(net)
-        again = evaluate_static(flow, net, catalog, 1)
+        again = evaluate_static(flow, net, 1)
         assert again.robust_value == gm, key
 
 

@@ -11,6 +11,7 @@ from robustflow import (
     LexSolution,
     LpSolution,
     dumps,
+    embed_static,
     gen_bottleneck,
     gen_partition,
     gen_random,
@@ -197,6 +198,27 @@ def test_guard_exits_3(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "timed, model, code",
+    [(False, "pm", 0), (False, "gm", 3), (True, "dpm", 0), (True, "tr", 0), (True, "dgm", 3)],
+)
+def test_path_guard_counts_only_the_routes_a_model_reads(tmp_path, capsys, monkeypatch, timed, model, code):
+    # two-hop has 6 source-sink paths and 11 subpaths: a guard of 8 stops only
+    # the models that read subpaths, statically and in the horizon-1 embedding.
+    net = gen_two_hop()
+    inst = tmp_path / "inst.json"
+    inst.write_text(dumps(instance_to_json(embed_static(net, 1) if timed else net)))
+    unguarded = run(capsys, "solve", str(inst), "--model", model)
+    assert unguarded[0] == 0
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_PATHS", "8")
+    got, out, err = run(capsys, "solve", str(inst), "--model", model)
+    assert got == code
+    if code == 0:
+        assert (out, err) == unguarded[1:]
+    else:
+        assert err == "guard exceeded: more than 8 subpaths; raise the guard to proceed\n"
+
+
+@pytest.mark.parametrize(
     "binding, solution, flags",
     [
         ("solve_lp", LpSolution("infeasible", None, ()), []),
@@ -345,8 +367,8 @@ def test_suite_failure_prints_minimized_counterexample(capsys, monkeypatch):
     # a robust value below pm's.
     solve = cli._static_value
 
-    def planted(net, model, gamma, catalog=None, lex=False):
-        report = solve(net, model, gamma, catalog, lex)
+    def planted(net, model, gamma, lex=False):
+        report = solve(net, model, gamma, lex)
         if model == "gm" and len(net.arcs) >= 4:
             return dataclasses.replace(report, robust_value=Fraction(-1))
         return report

@@ -36,12 +36,11 @@ from _oracles import brute_force_evaluate_dynamic, nominal_dynamic_value
 
 @pytest.fixture(scope="module")
 def ti_gap():
-    inst = gen_ti_gap()
-    return inst, enumerate_subpaths(inst.network)
+    return gen_ti_gap()
 
 
 def test_ti_gap_all_models(ti_gap):
-    inst, catalog = ti_gap
+    inst = ti_gap
     assert nominal_dynamic_max_flow(inst)[0] == 3
     for model, expected in (
         ("dpm", 2),
@@ -50,12 +49,12 @@ def test_ti_gap_all_models(ti_gap):
         ("dgm", 2),
         ("tr", rat(3, 2)),
     ):
-        _, report = solve_dynamic(inst, model, catalog=catalog)
+        _, report = solve_dynamic(inst, model)
         assert report.robust_value == expected, model
 
 
 def test_ti_gap_explicit_increasing_flow(ti_gap):
-    inst, catalog = ti_gap
+    inst = ti_gap
     values = {}
     for theta in (1, 2):
         values[("a1", theta)] = rat(1)
@@ -69,7 +68,7 @@ def test_ti_gap_explicit_increasing_flow(ti_gap):
 
 
 def test_path_delay_calculus(ti_gap):
-    inst, _ = ti_gap
+    inst = ti_gap
     net = inst.network
     assert path_delay(net, ("a1", "a2"), ()) == 0
     assert path_delay(net, ("a1", "a2"), ("a2",)) == 2
@@ -96,7 +95,7 @@ def test_nominal_dynamic_matches_oracle():
 
 
 def test_dam_compact_dual_extraction(ti_gap):
-    inst, _ = ti_gap
+    inst = ti_gap
     build = build_dam_compact_lp(inst)
     sol = solve_lp(build.lp)
     assert sol.status == "optimal"
@@ -128,9 +127,8 @@ def test_dynamic_orderings_on_random_instances():
             "dynamic", 5, 8 + seed % 2, max_cap=3, max_tau=2, max_delay=2,
             horizon=4 + seed % 3, gamma=1 + seed % 2, seed=100 + seed,
         )
-        catalog = enumerate_subpaths(inst.network)
         values = {
-            model: solve_dynamic(inst, model, catalog=catalog)[1].robust_value
+            model: solve_dynamic(inst, model)[1].robust_value
             for model in ("dpm", "dam", "dgm", "tr")
         }
         assert values["dgm"] >= values["dpm"]
@@ -139,27 +137,25 @@ def test_dynamic_orderings_on_random_instances():
 
 
 def test_temporally_repeated_flow_shape(ti_gap):
-    inst, catalog = ti_gap
-    flow, report = solve_dynamic(inst, "tr", catalog=catalog)
+    inst = ti_gap
+    flow, report = solve_dynamic(inst, "tr")
     assert flow.kind == "tr"
     assert report.robust_value == rat(3, 2)
     # Keys are bare path indices; the evaluator expands them over departures.
     assert all(isinstance(k, int) for k in flow.values)
-    again = evaluate_dynamic(flow, inst, catalog=catalog)
+    again = evaluate_dynamic(flow, inst)
     assert again.robust_value == report.robust_value
 
 
 def test_embedding_matches_static_models():
     net = gen_two_hop()
-    catalog = enumerate_subpaths(net)
     inst = embed_static(net, 1)
     assert inst.horizon == 1
     assert inst.gamma == 1
     assert all(a.travel_time == 0 and a.delay == 1 for a in inst.network.arcs)
-    dyn_catalog = enumerate_subpaths(inst.network)
     for static_model, dynamic_model in (("pm", "dpm"), ("am", "dam"), ("gm", "dgm")):
-        s = solve_static(net, static_model, 1, catalog=catalog)[1].robust_value
-        d = solve_dynamic(inst, dynamic_model, catalog=dyn_catalog)[1].robust_value
+        s = solve_static(net, static_model, 1)[1].robust_value
+        d = solve_dynamic(inst, dynamic_model)[1].robust_value
         assert s == d, (static_model, dynamic_model)
 
 
@@ -181,7 +177,7 @@ def test_por_dynamic_instances():
 
 
 def test_evaluator_rejects_bad_dynamic_flows(ti_gap):
-    inst, catalog = ti_gap
+    inst = ti_gap
     with pytest.raises(InfeasibleFlowError):
         evaluate_dynamic(DynamicFlow("arc", {("a1", 1): rat(9)}), inst)
     with pytest.raises(InfeasibleFlowError):
@@ -208,18 +204,18 @@ def test_validate_dynamic_instance_errors():
 
 
 def test_lexicographic_dynamic_solve(ti_gap):
-    inst, catalog = ti_gap
-    _, lex = solve_dynamic(inst, "dpm", maximize_nominal=True, catalog=catalog)
-    _, plain = solve_dynamic(inst, "dpm", catalog=catalog)
+    inst = ti_gap
+    _, lex = solve_dynamic(inst, "dpm", maximize_nominal=True)
+    _, plain = solve_dynamic(inst, "dpm")
     assert lex.robust_value == plain.robust_value == 2
     assert lex.nominal_value >= plain.nominal_value
     assert lex.nominal_value == 3
 
 
-def _evaluated_dynamic(flow, inst, catalog):
+def _evaluated_dynamic(flow, inst):
     """The evaluator's result in the oracle's shape: ``(lines, None)`` or ``((), fields)``."""
     try:
-        report = evaluate_dynamic(flow, inst, catalog)
+        report = evaluate_dynamic(flow, inst)
     except InfeasibleFlowError as exc:
         return exc.lines, None
     return (), {f.name: getattr(report, f.name) for f in fields(report)}
@@ -273,7 +269,7 @@ def test_dynamic_evaluator_matches_brute_force_oracle(
     inst = DynamicInstance(Network(net.nodes, arcs, net.source, net.sink), horizon, gamma)
     catalog = enumerate_subpaths(inst.network)
     flows = [nominal_dynamic_max_flow(inst)[1]]
-    flows += [solve_dynamic(inst, model, catalog=catalog)[0] for model in ("dam", "dpm", "dgm", "tr")]
+    flows += [solve_dynamic(inst, model)[0] for model in ("dam", "dpm", "dgm", "tr")]
     # Flow on arbitrary routes, so that conservation and capacity can fail.
     keys = {
         "path": range(len(catalog.st_paths)),
@@ -295,9 +291,7 @@ def test_dynamic_evaluator_matches_brute_force_oracle(
         paths = len(catalog.st_paths)
         flows.append(DynamicFlow("tr", {pick % paths: Fraction(num, den) for pick, num, den in noise}))
     for base in flows:
-        # Path flows are also evaluated without a catalog, over the source-sink paths alone.
-        given_catalog = None if base.kind in ("path", "tr") else catalog
         for flow in _perturbed(base, horizon, noise):
-            assert _evaluated_dynamic(flow, inst, given_catalog) == brute_force_evaluate_dynamic(
+            assert _evaluated_dynamic(flow, inst) == brute_force_evaluate_dynamic(
                 flow, inst, catalog
             ), flow

@@ -6,7 +6,6 @@ from robustflow import (
     NetworkError,
     brute_force_partition,
     enumerate_st_paths,
-    enumerate_subpaths,
     gen_bottleneck,
     gen_fan,
     gen_partition,
@@ -174,8 +173,8 @@ def test_split_capacities_structure_and_value():
     assert by_id["a1:u1"].capacity == 1
     assert by_id["a1:u2"].capacity == 1
     assert len(split.arcs) == 5 + 2 + 2 + 1 + 1 + 1
-    gm_before = solve_static(net, "gm", 1, catalog=enumerate_subpaths(net))[1]
-    gm_after = solve_static(split, "gm", 1, catalog=enumerate_subpaths(split))[1]
+    gm_before = solve_static(net, "gm", 1)[1]
+    gm_after = solve_static(split, "gm", 1)[1]
     assert gm_before.robust_value == gm_after.robust_value == 2
 
 

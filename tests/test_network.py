@@ -4,17 +4,22 @@ import pytest
 
 from robustflow import (
     Arc,
+    DynamicInstance,
     GuardExceeded,
     Network,
     enumerate_scenarios,
     enumerate_st_paths,
     enumerate_subpaths,
     gen_random,
+    gen_ti_gap,
     gen_two_hop,
     rat,
     scenario_count,
+    solve_dynamic,
+    solve_static,
     validate_network,
 )
+from robustflow import network
 
 from _oracles import st_paths as oracle_st_paths
 
@@ -180,3 +185,28 @@ def test_guard_env_override(monkeypatch):
         enumerate_st_paths(gen_two_hop())
     monkeypatch.setenv("ROBUSTFLOW_GUARD_PATHS", "50")
     assert len(enumerate_st_paths(gen_two_hop())) == 6
+
+
+def test_each_network_enumerates_its_routes_once(monkeypatch):
+    calls = []
+    honest = network.enumerate_st_paths
+    monkeypatch.setattr(network, "enumerate_st_paths", lambda net: calls.append(net) or honest(net))
+    net = gen_two_hop()
+    solve_static(net, "pm", 1)
+    solve_static(net, "gm", 1)
+    assert calls == [net]
+    # Re-wrapping one network in a new timed instance keeps its catalog.
+    inst = gen_ti_gap()
+    for model in ("dpm", "dgm"):
+        solve_dynamic(DynamicInstance(inst.network, inst.horizon, inst.gamma), model)
+    assert calls == [net, inst.network]
+
+
+def test_catalog_enumerates_each_route_set_on_first_read():
+    net = gen_two_hop()
+    catalog = net.catalog
+    assert net.catalog is catalog
+    assert "st_paths" not in vars(catalog) and "subpaths" not in vars(catalog)
+    assert len(catalog.st_paths) == 6
+    assert "subpaths" not in vars(catalog)
+    assert len(catalog.subpaths) == 11

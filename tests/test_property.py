@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from robustflow import (
     brute_force_partition,
-    enumerate_subpaths,
     evaluate_static,
     gen_random,
     nominal_max_flow,
@@ -26,9 +25,8 @@ COMMON = dict(deadline=None, max_examples=20)
 def test_integrated_model_dominates_on_random_dags(seed):
     nodes = 5 + seed % 3
     net = gen_random("dag", nodes=nodes, arcs=2 * (nodes - 2) + seed % 3, max_cap=3, seed=seed)
-    catalog = enumerate_subpaths(net)
     values = {
-        model: solve_static(net, model, 1, catalog=catalog)[1].robust_value
+        model: solve_static(net, model, 1)[1].robust_value
         for model in ("pm", "am", "gm")
     }
     nominal = nominal_max_flow(net)[0]
@@ -42,9 +40,8 @@ def test_integrated_model_dominates_on_random_dags(seed):
 def test_robust_value_matches_independent_reevaluation(seed):
     nodes = 5 + seed % 3
     net = gen_random("dag", nodes=nodes, arcs=2 * (nodes - 2) + seed % 2, max_cap=2, seed=seed)
-    catalog = enumerate_subpaths(net)
-    flow, report = solve_static(net, "gm", 1, catalog=catalog)
-    again = evaluate_static(flow, net, catalog, 1)
+    flow, report = solve_static(net, "gm", 1)
+    again = evaluate_static(flow, net, 1)
     assert again.robust_value == report.robust_value
     assert again.nominal_value == report.nominal_value
 

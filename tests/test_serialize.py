@@ -8,7 +8,6 @@ from robustflow import (
     NetworkError,
     compare_to_csv,
     dumps,
-    enumerate_subpaths,
     flow_from_json,
     flow_to_json,
     gen_ti_gap,
@@ -80,9 +79,8 @@ def test_instance_from_json_validates():
 
 def test_static_flow_roundtrip_with_routes():
     net = gen_two_hop()
-    catalog = enumerate_subpaths(net)
-    flow, _ = solve_static(net, "gm", 1, catalog=catalog)
-    data = flow_to_json(flow, catalog)
+    flow, _ = solve_static(net, "gm", 1)
+    data = flow_to_json(flow, net.catalog)
     assert data["kind"] == "subpath"
     assert data["timed"] is False
     assert "routes" in data
@@ -102,9 +100,8 @@ def test_timed_flow_roundtrip():
 
 def test_tr_flow_roundtrip():
     inst = gen_ti_gap()
-    catalog = enumerate_subpaths(inst.network)
-    flow, _ = solve_dynamic(inst, "tr", catalog=catalog)
-    back = flow_from_json(flow_to_json(flow, catalog))
+    flow, _ = solve_dynamic(inst, "tr")
+    back = flow_from_json(flow_to_json(flow, inst.network.catalog))
     assert back.kind == "tr"
     assert dict(back.values) == {k: v for k, v in flow.values.items() if v != 0}
 
@@ -121,20 +118,19 @@ def test_flow_from_json_rejects_duplicates():
 
 def test_report_and_result_json():
     net = gen_two_hop()
-    catalog = enumerate_subpaths(net)
-    flow, report = solve_static(net, "pm", 1, catalog=catalog)
+    flow, report = solve_static(net, "pm", 1)
     rep = report_to_json(report)
     assert rep["robust_value"] == "3/2"
     assert rep["nominal_value"] == 3
     assert rep["worst_loss"] == "3/2"
     assert rep["worst_scenarios"] == [["a1"], ["a2"]]
-    result = result_to_json("pm", 1, flow, report, catalog=catalog)
+    result = result_to_json("pm", 1, flow, report, catalog=net.catalog)
     assert result["model"] == "pm"
     assert result["gamma"] == 1
     assert result["robust_value"] == "3/2"
     assert result["flow"]["kind"] in ("path", "subpath", "arc")
     # Byte-identical when serialized twice.
-    assert dumps(result) == dumps(result_to_json("pm", 1, flow, report, catalog=catalog))
+    assert dumps(result) == dumps(result_to_json("pm", 1, flow, report, catalog=net.catalog))
 
 
 def test_dynamic_report_json():
@@ -148,10 +144,9 @@ def test_dynamic_report_json():
 
 def test_compare_csv():
     net = gen_two_hop()
-    catalog = enumerate_subpaths(net)
     rows = []
     for model in ("pm", "am"):
-        _, report = solve_static(net, model, 1, catalog=catalog)
+        _, report = solve_static(net, model, 1)
         rows.append(
             {
                 "model": model,

@@ -47,22 +47,21 @@ from _oracles import brute_force_evaluate_static, full_family_lp
 
 @pytest.fixture(scope="module")
 def two_hop():
-    net = gen_two_hop()
-    return net, enumerate_subpaths(net)
+    return gen_two_hop()
 
 
 def test_two_hop_all_models(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     expectations = {"pm": rat(3, 2), "am": rat(4, 3), "gm": rat(2), "gm1": rat(2)}
     for model, expected in expectations.items():
-        flow, report = solve_static(net, model, 1, catalog=catalog)
+        flow, report = solve_static(net, model, 1)
         assert report.robust_value == expected, model
     assert nominal_max_flow(net)[0] == 3
 
 
 def test_two_hop_pm_report_details(two_hop):
-    net, catalog = two_hop
-    _, report = solve_static(net, "pm", 1, catalog=catalog)
+    net = two_hop
+    _, report = solve_static(net, "pm", 1)
     assert report.robust_value == rat(3, 2)
     assert report.nominal_value == 3
     assert report.worst_loss == rat(3, 2)
@@ -72,127 +71,123 @@ def test_two_hop_pm_report_details(two_hop):
 
 
 def test_solve_reports_come_from_independent_evaluation(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     for model in ("pm", "am", "gm"):
-        flow, report = solve_static(net, model, 1, catalog=catalog)
-        again = evaluate_static(flow, net, catalog, 1)
+        flow, report = solve_static(net, model, 1)
+        again = evaluate_static(flow, net, 1)
         assert again.robust_value == report.robust_value
         assert again.nominal_value == report.nominal_value
         assert again.worst_scenarios == report.worst_scenarios
 
 
 def test_gamma_zero_is_nominal(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     value = nominal_max_flow(net)[0]
     for model in ("pm", "am", "gm"):
-        _, report = solve_static(net, model, 0, catalog=catalog)
+        _, report = solve_static(net, model, 0)
         assert report.robust_value == value == report.nominal_value
 
 
 def test_large_gamma_kills_everything(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     for model in ("pm", "am", "gm"):
-        _, report = solve_static(net, model, len(net.arcs), catalog=catalog)
+        _, report = solve_static(net, model, len(net.arcs))
         assert report.robust_value == 0
 
 
 def test_fan_spot_check():
     net = gen_fan(2)
-    catalog = enumerate_subpaths(net)
-    assert solve_static(net, "pm", 2, catalog=catalog)[1].robust_value == 1
-    assert solve_static(net, "gm", 2, catalog=catalog)[1].robust_value == 1
+    assert solve_static(net, "pm", 2)[1].robust_value == 1
+    assert solve_static(net, "gm", 2)[1].robust_value == 1
     assert solve_static(net, "am", 2)[1].robust_value == 0
 
 
 def test_bottleneck_spot_check():
     net = gen_bottleneck(1, 3)  # eta = 6
-    catalog = enumerate_subpaths(net)
     assert solve_static(net, "am", 1)[1].robust_value == 5  # eta - gamma
-    assert solve_static(net, "gm", 1, catalog=catalog)[1].robust_value == 5
-    assert solve_static(net, "pm", 1, catalog=catalog)[1].robust_value == 3  # eta / 2
+    assert solve_static(net, "gm", 1)[1].robust_value == 5
+    assert solve_static(net, "pm", 1)[1].robust_value == 3  # eta / 2
 
 
 def test_full_scenario_families_match_restricted():
     for seed in (3, 5):
         net = gen_random("dag", 5, 8, max_cap=3, seed=seed)
-        catalog = enumerate_subpaths(net)
         for gamma in (1, 2):
             for model, restricted in (
-                ("pm", build_pm_lp(net, catalog, gamma)),
+                ("pm", build_pm_lp(net, net.catalog, gamma)),
                 ("am", build_am_lp(net, gamma)),
-                ("gm", build_gm_lp(net, catalog, gamma)),
+                ("gm", build_gm_lp(net, net.catalog, gamma)),
             ):
                 full = solve_lp(full_family_lp(net, model, gamma))
                 assert solve_lp(restricted.lp).objective_value == full.objective_value
 
 
 def test_gamma1_compact_matches_and_decomposes(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     build = build_gamma1_compact_lp(net)
     sol = solve_lp(build.lp)
     assert sol.status == "optimal"
     compact = extract_gamma1_solution(build, sol.values)
     assert compact.objective == 2
-    flow = decompose_gamma1_solution(compact, net, catalog)
+    flow = decompose_gamma1_solution(compact, net)
     assert flow.kind == "subpath"
-    report = evaluate_static(flow, net, catalog, 1)
+    report = evaluate_static(flow, net, 1)
     assert report.robust_value == 2
 
 
 def test_lexicographic_gm_restores_nominal(two_hop):
-    net, catalog = two_hop
-    _, plain = solve_static(net, "gm", 1, catalog=catalog)
-    _, lex = solve_static(net, "gm", 1, maximize_nominal=True, catalog=catalog)
+    net = two_hop
+    _, plain = solve_static(net, "gm", 1)
+    _, lex = solve_static(net, "gm", 1, maximize_nominal=True)
     assert lex.robust_value == plain.robust_value == 2
     assert lex.nominal_value == 3  # the unique robust optimum already ships f*
 
 
 def test_evaluate_rejects_infeasible_flows(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     over_capacity = StaticFlow("path", {0: rat(7, 2)})
     with pytest.raises(InfeasibleFlowError) as err:
-        evaluate_static(over_capacity, net, catalog, 1)
+        evaluate_static(over_capacity, net, 1)
     assert any(v.constraint == "capacity" for v in err.value.violations)
     negative = StaticFlow("path", {0: rat(-1)})
     with pytest.raises(InfeasibleFlowError):
-        evaluate_static(negative, net, catalog, 1)
+        evaluate_static(negative, net, 1)
 
 
 def test_evaluate_rejects_conservation_violation(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     # Arc flow 1 on a1 (s->v) with nothing leaving v violates nothing (excess
     # is allowed to vanish only at interior nodes per robust conservation
     # inflow >= outflow), but outflow without inflow must be rejected.
     bad = StaticFlow("arc", {"a3": rat(1)})
     with pytest.raises(InfeasibleFlowError) as err:
-        evaluate_static(bad, net, None, 1)
+        evaluate_static(bad, net, 1)
     assert any(v.constraint == "conservation" for v in err.value.violations)
 
 
 def test_prune_low_indegree_zeroes_dead_subpaths():
     # Interior node with indegree 1 <= gamma: flow through it is worthless.
     net = gen_fan(1)
-    catalog = enumerate_subpaths(net)
-    flow, report = solve_static(net, "gm", 1, catalog=catalog)
-    pruned = prune_low_indegree(flow, net, catalog, 1)
-    again = evaluate_static(pruned, net, catalog, 1)
+    flow, report = solve_static(net, "gm", 1)
+    pruned = prune_low_indegree(flow, net, 1)
+    again = evaluate_static(pruned, net, 1)
     assert again.robust_value == report.robust_value
-    ends = {catalog.subpaths[idx].end for idx, v in pruned.values.items() if v > 0}
+    ends = {net.catalog.subpaths[idx].end for idx, v in pruned.values.items() if v > 0}
     for v in ends:
         if v not in (net.source, net.sink):
             assert len(net.in_arcs(v)) > 1
 
 
 def test_unknown_model_rejected(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     with pytest.raises(Exception):
-        solve_static(net, "nope", 1, catalog=catalog)
+        solve_static(net, "nope", 1)
 
 
 # -- zero-optimum shortcut: a cut of at most Gamma arcs skips the simplex -------
 
 
-def _solve_both_ways(net, model, gamma, catalog):
+def _solve_both_ways(net, model, gamma):
     """``solve_static`` as it is, and with its ``solve_model`` call given no
     zero cut (the simplex path); returns both results and the cut it had."""
     cuts = []
@@ -201,9 +196,9 @@ def _solve_both_ways(net, model, gamma, catalog):
         cuts.append(zero_cut)
         return model_lp.solve_model(build, maximize_nominal, extract, evaluate)
 
-    shortcut = solve_static(net, model, gamma, catalog=catalog)
+    shortcut = solve_static(net, model, gamma)
     with mock.patch.object(static_models, "solve_model", lp_path):
-        simplex = solve_static(net, model, gamma, catalog=catalog)
+        simplex = solve_static(net, model, gamma)
     return shortcut, simplex, cuts[0]
 
 
@@ -222,8 +217,7 @@ def test_zero_cut_shortcut_matches_the_simplex_path():
     def check(kind, nodes, extra, seed, model, gamma_share):
         net = gen_random(kind, nodes, 2 * (nodes - 2) + extra, max_cap=3, seed=seed)
         gamma = 1 if model == "gm1" else round(gamma_share * len(net.arcs))
-        catalog = enumerate_subpaths(net)
-        shortcut, simplex, zero_cut = _solve_both_ways(net, model, gamma, catalog)
+        shortcut, simplex, zero_cut = _solve_both_ways(net, model, gamma)
         assert (zero_cut is not None) == (len(min_arc_cut(net)) <= gamma)
         if zero_cut is not None:
             assert simplex[1].robust_value == 0
@@ -236,7 +230,7 @@ def test_zero_cut_shortcut_matches_the_simplex_path():
 
 
 def test_lexicographic_solves_take_no_zero_cut(two_hop):
-    net, catalog = two_hop
+    net = two_hop
     cuts = []
     honest = static_models.solve_model
 
@@ -245,8 +239,8 @@ def test_lexicographic_solves_take_no_zero_cut(two_hop):
         return honest(*args)
 
     with mock.patch.object(static_models, "solve_model", spy):
-        solve_static(net, "gm", 2, catalog=catalog)
-        solve_static(net, "gm", 2, maximize_nominal=True, catalog=catalog)
+        solve_static(net, "gm", 2)
+        solve_static(net, "gm", 2, maximize_nominal=True)
     assert [cut is not None for cut in cuts] == [True, False]
 
 
@@ -258,14 +252,14 @@ def test_lexicographic_solves_take_no_zero_cut(two_hop):
     ],
 )
 def test_zero_cut_is_rechecked(two_hop, arcs, budget, message):
-    net, catalog = two_hop
-    build = build_gm_lp(net, catalog, budget)
+    net = two_hop
+    build = build_gm_lp(net, net.catalog, budget)
     with pytest.raises(ModelCheckError, match=re.escape(message)):
         model_lp.solve_model(
             build,
             False,
             lambda values: StaticFlow("subpath", {}),
-            lambda flow: evaluate_static(flow, net, catalog, budget),
+            lambda flow: evaluate_static(flow, net, budget),
             model_lp.ZeroCut(net, budget, arcs),
         )
 
@@ -287,10 +281,10 @@ def test_zero_cut_needs_a_sink_without_outgoing_arcs():
 # -- differential test of the evaluator against the brute-force oracle ---------
 
 
-def _evaluated(flow, net, catalog, gamma):
+def _evaluated(flow, net, gamma):
     """``evaluate_static`` in the oracle's shape: (violation tuples, report fields)."""
     try:
-        report = evaluate_static(flow, net, catalog, gamma)
+        report = evaluate_static(flow, net, gamma)
     except InfeasibleFlowError as exc:
         assert exc.lines == tuple(str(v) for v in exc.violations)
         return tuple((v.constraint, v.where, v.scenario, v.detail) for v in exc.violations), None
@@ -301,7 +295,7 @@ def _candidate_flows(net, catalog, gamma, noise):
     """Path, subpath and arc flows: LP optima, nominal max flow, starved node, noise."""
     flows = []
     for model in ("pm", "am", "gm"):
-        flows.append(solve_static(net, model, gamma, catalog=catalog)[0])
+        flows.append(solve_static(net, model, gamma)[0])
     _, arc_flow, _ = nominal_max_flow(net)
     arc_flow = {a: v for a, v in arc_flow.items() if v != 0}
     flows.append(StaticFlow("arc", arc_flow))
@@ -350,7 +344,7 @@ def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, no
     ]
     catalog = enumerate_subpaths(net)
     for flow in _candidate_flows(net, catalog, gamma, noise):
-        violations, report = _evaluated(flow, net, catalog, gamma)
+        violations, report = _evaluated(flow, net, gamma)
         expected_violations, expected_report = brute_force_evaluate_static(flow, net, catalog, gamma)
         assert violations == expected_violations, flow
         assert report == expected_report, flow
