@@ -407,22 +407,16 @@ def _suite_dynamic_invariants(args) -> list:
         inst = _random_dynamic(seed, nodes, arcs)
         vals = _timed_values(inst)
 
-        def bad(candidate, base=inst):
-            v = _timed_values(DynamicInstance(candidate, base.horizon, base.gamma))
-            return v["dgm"] < v["dpm"] or v["dgm"] < v["dam"] or v["tr"] > v["dpm"]
+        # Each invariant is minimized under its own predicate.
+        for message, broken in (
+            ("dgm below dpm/dam", lambda v: v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]),
+            ("repeated flow beats timed path flow", lambda v: v["tr"] > v["dpm"]),
+        ):
 
-        _check(
-            vals["dgm"] >= vals["dpm"] and vals["dgm"] >= vals["dam"],
-            f"seed {seed}: dgm below dpm/dam: {vals}",
-            inst.network,
-            bad,
-        )
-        _check(
-            vals["tr"] <= vals["dpm"],
-            f"seed {seed}: repeated flow beats timed path flow: {vals}",
-            inst.network,
-            bad,
-        )
+            def bad(candidate, base=inst, broken=broken):
+                return broken(_timed_values(DynamicInstance(candidate, base.horizon, base.gamma)))
+
+            _check(not broken(vals), f"seed {seed}: {message}: {vals}", inst.network, bad)
         lines.append(f"PASS seed {seed} (T={inst.horizon}, gamma={inst.gamma})")
     lines.append(f"PASS dynamic-invariants: dgm>=max(dpm,dam), tr<=dpm ({args.seeds} seeds)")
     return lines

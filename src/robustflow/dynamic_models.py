@@ -15,9 +15,11 @@ by T counts.  Models mirror the static trio plus two extras:
 
 As in the static case, ``dpm`` and ``dam`` are ``dgm`` over whole
 source-sink paths and over single arcs, and ``tr`` is ``dpm`` whose
-departures from one path share one rate column; one builder emits all four.
-Builders prune variables that can never reach the sink in time even without
-delays (``theta + travel + remaining distance > T``) and restrict scenario
+departures from one path share one rate column.  One function writes every
+row of all four; ``dam``'s capacity rows are its rows for the empty scenario
+(a one-arc route has no arc upstream), without a scenario suffix.  Builders
+prune variables that can never reach the sink in time even without delays
+(``theta + travel + remaining distance > T``) and restrict scenario
 families to the positive-delay arcs that can actually shift a constraint;
 both transformations are exact: every restricted row is also a row of the
 full family, and the exhaustive evaluator re-checks each optimum.  Solving
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .lp import LinearProgram
 from .maxflow import nominal_max_flow
@@ -117,10 +119,6 @@ def path_delay(net: Network, arcs, scenario) -> int:
     return sum(net.arc_by_id[a].delay for a in arcs if a in hit)
 
 
-def _travel(net: Network, arcs) -> int:
-    return sum(net.arc_by_id[a].travel_time for a in arcs)
-
-
 def _dist_to_sink(net: Network) -> dict:
     """Nominal shortest travel time from every node to the sink (Dijkstra)."""
     dist = {net.sink: 0}
@@ -149,71 +147,49 @@ def _check_instance(inst: DynamicInstance) -> None:
         raise NetworkError("invalid dynamic instance: " + "; ".join(report.violations))
 
 
-class _Timed:
-    """Shared scaffolding for the timed builders: routes, pruning windows and prefixes.
+def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: str) -> ModelBuild:
+    """The timed subpath model over the routes ``routes()`` returns (key -> Path).
 
-    ``routes`` maps each route's key to its :class:`Path`; the per-route
-    fields are keyed the same way.  ``self.routes`` and its indices keep only
-    the routes with a nonempty departure window.
-    """
+    ``routes`` is called only after the instance is validated, so an invalid
+    instance raises :class:`NetworkError` before any route is enumerated (or
+    guarded).  One column ``x[key,theta]`` per route and departure time inside
+    its window (kind ``tr``: one rate column ``x[key]`` per route, shared by
+    all its departures), and the arrival bound ``w`` as the objective.  It
+    writes four row families, in this order:
 
-    def __init__(self, inst: DynamicInstance, routes: Mapping) -> None:
-        self.T = inst.horizon
-        self.net = net = inst.network
-        self.dist = _dist_to_sink(net)
-        self.tau = {i: _travel(net, p.arcs) for i, p in routes.items()}
-        self.window = {
-            i: max(0, self.T - self.tau[i] - self.dist.get(p.end, self.T + 1))
-            for i, p in routes.items()
-        }
-        self.routes = {i: p for i, p in routes.items() if self.window[i] > 0}
-        self.by_start, self.by_end, self.by_arc = route_index(self.routes)
-        # prefix[i][k] = nominal travel time of route i strictly before arc k
-        self.prefix = {}
-        for i, p in self.routes.items():
-            acc, pre = 0, []
-            for a in p.arcs:
-                pre.append(acc)
-                acc += net.arc_by_id[a].travel_time
-            self.prefix[i] = pre
-
-    def entry_time(self, i, k: int, theta: int, hit) -> int:
-        """Time flow departing at ``theta`` on route i enters its k-th arc,
-        given the delayed-arc set ``hit``."""
-        t = theta + self.prefix[i][k]
-        if hit:
-            path = self.routes[i]
-            for a in path.arcs[:k]:
-                if a in hit:
-                    t += self.net.arc_by_id[a].delay
-        return t
-
-
-def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
-    """The timed subpath model over ``routes`` (key -> Path), without capacity rows.
-
-    One column ``x[key,theta]`` per route and departure time inside its
-    window (kind ``tr``: one rate column ``x[key]`` per route, shared by all
-    its departures), and the arrival bound ``w`` as the objective.  Each
-    scenario over the positive-delay arcs of the routes into the sink bounds
-    ``w`` by their flow that still arrives by T; at each interior node where
-    routes start, each scenario over the positive-delay arcs of the routes
-    ending there keeps the departures at each time within the arrivals then.
-    Returns ``(build, xs, timed, rows)``, where ``xs`` maps ``(key, theta)``
-    to its column; the caller adds the capacity rows.
+    * ``arrive{S}``: each scenario S over the positive-delay arcs of the
+      routes into the sink bounds ``w`` by their flow that still arrives by T;
+    * ``cons[v,theta]{S}``: at each interior node v where routes start, each
+      scenario S over the positive-delay arcs of the routes ending there keeps
+      the departures at each time within the arrivals then;
+    * ``cap[a,theta]{S}``: for each arc a and each scenario S over the
+      positive-delay arcs strictly upstream of a on the routes through it, the
+      departures that occupy a at each time step by T stay within its capacity;
+    * ``cap[a,theta]`` for kind ``arc``: one-arc routes have nothing upstream,
+      so the only capacity scenario is ``()``, and its rows carry no suffix.
 
     Routes whose window is empty carry no column and are left out of the
     scenario universes.  With them in, a scenario would only yield the row of
     its restriction to the arcs of routes with departures, which comes
     earlier in (size, arc order), and :class:`Rows` would drop the repeat.
     """
+    _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
-    timed = _Timed(inst, routes)
-    by_start, by_end = timed.by_start, timed.by_end
+    dist = _dist_to_sink(net)
+    # Per route with departures: its arc walk ((arc, travel time, delay), ...)
+    # and its departure window 1..window.
+    kept, walk, window = {}, {}, {}
+    for i, route in routes().items():
+        steps = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
+        travel = sum(t for _, t, _ in steps)
+        last = T - travel - dist.get(route.end, T + 1)
+        if last > 0:
+            kept[i], walk[i], window[i] = route, steps, last
+    by_start, by_end, by_arc = route_index(kept)
     lp = LinearProgram("max")
     xs: dict = {}
-    for i in timed.routes:
-        for theta in range(1, timed.window[i] + 1):
+    for i in kept:
+        for theta in range(1, window[i] + 1):
             if kind != "tr":
                 xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
             else:
@@ -224,16 +200,16 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
 
     def scenarios(ending):
         """Each scenario over the positive-delay arcs of the routes ``ending``."""
-        universe = _positive_delay_ids(net, arcs_on(net, (routes[i] for i in ending)))
+        universe = _positive_delay_ids(net, arcs_on(net, (kept[i] for i in ending)))
         for scenario in enumerate_scenarios(universe, gamma):
             hit = set(scenario)
-            yield scenario, {i: timed.tau[i] + path_delay(net, routes[i].arcs, hit) for i in ending}
+            yield scenario, {i: sum(t + d if a in hit else t for a, t, d in walk[i]) for i in ending}
 
     enders = by_end.get(net.sink, ())
     for scenario, shift in scenarios(enders):
         coeffs = {w: 1}
         for i in enders:
-            for theta in range(1, min(timed.window[i], T - shift[i]) + 1):
+            for theta in range(1, min(window[i], T - shift[i]) + 1):
                 col = xs[(i, theta)]
                 coeffs[col] = coeffs.get(col, 0) - 1
         rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
@@ -252,82 +228,52 @@ def _timed_route_lp(inst: DynamicInstance, routes: Mapping, kind: str):
                     if key in xs:
                         coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
                 rows.add(coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}")
+    for arc in net.arcs:
+        through = by_arc.get(arc.id, ())
+        if not through:
+            continue
+        # The steps each route through the arc takes before it.
+        before = {i: walk[i][: kept[i].arcs.index(arc.id)] for i in through}
+        upstream = {a for steps in before.values() for a, _, _ in steps}
+        for scenario in enumerate_scenarios(_positive_delay_ids(net, upstream), gamma):
+            hit = set(scenario)
+            by_theta: dict = {}
+            for i, steps in before.items():
+                # Flow departing at 0 on route i enters the arc at ``offset``.
+                offset = sum(t + d if a in hit else t for a, t, d in steps)
+                for dep in range(1, min(window[i], T - offset) + 1):
+                    by_theta.setdefault(dep + offset, []).append(xs[(i, dep)])
+            label = "" if kind == "arc" else scenario_label(scenario)
+            for theta in sorted(by_theta):
+                coeffs = dict.fromkeys(by_theta[theta], 1)
+                rows.add(coeffs, "<=", arc.capacity, f"cap[{arc.id},{theta}]{label}")
     sink_set = set(enders)
     nominal: dict = {}
     for (i, _), col in xs.items():
         if i in sink_set:
             nominal[col] = nominal.get(col, 0) + 1
     flow_vars = {i: col for (i, theta), col in xs.items() if theta == 1} if kind == "tr" else xs
-    build = ModelBuild(lp, kind, flow_vars, w, nominal_coeffs=nominal)
-    return build, xs, timed, rows
+    return ModelBuild(lp, kind, flow_vars, w, nominal_coeffs=nominal)
 
 
 def build_dpm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed path flow against worst-case delays: timed subpaths that are whole paths."""
-    return _timed_path_lp(inst, catalog, "path")
+    return _timed_route_lp(inst, lambda: dict(enumerate(catalog.st_paths)), "path")
 
 
 def build_dgm_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Timed subpath flow: flow may be re-declared at interior nodes."""
-    return _timed_path_lp(inst, catalog, "subpath")
+    return _timed_route_lp(inst, lambda: dict(enumerate(catalog.subpaths)), "subpath")
 
 
 def build_tr_lp(inst: DynamicInstance, catalog: PathCatalog) -> ModelBuild:
     """Temporally repeated flow: ``dpm`` with one rate per path, shipped every slot."""
-    return _timed_path_lp(inst, catalog, "tr")
-
-
-def _timed_path_lp(inst: DynamicInstance, catalog: PathCatalog, kind: str) -> ModelBuild:
-    """The timed model over the subpaths (kind ``subpath``) or the source-sink paths."""
-    _check_instance(inst)
-    routes = catalog.subpaths if kind == "subpath" else catalog.st_paths
-    build, xs, timed, rows = _timed_route_lp(inst, dict(enumerate(routes)), kind)
-    _timed_capacity_rows(rows, timed, xs, inst.gamma)
-    return build
+    return _timed_route_lp(inst, lambda: dict(enumerate(catalog.st_paths)), "tr")
 
 
 def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
-    """Timed arc flow with robust conservation: timed subpaths of one arc.
-
-    Its capacity rows carry no scenario: an arc's entry time is its own.
-    """
-    _check_instance(inst)
-    build, xs, _, rows = _timed_route_lp(inst, arc_routes(inst.network), "arc")
-    for (a, theta), col in xs.items():
-        rows.add({col: 1}, "<=", inst.network.arc_by_id[a].capacity, f"cap[{a},{theta}]")
-    return build
-
-
-def _timed_capacity_rows(rows, timed, xs, gamma) -> None:
-    """Capacity rows for the timed path-like builders.
-
-    For each arc with routes through it, and each scenario over the
-    positive-delay arcs that sit strictly upstream on some of those routes,
-    tally which departures occupy the arc at each time step by T.
-    """
-    net = timed.net
-    for arc in net.arcs:
-        routes = timed.by_arc.get(arc.id, ())
-        if not routes:
-            continue
-        positions = {i: timed.routes[i].arcs.index(arc.id) for i in routes}
-        upstream = {a for i, k in positions.items() for a in timed.routes[i].arcs[:k]}
-        for scenario in enumerate_scenarios(_positive_delay_ids(net, upstream), gamma):
-            hit = set(scenario)
-            by_theta: dict = {}
-            for i, k in positions.items():
-                # Flow departing at 0 on route i enters the arc at ``offset``.
-                offset = timed.entry_time(i, k, 0, hit)
-                for dep in range(1, min(timed.window[i], timed.T - offset) + 1):
-                    by_theta.setdefault(dep + offset, []).append((i, dep))
-            for theta in sorted(by_theta):
-                coeffs = {xs[(i, dep)]: 1 for i, dep in by_theta[theta]}
-                rows.add(
-                    coeffs,
-                    "<=",
-                    arc.capacity,
-                    f"cap[{arc.id},{theta}]{scenario_label(scenario)}",
-                )
+    """Timed arc flow with robust conservation: timed subpaths of one arc."""
+    return _timed_route_lp(inst, lambda: arc_routes(inst.network), "arc")
 
 
 def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:

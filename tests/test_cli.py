@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from robustflow import (
+    DynamicInstance,
     LexSolution,
     LpSolution,
     dumps,
@@ -218,6 +219,18 @@ def test_path_guard_counts_only_the_routes_a_model_reads(tmp_path, capsys, monke
         assert err == "guard exceeded: more than 8 subpaths; raise the guard to proceed\n"
 
 
+@pytest.mark.parametrize("model", ["dpm", "dgm", "tr", "dam", "dam-compact"])
+def test_invalid_timed_instance_is_rejected_before_routes_are_read(tmp_path, capsys, monkeypatch, model):
+    # A guard of 1 path stops any route enumeration, so an invalid horizon
+    # must be reported (exit 2) before a builder reads a route (exit 3).
+    inst = tmp_path / "ti-gap.json"
+    run(capsys, "generate", "ti-gap", "-o", str(inst))
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_PATHS", "1")
+    code, _, err = run(capsys, "solve", str(inst), "--model", model, "--horizon", "0")
+    assert code == 2
+    assert err == "error: invalid dynamic instance: horizon must be an integer >= 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "binding, solution, flags",
     [
@@ -387,6 +400,33 @@ def test_suite_failure_prints_minimized_counterexample(capsys, monkeypatch):
     original = gen_random("dag", 6, 10, max_cap=4, seed=0)
     assert 4 <= len(small.arcs) < len(original.arcs)
     assert still_fails(small)
+
+
+def test_dynamic_suite_minimizes_each_invariant_under_its_own_predicate(capsys, monkeypatch):
+    # Two planted broken invariants: dgm reports -1 on networks with at least
+    # 5 arcs, and tr always beats dpm.  dgm's is reported first, so its
+    # minimized counterexample must still put dgm below dpm/dam; minimizing
+    # under tr's invariant too would shrink it below 5 arcs.
+    values = cli._timed_values
+
+    def planted(inst):
+        v = values(inst)
+        if len(inst.network.arcs) >= 5:
+            v["dgm"] = Fraction(-1)
+        v["tr"] = v["dpm"] + 1
+        return v
+
+    monkeypatch.setattr(cli, "_timed_values", planted)
+    code, out, _ = run(capsys, "suite", "dynamic-invariants", "--seeds", "1")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0].startswith("FAIL dynamic-invariants: seed 0: dgm below dpm/dam: ")
+    assert lines[1] == "minimized counterexample:"
+    small = instance_from_json(json.loads("\n".join(lines[2:])))
+    original = cli._random_dynamic(0, 5, 7)
+    assert 5 <= len(small.arcs) < len(original.network.arcs)
+    v = planted(DynamicInstance(small, original.horizon, original.gamma))
+    assert v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]
 
 
 def test_suite_partition_roundtrip_reports_refutation(capsys):
