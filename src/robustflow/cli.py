@@ -2,11 +2,12 @@
 
 Subcommands:
 
-* ``generate`` — write an instance from one of the built-in families.
+* ``generate`` — write an instance from one of the ``FAMILIES``.
 * ``solve``    — solve one model on an instance; JSON or CSV output.
 * ``compare``  — solve several models and tabulate them side by side.
 * ``evaluate`` — check a flow file against an instance, LP-free.
-* ``suite``    — run an invariant suite or the conjecture probe.
+* ``suite``    — run one of the ``SUITES``; each check states its invariant once,
+  as a predicate, and a failure prints a counterexample minimized under it.
 
 Exit codes: 0 success, 2 parameter/domain error, 3 enumeration guard
 exceeded, 4 invariant violation (including infeasible flows).  All outputs
@@ -26,6 +27,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import random
 import sys
 import time
 
@@ -38,6 +40,7 @@ from .dynamic_models import (
     solve_dynamic,
 )
 from .instances import (
+    RANDOM_KINDS,
     brute_force_partition,
     gen_bottleneck,
     gen_fan,
@@ -69,14 +72,6 @@ from .static_models import (
     solve_static,
 )
 
-SUITES = (
-    "static-invariants",
-    "dynamic-invariants",
-    "embedding",
-    "oracle-equivalence",
-    "partition-roundtrip",
-    "conjecture-probe",
-)
 MODEL_CHOICES = STATIC_MODELS + DYNAMIC_MODELS
 
 
@@ -98,43 +93,38 @@ def _read_json(path: str):
         raise NetworkError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _alpha(args):
+    if args.alpha is None:
+        raise NetworkError(f"{args.family} needs --alpha")
+    return rat(args.alpha)
+
+
+def _partition(args):
+    if not args.b:
+        raise NetworkError("partition needs --b values")
+    return gen_partition(tuple(args.b), extra_budget=args.extra_budget)
+
+
+def _random(kind: str, args):
+    names = ("nodes", "arcs", "max_cap", "max_tau", "max_delay", "horizon", "gamma", "seed")
+    return gen_random(kind, **{name: getattr(args, name) for name in names})
+
+
+# Family name -> the instance it builds from the parsed ``generate`` options.
+FAMILIES = {
+    "two-hop": lambda args: gen_two_hop(),
+    "fan": lambda args: gen_fan(args.gamma),
+    "bottleneck": lambda args: gen_bottleneck(args.gamma, args.beta),
+    "por-static": lambda args: gen_por_static(args.gamma, _alpha(args))[1 if args.scaled else 0],
+    "por-dynamic": lambda args: gen_por_dynamic(args.gamma, _alpha(args))[1],
+    "partition": _partition,
+    "ti-gap": lambda args: gen_ti_gap(),
+    **{f"random-{kind}": functools.partial(_random, kind) for kind in RANDOM_KINDS},
+}
+
+
 def cmd_generate(args) -> int:
-    family = args.family
-    if family == "two-hop":
-        instance = gen_two_hop()
-    elif family == "fan":
-        instance = gen_fan(args.gamma)
-    elif family == "bottleneck":
-        instance = gen_bottleneck(args.gamma, args.beta)
-    elif family == "por-static":
-        if args.alpha is None:
-            raise NetworkError("por-static needs --alpha")
-        net, scaled, _ = gen_por_static(args.gamma, rat(args.alpha))
-        instance = scaled if args.scaled else net
-    elif family == "por-dynamic":
-        if args.alpha is None:
-            raise NetworkError("por-dynamic needs --alpha")
-        _, instance, _ = gen_por_dynamic(args.gamma, rat(args.alpha))
-    elif family == "partition":
-        if not args.b:
-            raise NetworkError("partition needs --b values")
-        instance = gen_partition(tuple(args.b), extra_budget=args.extra_budget)
-    elif family == "ti-gap":
-        instance = gen_ti_gap()
-    elif family.startswith("random-"):
-        instance = gen_random(
-            family.removeprefix("random-"),
-            nodes=args.nodes,
-            arcs=args.arcs,
-            max_cap=args.max_cap,
-            max_tau=args.max_tau,
-            max_delay=args.max_delay,
-            horizon=args.horizon or 4,
-            gamma=args.gamma,
-            seed=args.seed,
-        )
-    else:
-        raise NetworkError(f"unknown family {family!r}")
+    instance = FAMILIES[args.family](args)
     if args.split:
         if isinstance(instance, DynamicInstance):
             raise NetworkError("--split applies to static instances only")
@@ -143,23 +133,34 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _overridden(instance, gamma, horizon):
+    """The loaded instance with ``--gamma``/``--horizon`` applied, and its budget.
+
+    A dynamic instance keeps its own horizon and budget where an option is
+    absent; a static instance has neither, and its budget defaults to 1.
+    """
+    if isinstance(instance, DynamicInstance):
+        instance = DynamicInstance(
+            instance.network,
+            instance.horizon if horizon is None else horizon,
+            instance.gamma if gamma is None else gamma,
+        )
+        return instance, instance.gamma
+    return instance, 1 if gamma is None else gamma
+
+
 def _solve_any(instance, model: str, gamma, horizon, lex: bool):
     """Solve one model on a loaded instance; returns (flow, report, meta)."""
-    if model in STATIC_MODELS:
-        if isinstance(instance, DynamicInstance):
-            raise NetworkError(f"model {model!r} needs a static instance")
-        g = 1 if gamma is None else gamma
-        flow, report = solve_static(instance, model, g, maximize_nominal=lex)
-        return flow, report, {"gamma": g, "horizon": None}
-    if not isinstance(instance, DynamicInstance):
-        raise NetworkError(f"model {model!r} needs a dynamic instance (horizon field)")
-    inst = DynamicInstance(
-        instance.network,
-        horizon if horizon is not None else instance.horizon,
-        gamma if gamma is not None else instance.gamma,
-    )
-    flow, report = solve_dynamic(inst, model, maximize_nominal=lex)
-    return flow, report, {"gamma": inst.gamma, "horizon": inst.horizon}
+    dynamic = isinstance(instance, DynamicInstance)
+    if (model in STATIC_MODELS) == dynamic:
+        need = "a static instance" if dynamic else "a dynamic instance (horizon field)"
+        raise NetworkError(f"model {model!r} needs {need}")
+    inst, g = _overridden(instance, gamma, horizon)
+    if dynamic:
+        flow, report = solve_dynamic(inst, model, maximize_nominal=lex)
+        return flow, report, {"gamma": g, "horizon": inst.horizon}
+    flow, report = solve_static(inst, model, g, maximize_nominal=lex)
+    return flow, report, {"gamma": g, "horizon": None}
 
 
 def _csv_row(model: str, report, wall_ms: float) -> dict:
@@ -236,15 +237,11 @@ def cmd_evaluate(args) -> int:
         raise NetworkError("the instance is static but the flow file is timed")
     if args.kind is not None and args.kind != flow.kind:
         raise NetworkError(f"flow kind {flow.kind!r} does not match {args.kind!r}")
-    if isinstance(instance, DynamicInstance):
-        inst = DynamicInstance(
-            instance.network,
-            args.horizon if args.horizon is not None else instance.horizon,
-            args.gamma if args.gamma is not None else instance.gamma,
-        )
+    inst, gamma = _overridden(instance, args.gamma, args.horizon)
+    if isinstance(inst, DynamicInstance):
         report = evaluate_dynamic(flow, inst)
     else:
-        report = evaluate_static(flow, instance, 1 if args.gamma is None else args.gamma)
+        report = evaluate_static(flow, inst, gamma)
     data = {"feasible": True}
     data.update(report_to_json(report))
     _write(dumps(data), args.out)
@@ -268,35 +265,36 @@ def _drop_arc(net: Network, arc_id):
 
 def _minimize(net: Network, violated) -> Network:
     """Greedily drop arcs while the violation persists."""
-    current = net
-    progress = True
-    while progress:
-        progress = False
-        for arc in list(current.arcs):
-            candidate = _drop_arc(current, arc.id)
-            if candidate is None:
-                continue
+    while True:
+        for arc in net.arcs:
+            candidate = _drop_arc(net, arc.id)
             try:
-                still_bad = violated(candidate)
+                if candidate is not None and violated(candidate):
+                    net = candidate
+                    break
             except (NetworkError, GuardExceeded):
                 continue
-            if still_bad:
-                current = candidate
-                progress = True
-                break
-    return current
+        else:
+            return net
 
 
 class _SuiteFailure(Exception):
-    def __init__(self, message: str, net=None, violated=None):
+    def __init__(self, message: str, counterexample=None):
         super().__init__(message)
-        self.net = net
-        self.violated = violated
+        self.counterexample = counterexample
 
 
-def _check(ok: bool, message: str, net=None, violated=None) -> None:
-    if not ok:
-        raise _SuiteFailure(message, net=net, violated=violated)
+def _check(vals, broken, message: str, net, values) -> None:
+    """Fail when ``broken(vals)``, with ``net`` minimized under that same predicate.
+
+    ``values(candidate)`` recomputes ``vals`` on a network with fewer arcs.
+    """
+    if broken(vals):
+        raise _SuiteFailure(message, _minimize(net, lambda candidate: broken(values(candidate))))
+
+
+def _differ(pair) -> bool:
+    return pair[0] != pair[1]
 
 
 def _parse_sizes(text: str):
@@ -316,62 +314,51 @@ def _trio(net, gamma) -> dict:
     return {m: _static_value(net, m, gamma).robust_value for m in ("pm", "am", "gm")}
 
 
+def _lex_nominal(net) -> tuple:
+    """The nominal value of a lexicographic gm solve at budget 1, and the nominal maximum."""
+    return _static_value(net, "gm", 1, lex=True).nominal_value, nominal_max_flow(net)[0]
+
+
 def _suite_static_invariants(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "6,10")
     lines = []
     for seed in range(args.seeds):
         net = gen_random("dag", nodes, arcs, max_cap=4, seed=seed)
-        nominal, _, _ = nominal_max_flow(net)
         for gamma in (1, 2):
             vals = _trio(net, gamma)
-
-            def bad_order(candidate, g=gamma):
-                v = _trio(candidate, g)
-                return v["gm"] < v["pm"] or v["gm"] < v["am"]
-
             _check(
-                vals["gm"] >= vals["pm"] and vals["gm"] >= vals["am"],
+                vals,
+                lambda v: v["gm"] < v["pm"] or v["gm"] < v["am"],
                 f"seed {seed} gamma {gamma}: gm below pm/am: {vals}",
                 net,
-                bad_order,
+                lambda candidate: _trio(candidate, gamma),
             )
             if gamma == 1:
-                def bad_factor(candidate):
-                    v = _trio(candidate, 1)
-                    return v["gm"] > 2 * v["pm"] or v["am"] > 2 * v["pm"]
-
                 _check(
-                    vals["gm"] <= 2 * vals["pm"] and vals["am"] <= 2 * vals["pm"],
+                    vals,
+                    lambda v: v["gm"] > 2 * v["pm"] or v["am"] > 2 * v["pm"],
                     f"seed {seed}: budget-1 factor-2 bound broken: {vals}",
                     net,
-                    bad_factor,
+                    lambda candidate: _trio(candidate, 1),
                 )
-
-                def bad_compact(candidate):
-                    return (
-                        _static_value(candidate, "gm1", 1).robust_value
-                        != _static_value(candidate, "gm", 1).robust_value
-                    )
-
-                compact = _static_value(net, "gm1", 1).robust_value
+                compact = (_static_value(net, "gm1", 1).robust_value, vals["gm"])
                 _check(
-                    compact == vals["gm"],
-                    f"seed {seed}: compact budget-1 model diverges: {compact} vs {vals['gm']}",
+                    compact,
+                    _differ,
+                    f"seed {seed}: compact budget-1 model diverges: {compact[0]} vs {compact[1]}",
                     net,
-                    bad_compact,
+                    lambda candidate: (
+                        _static_value(candidate, "gm1", 1).robust_value,
+                        _static_value(candidate, "gm", 1).robust_value,
+                    ),
                 )
-
-                def bad_lex(candidate):
-                    best = nominal_max_flow(candidate)[0]
-                    rep = _static_value(candidate, "gm", 1, lex=True)
-                    return rep.nominal_value != best
-
-                lex_report = _static_value(net, "gm", 1, lex=True)
+                lex = _lex_nominal(net)
                 _check(
-                    lex_report.nominal_value == nominal,
-                    f"seed {seed}: lexicographic gm nominal {lex_report.nominal_value} != {nominal}",
+                    lex,
+                    _differ,
+                    f"seed {seed}: lexicographic gm nominal {lex[0]} != {lex[1]}",
                     net,
-                    bad_lex,
+                    _lex_nominal,
                 )
         lines.append(f"PASS seed {seed} ({nodes} nodes, {arcs} arcs)")
     lines.append(
@@ -405,18 +392,16 @@ def _suite_dynamic_invariants(args) -> list:
     lines = []
     for seed in range(args.seeds):
         inst = _random_dynamic(seed, nodes, arcs)
-        vals = _timed_values(inst)
 
-        # Each invariant is minimized under its own predicate.
+        def timed(candidate):
+            return _timed_values(DynamicInstance(candidate, inst.horizon, inst.gamma))
+
+        vals = _timed_values(inst)
         for message, broken in (
             ("dgm below dpm/dam", lambda v: v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]),
             ("repeated flow beats timed path flow", lambda v: v["tr"] > v["dpm"]),
         ):
-
-            def bad(candidate, base=inst, broken=broken):
-                return broken(_timed_values(DynamicInstance(candidate, base.horizon, base.gamma)))
-
-            _check(not broken(vals), f"seed {seed}: {message}: {vals}", inst.network, bad)
+            _check(vals, broken, f"seed {seed}: {message}: {vals}", inst.network, timed)
         lines.append(f"PASS seed {seed} (T={inst.horizon}, gamma={inst.gamma})")
     lines.append(f"PASS dynamic-invariants: dgm>=max(dpm,dam), tr<=dpm ({args.seeds} seeds)")
     return lines
@@ -431,20 +416,21 @@ def _suite_embedding(args) -> list:
     pairs = (("pm", "dpm"), ("am", "dam"), ("gm", "dgm"))
     lines = []
     for label, net, gamma in cases:
-        inst = embed_static(net, gamma)
         for s_model, d_model in pairs:
-            s_val = _static_value(net, s_model, gamma).robust_value
-            _, d_report = solve_dynamic(inst, d_model)
 
-            def bad(candidate, sm=s_model, dm=d_model, g=gamma):
-                _, rep = solve_dynamic(embed_static(candidate, g), dm)
-                return _static_value(candidate, sm, g).robust_value != rep.robust_value
+            def embedded(candidate):
+                return (
+                    _static_value(candidate, s_model, gamma).robust_value,
+                    solve_dynamic(embed_static(candidate, gamma), d_model)[1].robust_value,
+                )
 
+            vals = embedded(net)
             _check(
-                s_val == d_report.robust_value,
-                f"{label}: {s_model}={s_val} but embedded {d_model}={d_report.robust_value}",
+                vals,
+                _differ,
+                f"{label}: {s_model}={vals[0]} but embedded {d_model}={vals[1]}",
                 net,
-                bad,
+                embedded,
             )
         lines.append(f"PASS {label}: static trio equals embedded dynamic trio")
     lines.append("PASS embedding: horizon-1 embedding preserves all three optima")
@@ -456,56 +442,40 @@ def _suite_oracle_equivalence(args) -> list:
     lines = []
     for seed in range(args.seeds):
         inst = _random_dynamic(seed, nodes, arcs)
-        _, direct = solve_dynamic(inst, "dam")
-        _, compact = solve_dynamic(inst, "dam-compact")
 
-        def bad(candidate, base=inst):
-            probe = DynamicInstance(candidate, base.horizon, base.gamma)
-            _, a = solve_dynamic(probe, "dam")
-            _, b = solve_dynamic(probe, "dam-compact")
-            return a.robust_value != b.robust_value
+        def dams(candidate):
+            probe = DynamicInstance(candidate, inst.horizon, inst.gamma)
+            return tuple(solve_dynamic(probe, m)[1].robust_value for m in ("dam", "dam-compact"))
 
+        vals = dams(inst.network)
         _check(
-            direct.robust_value == compact.robust_value,
-            f"seed {seed}: dam={direct.robust_value} dam-compact={compact.robust_value}",
-            inst.network,
-            bad,
+            vals, _differ, f"seed {seed}: dam={vals[0]} dam-compact={vals[1]}", inst.network, dams
         )
-        lines.append(f"PASS seed {seed}: dam == dam-compact == {direct.robust_value}")
+        lines.append(f"PASS seed {seed}: dam == dam-compact == {vals[0]}")
     lines.append(f"PASS oracle-equivalence: compact reformulation matches dam ({args.seeds} seeds)")
     return lines
 
 
 def _suite_partition_roundtrip(args) -> list:
-    import random as _random
-
-    lines = []
     cases = partition_multisets(3, 3)
     target = len(cases) + args.seeds
-    rng = _random.Random(20260817)
+    rng = random.Random(20260817)
     while len(cases) < target:
         n = rng.randint(1, 3)
         b = tuple(sorted(rng.randint(1, 3) for _ in range(n)))
         if sum(b) % 2 == 0:
             cases.append(b)
-    mismatches = []
+    lines, mismatches = [], []
     for b in cases:
-        expected = brute_force_partition(b)
-        inst = gen_partition(b)
-        _, report = solve_dynamic(inst, "dpm")
-        got = report.robust_value > 0
-        if got == expected:
-            lines.append(f"PASS b={b}: dpm>0 is {got}, matching brute force")
+        value = solve_dynamic(gen_partition(b), "dpm")[1].robust_value
+        if (value > 0) == brute_force_partition(b):
+            lines.append(f"PASS b={b}: dpm>0 is {value > 0}, matching brute force")
         else:
-            mismatches.append((b, report.robust_value, expected))
-            lines.append(
-                f"MISMATCH b={b}: dpm={report.robust_value} but subset-sum says {expected}"
-            )
+            mismatches.append(f"b={b} (dpm={value})")
     if mismatches:
-        detail = ", ".join(f"b={b} (dpm={v})" for b, v, _ in mismatches)
         raise _SuiteFailure(
-            f"{len(mismatches)} of {len(cases)} multisets break the subset-sum "
-            f"equivalence: {detail}. These are no-instances whose deadline-feasible "
+            f"{len(mismatches)} of {len(cases)} multisets break the subset-sum equivalence: "
+            f"{', '.join(mismatches)}. These are no-instances whose deadline-feasible "
             "paths pairwise overlap yet share no single arc, so a budget-1 delay "
             "cannot stop all of them and the robust optimum is positive; the "
             "equivalence only holds when positivity forces two arc-disjoint paths."
@@ -546,23 +516,27 @@ def _suite_conjecture_probe(args) -> list:
     return lines
 
 
+# Suite name -> its runner, which returns the PASS lines or raises _SuiteFailure.
+SUITES = {
+    "static-invariants": _suite_static_invariants,
+    "dynamic-invariants": _suite_dynamic_invariants,
+    "embedding": _suite_embedding,
+    "oracle-equivalence": _suite_oracle_equivalence,
+    "partition-roundtrip": _suite_partition_roundtrip,
+    "conjecture-probe": _suite_conjecture_probe,
+}
+
+
 def cmd_suite(args) -> int:
-    runner = {
-        "static-invariants": _suite_static_invariants,
-        "dynamic-invariants": _suite_dynamic_invariants,
-        "embedding": _suite_embedding,
-        "oracle-equivalence": _suite_oracle_equivalence,
-        "partition-roundtrip": _suite_partition_roundtrip,
-        "conjecture-probe": _suite_conjecture_probe,
-    }[args.name]
+    if args.seeds < 0:
+        raise NetworkError(f"--seeds must be >= 0, got {args.seeds}")
     try:
-        lines = runner(args)
+        lines = SUITES[args.name](args)
     except _SuiteFailure as failure:
         print(f"FAIL {args.name}: {failure}")
-        if failure.net is not None and failure.violated is not None:
-            small = _minimize(failure.net, failure.violated)
+        if failure.counterexample is not None:
             print("minimized counterexample:")
-            print(dumps(instance_to_json(small)), end="")
+            print(dumps(instance_to_json(failure.counterexample)), end="")
         return 4
     for line in lines:
         print(line)
@@ -579,21 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write an instance from a built-in family")
-    gen.add_argument(
-        "family",
-        choices=[
-            "two-hop",
-            "fan",
-            "bottleneck",
-            "por-static",
-            "por-dynamic",
-            "partition",
-            "ti-gap",
-            "random-dag",
-            "random-general",
-            "random-dynamic",
-        ],
-    )
+    gen.add_argument("family", choices=FAMILIES)
     gen.add_argument("--gamma", type=int, default=1, help="attack budget (default 1)")
     gen.add_argument("--beta", type=int, default=1, help="bottleneck width factor")
     gen.add_argument("--alpha", help="target price-of-robustness ratio, e.g. 6/5")
@@ -605,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--max-cap", type=int, default=4)
     gen.add_argument("--max-tau", type=int, default=2)
     gen.add_argument("--max-delay", type=int, default=2)
-    gen.add_argument("--horizon", type=int, default=None)
+    gen.add_argument("--horizon", type=int, default=4)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--split", action="store_true", help="apply the capacity-splitting transform")
     gen.add_argument("-o", "--out", help="output path (default stdout)")

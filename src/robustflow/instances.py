@@ -14,7 +14,7 @@ import math
 import random
 from typing import Sequence
 
-from .dynamic_models import DynamicInstance
+from .dynamic_models import DynamicInstance, timing_violations
 from .network import Arc, Network, NetworkError, validate_network
 from .rational import ONE, rat
 
@@ -347,7 +347,8 @@ def gen_random(
     from an earlier node and sends one to a later node, so every node lies
     on a source-sink route and the source/sink have no reverse arcs.  The
     ``general`` kind adds extra arcs without the topological restriction,
-    allowing cycles.
+    allowing cycles.  A ``dynamic`` horizon below 1 or a negative ``gamma``
+    raises :class:`NetworkError`, as the timed solvers would.
     """
     if kind not in RANDOM_KINDS:
         raise NetworkError(f"kind must be one of {RANDOM_KINDS}, got {kind!r}")
@@ -422,6 +423,10 @@ def gen_random(
     if timed:
         meta.update({"max_tau": max_tau, "max_delay": max_delay, "horizon": horizon})
     net = _checked(Network(names, arc_list, "s", "t", meta=meta))
-    if timed:
-        return DynamicInstance(net, horizon=horizon, gamma=gamma)
-    return net
+    if not timed:
+        return net
+    inst = DynamicInstance(net, horizon=horizon, gamma=gamma)
+    violations = timing_violations(inst)
+    if violations:
+        raise NetworkError("invalid dynamic instance: " + "; ".join(violations))
+    return inst

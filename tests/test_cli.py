@@ -1,9 +1,12 @@
 """End-to-end CLI runs: generate, solve, evaluate, compare, suites, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,7 @@ from robustflow import (
     nominal_max_flow,
     rat,
     rational_to_json,
+    solve_dynamic,
     split_capacities,
 )
 from robustflow import cli, model_lp
@@ -368,6 +372,104 @@ def test_generate_partition_and_split(tmp_path, capsys):
     assert len(json.loads(split_path.read_text())["arcs"]) == 12
 
 
+def test_generate_random_dynamic_horizon(capsys):
+    # --horizon defaults to 4 only when it is absent, and an invalid horizon
+    # or budget is a parameter error, not an instance that solve rejects later.
+    for extra, horizon in (([], 4), (["--horizon", "2"], 2)):
+        code, out, _ = run(capsys, "generate", "random-dynamic", *extra)
+        assert (code, json.loads(out)["horizon"]) == (0, horizon)
+    for flag, value, violation in (
+        ("--horizon", "0", "horizon must be an integer >= 1, got 0"),
+        ("--gamma", "-1", "gamma must be an integer >= 0, got -1"),
+    ):
+        code, out, err = run(capsys, "generate", "random-dynamic", flag, value)
+        assert (code, out, err) == (2, "", f"error: invalid dynamic instance: {violation}\n")
+
+
+def _choices(command: str, dest: str) -> list:
+    """The ``choices`` of one positional argument of a subcommand."""
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    parser = subparsers.choices[command]
+    return list(next(a for a in parser._actions if a.dest == dest).choices)
+
+
+def test_readme_lists_the_cli_families_and_suites():
+    # The README's lists, the tables and the parser's choices name the same
+    # families and suites, in the same order.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    families = readme.split("Families for `generate`: ", 1)[1].split(";", 1)[0]
+    suites = readme.split("Suites for `suite`", 1)[1].split("\n\n")[1]  # the bullet list
+    assert re.findall(r"`([^`]+)`", families) == list(cli.FAMILIES) == _choices("generate", "family")
+    assert re.findall(r"^- `([^`]+)`", suites, re.M) == list(cli.SUITES) == _choices("suite", "name")
+
+
+# Each suite's exit code and stdout at --seeds 2, recorded before the suite
+# checks shared one helper.  partition-roundtrip fails by design (see README).
+SUITE_GOLDEN = {
+    "static-invariants": (
+        0,
+        "PASS seed 0 (6 nodes, 10 arcs)\n"
+        "PASS seed 1 (6 nodes, 10 arcs)\n"
+        "PASS static-invariants: order, budget-1 factor 2, compact model, lex nominal (2 seeds)\n",
+    ),
+    "dynamic-invariants": (
+        0,
+        "PASS seed 0 (T=4, gamma=1)\n"
+        "PASS seed 1 (T=5, gamma=2)\n"
+        "PASS dynamic-invariants: dgm>=max(dpm,dam), tr<=dpm (2 seeds)\n",
+    ),
+    "embedding": (
+        0,
+        "PASS two-hop: static trio equals embedded dynamic trio\n"
+        "PASS fan(2): static trio equals embedded dynamic trio\n"
+        "PASS bottleneck(1,2): static trio equals embedded dynamic trio\n"
+        "PASS embedding: horizon-1 embedding preserves all three optima\n",
+    ),
+    "oracle-equivalence": (
+        0,
+        "PASS seed 0: dam == dam-compact == 1/2\n"
+        "PASS seed 1: dam == dam-compact == 5\n"
+        "PASS oracle-equivalence: compact reformulation matches dam (2 seeds)\n",
+    ),
+    "partition-roundtrip": (
+        4,
+        "FAIL partition-roundtrip: 2 of 11 multisets break the subset-sum equivalence: "
+        "b=(2, 2, 2) (dpm=1), b=(2, 3, 3) (dpm=1). These are no-instances whose "
+        "deadline-feasible paths pairwise overlap yet share no single arc, so a budget-1 "
+        "delay cannot stop all of them and the robust optimum is positive; the equivalence "
+        "only holds when positivity forces two arc-disjoint paths.\n",
+    ),
+    "conjecture-probe": (
+        0,
+        "  two-hop: gm/pm = 4/3\n"
+        "  fan(1): gm/pm = 1\n"
+        "  bottleneck(1,1): gm/pm = 1\n"
+        "  bottleneck(1,2): gm/pm = 3/2\n"
+        "  bottleneck(1,4): gm/pm = 7/4\n"
+        "  bottleneck(1,8): gm/pm = 15/8\n"
+        "  random-dag seed 0: gm/pm = 1\n"
+        "  random-dag seed 1: pm = 0, ratio skipped\n"
+        "max observed gm/pm = 15/8 on bottleneck(1,8); conjectured bound gamma+1 = 2: consistent\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(cli.SUITES))
+def test_suite_output_is_golden(capsys, name):
+    assert run(capsys, "suite", name, "--seeds", "2") == (*SUITE_GOLDEN[name], "")
+
+
+def test_suite_rejects_negative_seeds(capsys):
+    # A negative count would check nothing and still print PASS.
+    assert run(capsys, "suite", "static-invariants", "--seeds", "-2") == (
+        2,
+        "",
+        "error: --seeds must be >= 0, got -2\n",
+    )
+
+
 def test_suite_static_invariants_passes(capsys):
     code, out, _ = run(capsys, "suite", "static-invariants", "--seeds", "2")
     assert code == 0
@@ -427,6 +529,56 @@ def test_dynamic_suite_minimizes_each_invariant_under_its_own_predicate(capsys, 
     assert 5 <= len(small.arcs) < len(original.network.arcs)
     v = planted(DynamicInstance(small, original.horizon, original.gamma))
     assert v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]
+
+
+def test_embedding_suite_minimizes_under_the_reported_pair(capsys, monkeypatch):
+    # Two planted broken optima: pm reports -1 on networks with at least 4
+    # arcs, and am always does.  pm/dpm is checked first, so its minimized
+    # counterexample must still set pm apart from dpm; minimizing under am's
+    # pair as well would shrink two-hop (5 arcs) below 4 arcs.
+    solve = cli._static_value
+
+    def planted(net, model, gamma, lex=False):
+        report = solve(net, model, gamma, lex)
+        if model == "am" or (model == "pm" and len(net.arcs) >= 4):
+            return dataclasses.replace(report, robust_value=Fraction(-1))
+        return report
+
+    monkeypatch.setattr(cli, "_static_value", planted)
+    code, out, _ = run(capsys, "suite", "embedding")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == "FAIL embedding: two-hop: pm=-1 but embedded dpm=3/2"
+    assert lines[1] == "minimized counterexample:"
+    small = instance_from_json(json.loads("\n".join(lines[2:])))
+    assert 4 <= len(small.arcs) < len(gen_two_hop().arcs)
+    dpm = solve_dynamic(embed_static(small, 1), "dpm")[1].robust_value
+    assert planted(small, "pm", 1).robust_value != dpm
+
+
+def test_oracle_suite_minimized_counterexample_still_breaks_the_equivalence(capsys, monkeypatch):
+    # A planted broken reformulation: dam-compact reports -1 on networks with
+    # at least 5 arcs.  The counterexample keeps the instance's horizon and
+    # budget, and must still set dam-compact apart from dam.
+    solve = cli.solve_dynamic
+
+    def planted(inst, model, **kwargs):
+        flow, report = solve(inst, model, **kwargs)
+        if model == "dam-compact" and len(inst.network.arcs) >= 5:
+            report = dataclasses.replace(report, robust_value=Fraction(-1))
+        return flow, report
+
+    monkeypatch.setattr(cli, "solve_dynamic", planted)
+    code, out, _ = run(capsys, "suite", "oracle-equivalence", "--seeds", "1")
+    assert code == 4
+    lines = out.splitlines()
+    assert lines[0] == "FAIL oracle-equivalence: seed 0: dam=1/2 dam-compact=-1"
+    assert lines[1] == "minimized counterexample:"
+    small = instance_from_json(json.loads("\n".join(lines[2:])))
+    original = cli._random_dynamic(0, 5, 7)
+    assert 5 <= len(small.arcs) < len(original.network.arcs)
+    probe = DynamicInstance(small, original.horizon, original.gamma)
+    assert planted(probe, "dam")[1].robust_value != planted(probe, "dam-compact")[1].robust_value
 
 
 def test_suite_partition_roundtrip_reports_refutation(capsys):

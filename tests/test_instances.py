@@ -214,3 +214,19 @@ def test_gen_random_rejects_impossible_requests():
         gen_random("triangle", 4, 5, seed=0)
     with pytest.raises(NetworkError):
         gen_random("dag", 1, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "horizon, gamma, violations",
+    [
+        (0, 1, "horizon must be an integer >= 1, got 0"),
+        (4, -2, "gamma must be an integer >= 0, got -2"),
+        (0, -2, "horizon must be an integer >= 1, got 0; gamma must be an integer >= 0, got -2"),
+    ],
+)
+def test_gen_random_rejects_an_invalid_timed_instance(horizon, gamma, violations):
+    # The same text the timed solvers report for an invalid instance.
+    with pytest.raises(NetworkError) as excinfo:
+        gen_random("dynamic", 4, 5, horizon=horizon, gamma=gamma)
+    assert str(excinfo.value) == f"invalid dynamic instance: {violations}"
+    assert validate_dynamic_instance(gen_random("dynamic", 4, 5, horizon=1, gamma=0)).ok
