@@ -284,17 +284,28 @@ class _SuiteFailure(Exception):
         self.counterexample = counterexample
 
 
-def _check(vals, broken, message: str, net, values) -> None:
+def _check(vals, broken, message: str, net, values, instance=lambda net: net) -> None:
     """Fail when ``broken(vals)``, with ``net`` minimized under that same predicate.
 
-    ``values(candidate)`` recomputes ``vals`` on a network with fewer arcs.
+    ``values(instance(candidate))`` recomputes ``vals`` on a network with
+    fewer arcs.  A timed suite's ``instance`` puts a network under the failing
+    seed's horizon and budget, so the counterexample, ``instance`` of the
+    minimized network, can be solved again as it is printed.
     """
     if broken(vals):
-        raise _SuiteFailure(message, _minimize(net, lambda candidate: broken(values(candidate))))
+        small = _minimize(net, lambda candidate: broken(values(instance(candidate))))
+        raise _SuiteFailure(message, instance(small))
 
 
 def _differ(pair) -> bool:
     return pair[0] != pair[1]
+
+
+def _seeds(args) -> range:
+    """The seeds of a suite that checks only seeded random instances: at least one."""
+    if args.seeds < 1:
+        raise NetworkError(f"suite {args.name} checks only random instances: --seeds must be >= 1")
+    return range(args.seeds)
 
 
 def _parse_sizes(text: str):
@@ -322,7 +333,7 @@ def _lex_nominal(net) -> tuple:
 def _suite_static_invariants(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "6,10")
     lines = []
-    for seed in range(args.seeds):
+    for seed in _seeds(args):
         net = gen_random("dag", nodes, arcs, max_cap=4, seed=seed)
         for gamma in (1, 2):
             vals = _trio(net, gamma)
@@ -387,21 +398,29 @@ def _timed_values(inst: DynamicInstance) -> dict:
     return {m: solve_dynamic(inst, m)[1].robust_value for m in models}
 
 
+def _retimed(inst: DynamicInstance):
+    """Networks -> timed instances at ``inst``'s horizon and budget."""
+    return functools.partial(DynamicInstance, horizon=inst.horizon, gamma=inst.gamma)
+
+
 def _suite_dynamic_invariants(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "5,7")
     lines = []
-    for seed in range(args.seeds):
+    for seed in _seeds(args):
         inst = _random_dynamic(seed, nodes, arcs)
-
-        def timed(candidate):
-            return _timed_values(DynamicInstance(candidate, inst.horizon, inst.gamma))
-
         vals = _timed_values(inst)
         for message, broken in (
             ("dgm below dpm/dam", lambda v: v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]),
             ("repeated flow beats timed path flow", lambda v: v["tr"] > v["dpm"]),
         ):
-            _check(vals, broken, f"seed {seed}: {message}: {vals}", inst.network, timed)
+            _check(
+                vals,
+                broken,
+                f"seed {seed}: {message}: {vals}",
+                inst.network,
+                _timed_values,
+                _retimed(inst),
+            )
         lines.append(f"PASS seed {seed} (T={inst.horizon}, gamma={inst.gamma})")
     lines.append(f"PASS dynamic-invariants: dgm>=max(dpm,dam), tr<=dpm ({args.seeds} seeds)")
     return lines
@@ -437,19 +456,24 @@ def _suite_embedding(args) -> list:
     return lines
 
 
+def _dams(inst: DynamicInstance) -> tuple:
+    """The robust values of dam and dam-compact on ``inst``."""
+    return tuple(solve_dynamic(inst, m)[1].robust_value for m in ("dam", "dam-compact"))
+
+
 def _suite_oracle_equivalence(args) -> list:
     nodes, arcs = _parse_sizes(args.sizes or "5,7")
     lines = []
-    for seed in range(args.seeds):
+    for seed in _seeds(args):
         inst = _random_dynamic(seed, nodes, arcs)
-
-        def dams(candidate):
-            probe = DynamicInstance(candidate, inst.horizon, inst.gamma)
-            return tuple(solve_dynamic(probe, m)[1].robust_value for m in ("dam", "dam-compact"))
-
-        vals = dams(inst.network)
+        vals = _dams(inst)
         _check(
-            vals, _differ, f"seed {seed}: dam={vals[0]} dam-compact={vals[1]}", inst.network, dams
+            vals,
+            _differ,
+            f"seed {seed}: dam={vals[0]} dam-compact={vals[1]}",
+            inst.network,
+            _dams,
+            _retimed(inst),
         )
         lines.append(f"PASS seed {seed}: dam == dam-compact == {vals[0]}")
     lines.append(f"PASS oracle-equivalence: compact reformulation matches dam ({args.seeds} seeds)")

@@ -1,10 +1,12 @@
 """Exact-arithmetic linear programming.
 
 A deliberately small LP toolkit: nonnegative (or free) variables, three
-relation kinds, one objective, and a two-phase primal simplex with Bland's
-rule.  The tableau is sparse and integer: each row is a ``{column: int}``
-dict whose rational value is the row divided by its basic entry, as in
-integer-preserving elimination (Bareiss) and the integer pivoting of lrs.
+relation kinds, one objective, and a two-phase primal simplex that enters
+the largest reduced cost (Dantzig) and falls back to Bland's rule when a
+basis repeats during a run of degenerate pivots.  The tableau is sparse
+and integer: each row is a ``{column: int}`` dict whose rational value is
+the row divided by its basic entry, as in integer-preserving elimination
+(Bareiss) and the integer pivoting of lrs.
 There is no floating point anywhere, no tolerance knobs, and statuses are
 decided exactly: ``optimal``, ``infeasible`` or ``unbounded``.
 
@@ -173,13 +175,12 @@ def _integer_row(coeffs: Mapping, rhs) -> tuple:
     return row, _normalize(row, rhs.numerator * (den // rhs.denominator))
 
 
-def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int, colrows=None, i=None) -> int:
+def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int) -> int:
     """Zero ``row[col]`` by adding a multiple of ``prow``, whose ``col`` entry is positive.
 
     ``row`` is first scaled by a positive integer, so the sign of every
-    multiple it stands for is kept; the result is primitive.  When
-    ``colrows`` is given, row ``i``'s entries in it are kept current.
-    Returns the new right-hand side.
+    multiple it stands for is kept; the result is primitive.  Returns the
+    new right-hand side.
     """
     piv = prow[col]
     e = row[col]
@@ -194,16 +195,12 @@ def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int, colrows=None, 
         w = get(j)
         if w is None:
             row[j] = -f * v
-            if colrows is not None:
-                colrows[j].add(i)
         else:
             w -= f * v
             if w:
                 row[j] = w
             else:
                 del row[j]
-                if colrows is not None:
-                    colrows[j].discard(i)
     return _normalize(row, rhs - f * prhs)
 
 
@@ -249,7 +246,7 @@ def _forced_zero(lp: LinearProgram) -> list:
 
 
 class _Simplex:
-    """Two-phase primal simplex with Bland's rule on sparse integer rows.
+    """Two-phase primal simplex on sparse integer rows: Dantzig's rule, Bland's on a repeat.
 
     The tableau is the presolved LP.  A forcing row (right-hand side 0, no
     free column, live coefficients of the one sign its relation allows) fixes
@@ -266,15 +263,25 @@ class _Simplex:
     obtained by dividing by its basic entry ``rows[i][basis[i]]``, which is
     kept positive.  Every row is kept primitive (divided by the gcd of its
     entries), so each rational row has one integer form.  The objective row
-    is a positive integer multiple of the reduced costs: only its signs are
-    read.  ``colrows`` maps each column to the rows where it is nonzero, so
-    a pivot touches only those rows.
+    is a positive integer multiple of the reduced costs, so its largest
+    entry marks the largest reduced cost.  A pivot scans ``rows`` once for
+    the rows that hold the entering column.
 
     An artificial column is stored only as the basic entry of its own row
     and is dropped when it leaves the basis, so it can never enter.  The
-    entering column is the smallest one with a positive reduced cost and the
-    ratio test breaks ties on the smallest basic column, the same pivots as
-    on a dense rational tableau of the presolved LP.
+    entering column has the largest reduced cost, the smallest such column
+    on ties, and the ratio test breaks ties on the smallest basic column:
+    the same pivots as on a dense rational tableau of the presolved LP.
+
+    Dantzig's rule can cycle on degenerate pivots, so each run of them keeps
+    the hash of every basis it reaches.  On the first repeat, the entering
+    column is the smallest one with a positive reduced cost (Bland, 1977)
+    until the next nondegenerate pivot, which clears the hashes and restores
+    Dantzig's rule.  The loop ends: a run either reaches no basis twice, or
+    Bland's rule takes over, and it never cycles; a nondegenerate pivot
+    raises the objective, so no earlier basis returns.  A hash collision
+    only starts Bland's rule early.  Only the hashes are kept, one int per
+    pivot, not the bases.
 
     Kept as an object so a solved tableau can be extended with a pin row and
     re-optimized for lexicographic objectives without a cold restart.
@@ -311,7 +318,6 @@ class _Simplex:
         self.rows: list = []
         self.rhs: list = []
         self.basis: list = []
-        self.colrows = defaultdict(set)
         self.obj: dict = {}
         for i, (coeffs, b) in enumerate(halves):
             coeffs[n + i] = 1
@@ -336,12 +342,9 @@ class _Simplex:
         return out
 
     def _add_row(self, row: dict, rhs: int, basic: int) -> None:
-        i = len(self.rows)
         self.rows.append(row)
         self.rhs.append(rhs)
         self.basis.append(basic)
-        for j in row:
-            self.colrows[j].add(i)
 
     # -- pivoting ---------------------------------------------------------
 
@@ -350,32 +353,37 @@ class _Simplex:
         leaving = self.basis[r]
         if leaving in self.artificial:
             del prow[leaving]
-            self.colrows[leaving].discard(r)
         prhs = self.rhs[r]
         if prow[col] < 0:
             for j in prow:
                 prow[j] = -prow[j]
             prhs = -prhs
         self.rhs[r] = prhs = _normalize(prow, prhs)
-        for i in list(self.colrows[col]):
-            if i != r:
-                self.rhs[i] = _cancel(self.rows[i], self.rhs[i], prow, prhs, col, self.colrows, i)
+        for i, row in enumerate(self.rows):
+            if col in row and i != r:
+                self.rhs[i] = _cancel(row, self.rhs[i], prow, prhs, col)
         if col in self.obj:
             _cancel(self.obj, 0, prow, prhs, col)
         self.basis[r] = col
 
     def _run(self) -> str:
         rows, rhs, basis, obj = self.rows, self.rhs, self.basis, self.obj
+        seen = set()  # hashes of the bases met since the last nondegenerate pivot
+        bland = False
         while True:
-            col = min((j for j, v in obj.items() if v > 0), default=-1)
-            if col < 0:
+            top = max(obj.values(), default=0)
+            if top <= 0:
                 return "optimal"
+            if bland:
+                col = min(j for j, v in obj.items() if v > 0)
+            else:
+                col = min(j for j, v in obj.items() if v == top)
             # Ratio test: the smallest rhs[i] / rows[i][col] over positive
             # entries, compared by cross-multiplication; ties go to the
             # smallest basic column.
             best = -1
-            for i in self.colrows[col]:
-                a = rows[i][col]
+            for i, row in enumerate(rows):
+                a = row.get(col, 0)
                 if a > 0:
                     if best < 0:
                         best, num, den = i, rhs[i], a
@@ -386,6 +394,13 @@ class _Simplex:
             if best < 0:
                 return "unbounded"
             self._pivot(best, col)
+            if num:
+                seen.clear()
+                bland = False
+            elif not bland:
+                key = hash(frozenset(basis))
+                bland = key in seen
+                seen.add(key)
 
     def _set_objective(self, coeffs: Mapping) -> None:
         """Reduced-cost row of ``coeffs`` (a column -> exact number map) at the current basis."""

@@ -125,9 +125,10 @@ def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate, ze
     A plain solve given a :class:`ZeroCut` (which must prove that the LP
     optimum is 0) does not run the simplex.  It checks that x = 0 is the
     simplex's starting vertex (:func:`check_zero_start`) and re-checks the
-    cut; then Bland's rule, which enters only columns with a positive reduced
-    cost, can make no pivot that moves off x = 0 without raising the
-    objective above the optimum, so the simplex would return exactly x = 0.
+    cut.  The simplex enters only columns with a positive reduced cost, so a
+    pivot that moved off x = 0 would raise the objective above the optimum;
+    every pivot is degenerate, whichever column it enters, and the simplex
+    would return exactly x = 0.
     That vector goes through the same ``extract`` and ``evaluate``.
     """
     if maximize_nominal:

@@ -492,9 +492,10 @@ def solve_static(
     The LP is still built, and :func:`~robustflow.model_lp.solve_model`
     checks that x = 0 is its simplex's starting vertex, re-checks the cut
     and passes the all-zero vector through the same extraction and
-    evaluator: an optimum of 0 from the starting vertex x = 0 means every
-    pivot of Bland's rule is degenerate, so the simplex returns exactly
-    x = 0 and the flow and report are the same.  ``--lex-nominal`` solves
+    evaluator: from the starting vertex x = 0 with optimum 0, any pivot that
+    raised the objective would pass the optimum, so every pivot is
+    degenerate (the simplex enters only positive reduced costs), x stays 0,
+    and the flow and report are the same.  ``--lex-nominal`` solves
     still run the simplex: among robust-0 flows, the nominal optimum need
     not be 0.
     """

@@ -66,6 +66,40 @@ def _seeded_dynamic():
     return out
 
 
+def _unit_dags():
+    """Criterion 7's 10 unit-capacity DAGs at budgets 1, 2 and 3: (key, network, budget)."""
+    out = []
+    for seed in range(10):
+        nodes = 5 + seed % 3
+        arcs = 2 * (nodes - 2) + 2 + seed % 3
+        net = gen_random("dag", nodes=nodes, arcs=arcs, max_cap=1, seed=300 + seed)
+        out += [(f"unit-dag{seed}@{gamma}", net, gamma) for gamma in (1, 2, 3)]
+    return out
+
+
+def _split_cases():
+    """Criterion 8's networks and their capacity splits: (key, network, split key, split)."""
+    cases = [("two-hop", gen_two_hop())]
+    for seed in range(5):
+        nodes = 5 + seed % 2
+        arcs = 2 * (nodes - 2) + 3 + seed % 2
+        cases.append((f"splitbase{seed}", gen_random("dag", nodes=nodes, arcs=arcs, max_cap=3, seed=500 + seed)))
+    return [(f"{name}@1", net, f"{name}-split@1", split_capacities(net)) for name, net in cases]
+
+
+def _embedding_cases():
+    """Criterion 14's networks and their horizon-1 embeddings: (key, network, budget, key, instance)."""
+    cases = (
+        ("two-hop", gen_two_hop(), 1),
+        ("fan(2)", gen_fan(2), 2),
+        ("bottleneck(1,2)", gen_bottleneck(1, 2), 1),
+    )
+    return [
+        (f"{name}@{gamma}", net, gamma, f"embed:{name}", embed_static(net, gamma))
+        for name, net, gamma in cases
+    ]
+
+
 def test_criterion_01_two_hop_exact_values(registry):
     start = time.perf_counter()
     net = gen_two_hop()
@@ -131,28 +165,16 @@ def test_criterion_06_gamma1_dag_gap_bound(registry):
 
 
 def test_criterion_07_unit_capacity_closed_form(registry):
-    for seed in range(10):
-        nodes = 5 + seed % 3
-        arcs = 2 * (nodes - 2) + 2 + seed % 3
-        net = gen_random("dag", nodes=nodes, arcs=arcs, max_cap=1, seed=300 + seed)
-        cut = min_cut_value(net)
-        for gamma in (1, 2, 3):
-            key = f"unit-dag{seed}@{gamma}"
-            gm = registry.solve_static(key, net, "gm", gamma)[1].robust_value
-            assert gm == max(cut - gamma, 0), (seed, gamma)
+    for key, net, gamma in _unit_dags():
+        gm = registry.solve_static(key, net, "gm", gamma)[1].robust_value
+        assert gm == max(min_cut_value(net) - gamma, 0), key
 
 
 def test_criterion_08_capacity_split_invariance(registry):
-    cases = [("two-hop", gen_two_hop())]
-    for seed in range(5):
-        nodes = 5 + seed % 2
-        arcs = 2 * (nodes - 2) + 3 + seed % 2
-        cases.append((f"splitbase{seed}", gen_random("dag", nodes=nodes, arcs=arcs, max_cap=3, seed=500 + seed)))
-    for name, net in cases:
-        gm = registry.solve_static(f"{name}@1", net, "gm", 1)[1].robust_value
-        split = split_capacities(net)
-        gm_split = registry.solve_static(f"{name}-split@1", split, "gm", 1)[1].robust_value
-        assert gm_split == gm, name
+    for key, net, split_key, split in _split_cases():
+        gm = registry.solve_static(key, net, "gm", 1)[1].robust_value
+        gm_split = registry.solve_static(split_key, split, "gm", 1)[1].robust_value
+        assert gm_split == gm, key
 
 
 def test_criterion_09_static_price_of_robustness(registry):
@@ -250,23 +272,32 @@ def test_criterion_13_dynamic_price_of_robustness(registry):
 
 
 def test_criterion_14_static_embedding_equivalence(registry):
-    cases = (
-        ("two-hop", gen_two_hop(), 1),
-        ("fan(2)", gen_fan(2), 2),
-        ("bottleneck(1,2)", gen_bottleneck(1, 2), 1),
-    )
-    for name, net, gamma in cases:
-        inst = embed_static(net, gamma)
+    for key, net, gamma, embed_key, inst in _embedding_cases():
         assert inst.horizon == 1
-        key = f"{name}@{gamma}"
-        embed_key = f"embed:{name}"
         for static_model, dynamic_model in (("pm", "dpm"), ("am", "dam"), ("gm", "dgm")):
             static_value = registry.solve_static(key, net, static_model, gamma)[1].robust_value
             dynamic_value = registry.solve_dynamic(embed_key, inst, dynamic_model)[1].robust_value
-            assert dynamic_value == static_value, (name, static_model)
+            assert dynamic_value == static_value, (key, static_model)
 
 
 def test_criterion_15_relaxation_orderings_across_all_touched_instances(registry):
+    # Register the instance lists of criteria 04-14 here too, so that this
+    # criterion checks them when it runs alone; after those criteria have run,
+    # every key is already there and nothing changes.
+    for key, net in _seeded_dags():
+        registry.static.setdefault(key, (net, 1))
+    for key, net, gamma in _unit_dags():
+        registry.static.setdefault(key, (net, gamma))
+    for key, net, split_key, split in _split_cases():
+        registry.static.setdefault(key, (net, 1))
+        registry.static.setdefault(split_key, (split, 1))
+    for key, inst in _seeded_dynamic():
+        registry.dynamic.setdefault(key, inst)
+    for b in partition_multisets(4, 4):  # criterion 12's seeded draws repeat some of these
+        registry.dynamic.setdefault(f"partition{b}", gen_partition(b))
+    for key, net, gamma, embed_key, inst in _embedding_cases():
+        registry.static.setdefault(key, (net, gamma))
+        registry.dynamic.setdefault(embed_key, inst)
     static_checked = 0
     for key, (net, gamma) in list(registry.static.items()):
         pm = registry.solve_static(key, net, "pm", gamma)[1].robust_value

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from robustflow import (
-    DynamicInstance,
     LexSolution,
     LpSolution,
     dumps,
@@ -470,6 +469,27 @@ def test_suite_rejects_negative_seeds(capsys):
     )
 
 
+@pytest.mark.parametrize("name", ["static-invariants", "dynamic-invariants", "oracle-equivalence"])
+def test_seeded_suite_rejects_zero_seeds(capsys, name):
+    # These suites check only seeded random instances: with no seed they
+    # would check nothing and still print PASS.
+    assert run(capsys, "suite", name, "--seeds", "0") == (
+        2,
+        "",
+        f"error: suite {name} checks only random instances: --seeds must be >= 1\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, code", [("embedding", 0), ("partition-roundtrip", 4), ("conjecture-probe", 0)]
+)
+def test_suite_with_fixed_cases_accepts_zero_seeds(capsys, name, code):
+    # These suites also check built-in cases; partition-roundtrip fails by design.
+    result, out, err = run(capsys, "suite", name, "--seeds", "0")
+    assert (result, err) == (code, "")
+    assert out.splitlines()[-1].startswith(("PASS", "FAIL", "max observed"))
+
+
 def test_suite_static_invariants_passes(capsys):
     code, out, _ = run(capsys, "suite", "static-invariants", "--seeds", "2")
     assert code == 0
@@ -526,8 +546,9 @@ def test_dynamic_suite_minimizes_each_invariant_under_its_own_predicate(capsys, 
     assert lines[1] == "minimized counterexample:"
     small = instance_from_json(json.loads("\n".join(lines[2:])))
     original = cli._random_dynamic(0, 5, 7)
-    assert 5 <= len(small.arcs) < len(original.network.arcs)
-    v = planted(DynamicInstance(small, original.horizon, original.gamma))
+    assert 5 <= len(small.network.arcs) < len(original.network.arcs)
+    assert (small.horizon, small.gamma) == (original.horizon, original.gamma)
+    v = planted(small)
     assert v["dgm"] < v["dpm"] or v["dgm"] < v["dam"]
 
 
@@ -556,7 +577,9 @@ def test_embedding_suite_minimizes_under_the_reported_pair(capsys, monkeypatch):
     assert planted(small, "pm", 1).robust_value != dpm
 
 
-def test_oracle_suite_minimized_counterexample_still_breaks_the_equivalence(capsys, monkeypatch):
+def test_oracle_suite_minimized_counterexample_still_breaks_the_equivalence(
+    capsys, monkeypatch, tmp_path
+):
     # A planted broken reformulation: dam-compact reports -1 on networks with
     # at least 5 arcs.  The counterexample keeps the instance's horizon and
     # budget, and must still set dam-compact apart from dam.
@@ -576,9 +599,13 @@ def test_oracle_suite_minimized_counterexample_still_breaks_the_equivalence(caps
     assert lines[1] == "minimized counterexample:"
     small = instance_from_json(json.loads("\n".join(lines[2:])))
     original = cli._random_dynamic(0, 5, 7)
-    assert 5 <= len(small.arcs) < len(original.network.arcs)
-    probe = DynamicInstance(small, original.horizon, original.gamma)
-    assert planted(probe, "dam")[1].robust_value != planted(probe, "dam-compact")[1].robust_value
+    assert 5 <= len(small.network.arcs) < len(original.network.arcs)
+    assert (small.horizon, small.gamma) == (original.horizon, original.gamma)
+    assert planted(small, "dam")[1].robust_value != planted(small, "dam-compact")[1].robust_value
+    # The printed counterexample replays as it is: a timed instance for solve.
+    path = tmp_path / "counterexample.json"
+    path.write_text("\n".join(lines[2:]), encoding="utf-8")
+    assert run(capsys, "solve", str(path), "--model", "dam")[0] == 0
 
 
 def test_suite_partition_roundtrip_reports_refutation(capsys):

@@ -37,7 +37,7 @@ from robustflow import (
     rat,
     solve_lp,
 )
-from robustflow.lp import LpCheckError, _forced_zero, _verify, dump_lp
+from robustflow.lp import LpCheckError, _Simplex, _forced_zero, _verify, dump_lp
 
 from _oracles import row_by_row_verify
 
@@ -130,6 +130,31 @@ def test_degenerate_cycling_guard():
     assert sol.values[x1] == rat(1, 25) and sol.values[x3] == 1
 
 
+def test_dantzig_cycling_example_ends_under_the_bland_fallback(monkeypatch):
+    # Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
+    # alone cycles here.  A repeated basis must hand over to Bland's rule.
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def counted(self, r, col):
+        pivots.append(col)
+        if len(pivots) > 100:
+            raise AssertionError("the simplex cycles")
+        pivot(self, r, col)
+
+    monkeypatch.setattr(_Simplex, "_pivot", counted)
+    lp = LinearProgram("max")
+    x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
+    lp.add_constraint({x1: rat(1, 2), x2: rat(-11, 2), x3: rat(-5, 2), x4: 9}, "<=", 0)
+    lp.add_constraint({x1: rat(1, 2), x2: rat(-3, 2), x3: rat(-1, 2), x4: 1}, "<=", 0)
+    lp.add_constraint({x1: 1}, "<=", 1)
+    lp.set_objective({x1: 10, x2: -57, x3: -9, x4: -24})
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.objective_value == 1
+    assert sol.values == (1, 0, 1, 0)
+
+
 def test_zero_variable_lp():
     lp = LinearProgram("max")
     lp.set_objective({})
@@ -208,10 +233,10 @@ def test_dump_lp_is_readable():
     assert "flow" in text and "3/2" in text and "cap" in text
 
 
-# Vertices returned by Bland's rule on degenerate model LPs, as recorded from
-# the dense rational tableau: (LP, lexicographic?, optimum, digest of the
-# values).  A change to the pivot rule that changes the returned flow fails
-# here.
+# Vertices returned by Dantzig's rule, with its Bland fallback, on degenerate
+# model LPs, as recorded from the dense rational tableau: (LP, lexicographic?,
+# optimum, digest of the values).  A change to the pivot rule that changes the
+# returned flow fails here.
 def _bottleneck_lp(builder):
     net = gen_bottleneck(2, 2)
     return builder(net, enumerate_subpaths(net), 2)
@@ -230,7 +255,7 @@ def _por_static_lp(builder):
 
 GOLDEN = {
     "bottleneck(2,2) gm": (lambda: _bottleneck_lp(build_gm_lp), False, "10", "26441fcdec8a7b95"),
-    "bottleneck(2,2) pm": (lambda: _bottleneck_lp(build_pm_lp), False, "4", "0427431ceedcad60"),
+    "bottleneck(2,2) pm": (lambda: _bottleneck_lp(build_pm_lp), False, "4", "d4121cf519afc89c"),
     "unit-dag 307 gm": (_unit_dag_gm_lp, False, "0", "fc96d4f8d87d03d9"),
     "partition(2,2,4) dam-compact": (
         lambda: build_dam_compact_lp(gen_partition((2, 2, 4))), False, "0", "96009c799e69c10c"
