@@ -24,6 +24,7 @@ with the dynamic models (:mod:`robustflow.model_lp`).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -49,7 +50,7 @@ from .network import (
     reachable,
     route_index,
 )
-from .rational import ZERO, rat
+from .rational import ZERO, common_denominator, rat
 
 STATIC_MODELS = ("pm", "am", "gm", "gm1")
 
@@ -299,23 +300,40 @@ def decompose_gamma1_solution(solution: CompactGamma1Solution, net: Network) -> 
     return StaticFlow("subpath", values)
 
 
-def _projected_sums(entries, scenarios):
+def _scenarios(net: Network, gamma: int) -> tuple:
+    """``(scenarios, masks)``: the scenarios of at most ``gamma`` arcs of ``net``
+    (:func:`~robustflow.network.enumerate_scenarios`, which guards their
+    number) and, in the same order, each one's arc mask.
+
+    Arc ``net.arcs[i]`` is bit ``i``.  ``net.arcs`` is sorted by
+    :func:`~robustflow.network.arc_sort_key`, the enumeration's order, so
+    summing the same combinations of the bits gives the masks in step with
+    the tuples.
+    """
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
+    bits = [1 << i for i in range(len(net.arcs))]
+    masks = []
+    for k in range(min(gamma, len(bits)) + 1):
+        masks.extend(map(sum, itertools.combinations(bits, k)))
+    return scenarios, masks
+
+
+def _projected_sums(entries, masks):
     """Sum the hit values of ``entries`` once per distinct scenario projection.
 
-    ``entries`` are ``(key, arcset, value)`` triples.  A scenario's projection
-    is the ordered tuple of its arcs that lie in the union of the arcsets;
-    scenarios with the same projection hit the same entries.  Returns the
-    projections in scenario order and a dict from each distinct projection to
-    the sum of the values of the entries it hits.
+    ``entries`` are ``(key, arc mask, value)`` triples with integer values,
+    and ``masks`` are the scenarios' arc masks.  A scenario's projection is
+    its mask restricted to the union of the entries' masks, ``mask & union``;
+    scenarios with the same projection hit the same entries, and an entry is
+    hit when its mask meets the projection.  Returns the projections in
+    scenario order and a dict from each distinct projection to the integer
+    sum of the values of the entries it hits.
     """
-    union = frozenset().union(*(arcset for _, arcset, _ in entries))
-    projections = [tuple(filter(union.__contains__, scenario)) for scenario in scenarios]
-    sums = {}
-    for projection in projections:
-        if projection not in sums:
-            sums[projection] = sum(
-                (val for _, arcset, val in entries if not arcset.isdisjoint(projection)), ZERO
-            )
+    union = 0
+    for _, mask, _ in entries:
+        union |= mask
+    projections = list(map(union.__and__, masks))
+    sums = {p: sum(n for _, mask, n in entries if mask & p) for p in dict.fromkeys(projections)}
     return projections, sums
 
 
@@ -328,13 +346,18 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     Raises :class:`InfeasibleFlowError` with all violations when the flow is
     not feasible.
 
-    A sum over flow-carrying routes only depends on the part of a scenario
-    that meets those routes' arcs, so each scenario is projected onto that
-    union (:func:`_projected_sums`) and the rationals are summed and compared
-    once per distinct projection, not once per scenario.  The cost is
-    O(scenarios x nodes) tuple lookups plus one rational sum per distinct
-    projection; violations and worst scenarios still come out in scenario
-    order.
+    The values are put over one common denominator D
+    (:func:`~robustflow.rational.common_denominator`), so that loads, inflow,
+    outflow and losses are summed and compared as integers; only reported
+    values and violation texts are turned back into ``Fraction``s.  Each
+    scenario and each flow-carrying route is an int with one bit per arc
+    (:func:`_scenarios`).  A sum over routes only depends on the part of a
+    scenario that meets those routes' arcs, so each scenario mask is
+    projected onto their union (:func:`_projected_sums`), and each integer
+    sum is taken once per distinct projection, not once per scenario.  The
+    cost is one ``&`` and one dict lookup per scenario and node plus one sum
+    per distinct projection; violations and worst scenarios still come out
+    in scenario order.
     """
     if flow.kind not in ("arc", "path", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
@@ -356,49 +379,54 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
             raise NetworkError(f"unknown {noun} {key!r}")
     if flow.kind == "arc":
         values = {a: values[a] for a in routes if a in values}  # exposure in arc order
-    # (key, arcset, value) of the flow-carrying routes by last node; outflow by first node.
+    den, nums = common_denominator(list(values.values()))
+    # (key, arc mask, value * D) of the flow-carrying routes by last node;
+    # outflow by first node and load by arc, times D.  Arc i of net.arcs is bit i.
     ending: dict = {}
     outflow: dict = {}
     loads: dict = {}
-    for key, value in values.items():
+    for key, n in zip(values, nums):
         route = routes[key]
-        ending.setdefault(route.end, []).append((key, frozenset(route.arcs), value))
-        outflow[route.start] = outflow.get(route.start, ZERO) + value
+        mask = 0
         for a in route.arcs:
-            loads[a] = loads.get(a, ZERO) + value
+            mask |= 1 << net.arc_rank[a]
+            loads[a] = loads.get(a, 0) + n
+        ending.setdefault(route.end, []).append((key, mask, n))
+        outflow[route.start] = outflow.get(route.start, 0) + n
     # Capacity.
     for a, load in sorted(loads.items(), key=lambda kv: net.arc_rank[kv[0]]):
         cap = net.arc_by_id[a].capacity
-        if load > cap:
+        if load * cap.denominator > cap.numerator * den:
             violations.append(
-                Violation("capacity", a, None, f"load {load} exceeds capacity {cap}")
+                Violation("capacity", a, None, f"load {rat(load, den)} exceeds capacity {cap}")
             )
-    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
+    scenarios, masks = _scenarios(net, gamma)
     # Robust conservation.
     for v in net.nodes:
-        out = outflow.get(v, ZERO)
+        out = outflow.get(v, 0)
         if v in (net.source, net.sink) or out == 0:
             continue
         incoming = ending.get(v, ())
-        total_in = sum((val for _, _, val in incoming), ZERO)
-        projections, hit_sums = _projected_sums(incoming, scenarios)
+        total_in = sum(n for _, _, n in incoming)
+        projections, hit_sums = _projected_sums(incoming, masks)
         short = {}
         for projection, hit in hit_sums.items():
             surviving = total_in - hit
             if surviving < out:
-                short[projection] = f"surviving inflow {surviving} < outflow {out}"
+                short[projection] = (
+                    f"surviving inflow {rat(surviving, den)} < outflow {rat(out, den)}"
+                )
         if not short:
             continue
-        for scenario, projection in zip(scenarios, projections):
-            detail = short.get(projection)
+        for scenario, detail in zip(scenarios, map(short.get, projections)):
             if detail is not None:
                 violations.append(Violation("conservation", v, scenario, detail))
     if violations:
         raise InfeasibleFlowError(violations)
     # Worst case over the exhaustive scenario set.
     t_support = ending.get(net.sink, [])
-    nominal = sum((val for _, _, val in t_support), ZERO)
-    projections, losses = _projected_sums(t_support, scenarios)
+    nominal = sum(n for _, _, n in t_support)
+    projections, losses = _projected_sums(t_support, masks)
     worst_loss = max(losses.values())
     top = {projection for projection, loss in losses.items() if loss == worst_loss}
     worst = tuple(
@@ -407,17 +435,17 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
         if projection in top
     )
     exposure: dict = {}
-    for key, _, value in t_support:
+    for key, _, n in t_support:
         for a in routes[key].arcs:
-            exposure[a] = exposure.get(a, ZERO) + value
-    if gamma == 1 and worst_loss != max(exposure.values(), default=ZERO):
+            exposure[a] = exposure.get(a, 0) + n
+    if gamma == 1 and worst_loss != max(exposure.values(), default=0):
         raise ModelCheckError("budget-1 worst loss must equal the peak exposure")
     return RobustReport(
-        nominal_value=nominal,
-        robust_value=nominal - worst_loss,
-        worst_loss=worst_loss,
+        nominal_value=rat(nominal, den),
+        robust_value=rat(nominal - worst_loss, den),
+        worst_loss=rat(worst_loss, den),
         worst_scenarios=worst,
-        per_arc_exposure=exposure,
+        per_arc_exposure={a: rat(n, den) for a, n in exposure.items()},
     )
 
 

@@ -116,7 +116,23 @@ def test_unbounded_detected():
     assert sol.status == "unbounded"
 
 
-def test_degenerate_cycling_guard():
+@pytest.fixture
+def pivot_bound(monkeypatch):
+    """Fail a solve after 100 pivots, so that a pivot rule that cycles fails
+    the test instead of hanging it."""
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def counted(self, r, col):
+        pivots.append(col)
+        if len(pivots) > 100:
+            raise AssertionError("the simplex cycles")
+        pivot(self, r, col)
+
+    monkeypatch.setattr(_Simplex, "_pivot", counted)
+
+
+def test_degenerate_cycling_guard(pivot_bound):
     # Beale's classic cycling example; Bland's rule must terminate on it.
     lp = LinearProgram("min")
     x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
@@ -130,19 +146,9 @@ def test_degenerate_cycling_guard():
     assert sol.values[x1] == rat(1, 25) and sol.values[x3] == 1
 
 
-def test_dantzig_cycling_example_ends_under_the_bland_fallback(monkeypatch):
+def test_dantzig_cycling_example_ends_under_the_bland_fallback(pivot_bound):
     # Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
     # alone cycles here.  A repeated basis must hand over to Bland's rule.
-    pivots = []
-    pivot = _Simplex._pivot
-
-    def counted(self, r, col):
-        pivots.append(col)
-        if len(pivots) > 100:
-            raise AssertionError("the simplex cycles")
-        pivot(self, r, col)
-
-    monkeypatch.setattr(_Simplex, "_pivot", counted)
     lp = LinearProgram("max")
     x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
     lp.add_constraint({x1: rat(1, 2), x2: rat(-11, 2), x3: rat(-5, 2), x4: 9}, "<=", 0)

@@ -24,6 +24,7 @@ from robustflow import (
     build_gm_lp,
     build_pm_lp,
     decompose_gamma1_solution,
+    enumerate_scenarios,
     enumerate_subpaths,
     evaluate_static,
     extract_gamma1_solution,
@@ -352,6 +353,82 @@ def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, no
             assert list(report["per_arc_exposure"].items()) == list(
                 expected_report["per_arc_exposure"].items()
             )
+
+
+def test_evaluator_matches_brute_force_oracle_on_a_wide_dag():
+    # 72 arcs, so every arc mask is wider than a machine word; at budget 1
+    # the oracle's per-scenario loops stay cheap.
+    net = gen_random("dag", nodes=30, arcs=72, max_cap=3, seed=1)
+    catalog = enumerate_subpaths(net)
+    _, arc_flow, _ = nominal_max_flow(net)
+    arc_flow = {a: v for a, v in arc_flow.items() if v != 0}
+    pieces = path_decompose(arc_flow, net, net.source, net.sink)
+    pieces = [(tuple(piece.arcs), val) for piece, val in pieces]
+    st_index = {p.arcs: i for i, p in enumerate(catalog.st_paths)}
+    # Each path cut in two at its middle node: flow to check at interior nodes.
+    halves: dict = {}
+    for arcs, val in pieces:
+        for part in (arcs[: len(arcs) // 2], arcs[len(arcs) // 2 :]):
+            if part:
+                key = catalog.subpath_id(part)
+                halves[key] = halves.get(key, 0) + val
+    flows = [
+        StaticFlow("arc", arc_flow),
+        StaticFlow("path", {st_index[arcs]: val for arcs, val in pieces}),
+        StaticFlow("path", {st_index[arcs]: val * 2 for arcs, val in pieces}),
+        StaticFlow("subpath", {catalog.subpath_id(arcs): val / 3 for arcs, val in pieces}),
+        StaticFlow("subpath", halves),
+    ]
+    outcomes = []
+    for flow in flows:
+        violations, report = _evaluated(flow, net, 1)
+        assert (violations, report) == brute_force_evaluate_static(flow, net, catalog, 1), flow
+        outcomes.append(("conservation" in {v[0] for v in violations}, report is not None))
+    # The nominal arc flow and the cut paths break robust conservation, the
+    # doubled path flow only capacity; the others are feasible.
+    assert outcomes == [(True, False), (False, True), (False, False), (False, True), (True, False)]
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        gen_two_hop(),
+        gen_fan(2),
+        gen_random("dag", nodes=5, arcs=8, max_cap=3, seed=2),
+        Network(
+            ("s", "u", "t"),
+            [
+                Arc("a10", "s", "u", 1),
+                Arc(2, "s", "u", 1),
+                Arc("a2", "u", "t", 1),
+                Arc(10, "u", "t", 1),
+                Arc("b", "s", "t", 1),
+            ],
+            "s",
+            "t",
+        ),
+        gen_random("dag", nodes=30, arcs=72, max_cap=3, seed=1),
+    ],
+    ids=["two-hop", "fan", "dag8", "mixed-ids", "dag72"],
+)
+def test_scenario_masks_align_with_scenario_tuples(net):
+    # Mask i is the OR of the bits (arc rank in net.arcs) of scenario i.
+    bit = {arc.id: 1 << i for i, arc in enumerate(net.arcs)}
+    m = len(net.arcs)
+    # Every budget on the small networks; the 72-arc one has C(72, 3) = 59,640
+    # scenarios of size 3 alone, so it stops at 2.
+    for gamma in (0, 1, 2) if m > 64 else (0, 1, 2, m, m + 1):
+        scenarios, masks = static_models._scenarios(net, gamma)
+        assert scenarios == enumerate_scenarios([a.id for a in net.arcs], gamma)
+        expected = []
+        for scenario in scenarios:
+            mask = 0
+            for a in scenario:
+                mask |= bit[a]
+            expected.append(mask)
+        assert masks == expected
+    if m > 64:
+        assert max(masks).bit_length() == m
 
 
 # -- model checks survive ``python -O`` ----------------------------------------
