@@ -186,7 +186,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
         if last > 0:
             kept[i], walk[i], window[i] = route, steps, last
     by_start, by_end, by_arc = route_index(kept)
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     xs: dict = {}
     for i in kept:
         for theta in range(1, window[i] + 1):
@@ -281,7 +281,7 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
     by per-node and per-arc bounding variables."""
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     xs = {
         (arc.id, theta): lp.add_var(f"x[{arc.id},{theta}]")
         for arc in net.arcs

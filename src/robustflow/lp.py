@@ -1,27 +1,29 @@
 """Exact-arithmetic linear programming.
 
-A deliberately small LP toolkit: nonnegative (or free) variables, three
-relation kinds, one objective, and a two-phase primal simplex that enters
-the largest reduced cost (Dantzig) and falls back to Bland's rule when a
-basis repeats during a run of degenerate pivots.  The tableau is sparse
-and integer: each row is a ``{column: int}`` dict whose rational value is
-the row divided by its basic entry, as in integer-preserving elimination
-(Bareiss) and the integer pivoting of lrs.
+A deliberately small LP toolkit for the one form every model emits:
+maximize ``c.x`` over ``x >= 0`` subject to ``<=`` rows with right-hand side
+>= 0 and ``==`` rows with right-hand side 0.  The zero vector is then
+feasible, so the primal simplex starts from the all-slack basis and needs no
+phase 1.  It enters the largest reduced cost (Dantzig) and falls back to
+Bland's rule when a basis repeats during a run of degenerate pivots.  The
+tableau is sparse and integer: each row is a ``{column: int}`` dict whose
+rational value is the row divided by its basic entry, as in
+integer-preserving elimination (Bareiss) and the integer pivoting of lrs.
 There is no floating point anywhere, no tolerance knobs, and statuses are
-decided exactly: ``optimal``, ``infeasible`` or ``unbounded``.
+decided exactly: ``optimal`` or ``unbounded``.
 
 Input contract: every coefficient and right-hand side is an ``int`` or a
-``fractions.Fraction``; anything else raises :class:`LpError`.  The LP keeps
-the values it is given (only zeros are dropped) and :func:`_integer_row`
-turns each row into integers once, on its way into the tableau.  Values are
-returned as ``Fraction``s.
+``fractions.Fraction``; anything else, and any row out of the form above,
+raises :class:`LpError`.  The LP keeps the values it is given (only zeros
+are dropped) and :func:`_integer_row` turns each row into integers once, on
+its way into the tableau.  Values are returned as ``Fraction``s.
 
 An exact presolve (:func:`_forced_zero`, after Brearley, Mitra & Williams,
 1975) fixes columns at 0 before the simplex.  A forcing row has right-hand
-side 0, no free column, and live coefficients of one sign: positive for
-``<=``, negative for ``>=``, either for ``==``.  Nonnegative terms of one
-sign sum to 0 only if each is 0, so its columns are 0 at every feasible
-point; fixing them can make another row forcing, up to a fixpoint.
+side 0 and live coefficients of one sign: positive for ``<=``, either for
+``==``.  Nonnegative terms of one sign sum to 0 only if each is 0, so its
+columns are 0 at every feasible point; fixing them can make another row
+forcing, up to a fixpoint.
 
 Every optimum is re-checked against every row of the original LP, fixed
 columns included, before it is returned, in integers: the values are put
@@ -42,8 +44,6 @@ from .rational import ZERO, common_denominator, rat
 
 KERNEL = "sparse-int"
 
-_RELATIONS = ("<=", ">=", "==")
-
 
 class LpError(ValueError):
     """Malformed LP input."""
@@ -60,6 +60,11 @@ def _exact(value):
     raise LpError(f"LP data must be int or Fraction, got {value!r}")
 
 
+def in_form(rel: str, rhs) -> bool:
+    """Whether a row ``... rel rhs`` is in the one form: ``<=`` with ``rhs >= 0``, or ``== 0``."""
+    return rhs >= 0 if rel == "<=" else rel == "==" and rhs == 0
+
+
 @dataclass
 class _Constraint:
     coeffs: dict
@@ -69,21 +74,23 @@ class _Constraint:
 
 
 class LinearProgram:
-    """LP container; variables are nonnegative unless declared free."""
+    """LP container: maximize over nonnegative variables, rows in the module's one form."""
 
-    def __init__(self, sense: str = "max") -> None:
-        if sense not in ("max", "min"):
-            raise LpError(f"sense must be 'max' or 'min', got {sense!r}")
-        self.sense = sense
+    # Kept as constants for readers of the LP, such as perfbench's HiGHS reference.
+    sense = "max"
+
+    def __init__(self) -> None:
         self.var_names: list = []
-        self.free: list = []
         self.objective: dict = {}
         self.constraints: list = []
 
-    def add_var(self, name: Optional[str] = None, *, free: bool = False) -> int:
+    @property
+    def free(self) -> tuple:
+        return (False,) * len(self.var_names)
+
+    def add_var(self, name: Optional[str] = None) -> int:
         idx = len(self.var_names)
         self.var_names.append(name if name is not None else f"x{idx}")
-        self.free.append(bool(free))
         return idx
 
     def set_objective(self, coeffs: Mapping) -> None:
@@ -92,9 +99,10 @@ class LinearProgram:
     def add_constraint(
         self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None
     ) -> int:
-        if rel not in _RELATIONS:
-            raise LpError(f"relation must be one of {_RELATIONS}, got {rel!r}")
-        self.constraints.append(_Constraint(self._clean(coeffs), rel, _exact(rhs), label))
+        coeffs = self._clean(coeffs)
+        if not in_form(rel, _exact(rhs)):
+            raise LpError(f"rows must be '<=' with rhs >= 0 or '==' with rhs 0, got {rel} {rhs}")
+        self.constraints.append(_Constraint(coeffs, rel, rhs, label))
         return len(self.constraints) - 1
 
     def _clean(self, coeffs: Mapping) -> dict:
@@ -146,12 +154,13 @@ def dump_lp(lp: LinearProgram) -> str:
             parts.append(term(j, coeffs[j], k == 0))
         return " ".join(parts)
 
-    lines = [f"{lp.sense}: {linear(lp.objective)}", "subject to:"]
+    # Every LP maximizes and has no free variable, so the "max:" header and the
+    # "free: (none)" line say nothing; they stay because the goldens hash this text.
+    lines = [f"max: {linear(lp.objective)}", "subject to:"]
     for i, con in enumerate(lp.constraints):
         tag = f" [{con.label}]" if con.label else ""
         lines.append(f"  c{i}{tag}: {linear(con.coeffs)} {con.rel} {con.rhs}")
-    frees = [lp.var_names[j] for j in range(lp.n_vars) if lp.free[j]]
-    lines.append(f"free: {', '.join(frees) if frees else '(none)'}")
+    lines.append("free: (none)")
     return "\n".join(lines) + "\n"
 
 
@@ -204,10 +213,6 @@ def _cancel(row: dict, rhs: int, prow: dict, prhs: int, col: int) -> int:
     return _normalize(row, rhs - f * prhs)
 
 
-def _holds(lhs, rel: str, rhs) -> bool:
-    return lhs <= rhs if rel == "<=" else lhs >= rhs if rel == ">=" else lhs == rhs
-
-
 def _forced_zero(lp: LinearProgram) -> list:
     """Flags of the variables that forcing rows (module docstring) fix at 0, to a fixpoint.
 
@@ -216,11 +221,10 @@ def _forced_zero(lp: LinearProgram) -> list:
     """
     fixed = [False] * lp.n_vars
     rows = lp.constraints
-    free = lp.free if any(lp.free) else None
     live = {}  # row -> [live positive entries, live negative entries]
     rows_of = defaultdict(list)
     for i, con in enumerate(rows):
-        if con.rhs == 0 and not (free and any(free[j] for j in con.coeffs)):
+        if con.rhs == 0:
             neg = sum(1 for c in con.coeffs.values() if c < 0)
             live[i] = [len(con.coeffs) - neg, neg]
             for j in con.coeffs:
@@ -228,8 +232,7 @@ def _forced_zero(lp: LinearProgram) -> list:
 
     def forcing(i):
         pos, neg = live[i]
-        rel = rows[i].rel
-        return neg == 0 if rel == "<=" else pos == 0 if rel == ">=" else pos == 0 or neg == 0
+        return neg == 0 or (pos == 0 and rows[i].rel == "==")
 
     ready = [i for i in live if forcing(i)]
     fired = set(ready)
@@ -245,33 +248,42 @@ def _forced_zero(lp: LinearProgram) -> list:
     return fixed
 
 
-class _Simplex:
-    """Two-phase primal simplex on sparse integer rows: Dantzig's rule, Bland's on a repeat.
+def _check_form(con: _Constraint, rhs) -> None:
+    """Raise :class:`LpError` unless ``con`` is in form; ``rhs`` is ``con.rhs`` or a positive multiple."""
+    if not in_form(con.rel, rhs):
+        raise LpError(f"row {con.label} is {con.rel} {con.rhs}, out of the simplex's form")
 
-    The tableau is the presolved LP.  A forcing row (right-hand side 0, no
-    free column, live coefficients of the one sign its relation allows) fixes
-    its columns at 0, as nonnegative terms of one sign sum to 0 only if each
-    is 0.  Fixed columns get no tableau column and read 0; a row left with no
-    column is dropped if ``0 rel rhs`` holds and kept otherwise.
+
+class _Simplex:
+    """Primal simplex from the all-slack basis on sparse integer rows: Dantzig, Bland on a repeat.
+
+    The tableau is the presolved LP.  A forcing row (right-hand side 0, live
+    coefficients of the one sign its relation allows) fixes its columns at
+    0, as nonnegative terms of one sign sum to 0 only if each is 0.  Fixed
+    columns get no tableau column and read 0; a row left with no column
+    reads ``0 <= rhs`` or ``0 == 0``, holds, and is dropped.
     :func:`_verify` still checks every optimum against the original LP.
 
-    Columns are the structural ones (a free variable takes two), one slack
-    per ``<=`` row (an equality is split into two ``<=`` rows), then one
-    artificial per row with a negative right-hand side, then one slack per
-    pin row.  Row ``i`` is a dict ``{column: int}`` with the integer
-    right-hand side ``rhs[i]``; it stands for the rational tableau row
-    obtained by dividing by its basic entry ``rows[i][basis[i]]``, which is
-    kept positive.  Every row is kept primitive (divided by the gcd of its
-    entries), so each rational row has one integer form.  The objective row
-    is a positive integer multiple of the reduced costs, so its largest
-    entry marks the largest reduced cost.  A pivot scans ``rows`` once for
-    the rows that hold the entering column.
+    A row out of the module's one form raises :class:`LpError` here, so a
+    row appended without :meth:`LinearProgram.add_constraint`'s checks never
+    reaches the tableau.  Every right-hand side is then >= 0 and the slacks
+    make a feasible basis at x = 0.
 
-    An artificial column is stored only as the basic entry of its own row
-    and is dropped when it leaves the basis, so it can never enter.  The
-    entering column has the largest reduced cost, the smallest such column
-    on ties, and the ratio test breaks ties on the smallest basic column:
-    the same pivots as on a dense rational tableau of the presolved LP.
+    Columns are the structural ones, one slack per ``<=`` half (an equality
+    is split into two ``<=`` halves), then one slack per pin row: row ``i``'s
+    slack is column ``first_slack + i``.  Row ``i`` is a dict ``{column:
+    int}`` with the integer right-hand side ``rhs[i]``; it stands for the
+    rational tableau row obtained by dividing by its basic entry
+    ``rows[i][basis[i]]``, which is kept positive.  Every row is kept
+    primitive (divided by the gcd of its entries), so each rational row has
+    one integer form.  The objective row is a positive integer multiple of
+    the reduced costs, so its largest entry marks the largest reduced cost.
+    A pivot scans ``rows`` once for the rows that hold the entering column.
+
+    The entering column has the largest reduced cost, the smallest such
+    column on ties, and the ratio test breaks ties on the smallest basic
+    column: the same pivots as on a dense rational tableau of the presolved
+    LP.
 
     Dantzig's rule can cycle on degenerate pivots, so each run of them keeps
     the hash of every basis it reaches.  On the first repeat, the entering
@@ -288,58 +300,35 @@ class _Simplex:
     """
 
     def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
-        # Structural columns: free variables are split into two parts; a fixed
-        # variable (never a free one) gets none.
-        self.col_pos: list = []
-        self.col_neg: list = []
+        # Structural columns: a fixed variable gets none.
+        self.col: list = [None] * lp.n_vars
         n = 0
         for j, fixed in enumerate(_forced_zero(lp)):
-            self.col_pos.append(None if fixed else n)
             if not fixed:
+                self.col[j] = n
                 n += 1
-            if lp.free[j]:
-                self.col_neg.append(n)
-                n += 1
-            else:
-                self.col_neg.append(None)
-        # Constraints in <= form (equalities become two rows).
-        halves = []
-        for con in lp.constraints:
-            coeffs = self._columns(con.coeffs)
-            if not coeffs and _holds(0, con.rel, con.rhs):
-                continue
-            if con.rel in ("<=", "=="):
-                halves.append((coeffs, con.rhs))
-            if con.rel in (">=", "=="):
-                halves.append(({j: -c for j, c in coeffs.items()}, -con.rhs))
-        self.ncols = n + len(halves)
-        self.artificial: set = set()
+        self.first_slack = n
         self.rows: list = []
         self.rhs: list = []
         self.basis: list = []
         self.obj: dict = {}
-        for i, (coeffs, b) in enumerate(halves):
-            coeffs[n + i] = 1
-            basic = n + i
-            if b < 0:
-                coeffs = {j: -c for j, c in coeffs.items()}
-                b = -b
-                basic = self.ncols
-                self.ncols += 1
-                coeffs[basic] = 1
-                self.artificial.add(basic)
-            self._add_row(*_integer_row(coeffs, b), basic)
+        for con in lp.constraints:
+            coeffs = self._columns(con.coeffs)
+            if not coeffs:
+                _check_form(con, con.rhs)
+                continue
+            halves = [coeffs] if con.rel == "<=" else [coeffs, {j: -c for j, c in coeffs.items()}]
+            for half in halves:
+                slack = n + len(self.rows)
+                half[slack] = 1
+                row, rhs = _integer_row(half, con.rhs)
+                _check_form(con, rhs)
+                self._add_row(row, rhs, slack)
 
     def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
         """Column coefficients of a (zero-free) linear form over the LP's variables."""
-        out = {}
-        for j, c in coeffs.items():
-            if self.col_pos[j] is not None:
-                out[self.col_pos[j]] = sign * c
-            if self.col_neg[j] is not None:
-                out[self.col_neg[j]] = -sign * c
-        return out
+        col = self.col
+        return {col[j]: sign * c for j, c in coeffs.items() if col[j] is not None}
 
     def _add_row(self, row: dict, rhs: int, basic: int) -> None:
         self.rows.append(row)
@@ -349,16 +338,8 @@ class _Simplex:
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, col: int) -> None:
-        prow = self.rows[r]
-        leaving = self.basis[r]
-        if leaving in self.artificial:
-            del prow[leaving]
-        prhs = self.rhs[r]
-        if prow[col] < 0:
-            for j in prow:
-                prow[j] = -prow[j]
-            prhs = -prhs
-        self.rhs[r] = prhs = _normalize(prow, prhs)
+        """Make ``col`` basic in row ``r``, whose ``col`` entry the ratio test chose positive."""
+        prow, prhs = self.rows[r], self.rhs[r]
         for i, row in enumerate(self.rows):
             if col in row and i != r:
                 self.rhs[i] = _cancel(row, self.rhs[i], prow, prhs, col)
@@ -402,54 +383,20 @@ class _Simplex:
                 bland = key in seen
                 seen.add(key)
 
-    def _set_objective(self, coeffs: Mapping) -> None:
-        """Reduced-cost row of ``coeffs`` (a column -> exact number map) at the current basis."""
-        obj, _ = _integer_row(coeffs, 0)
+    def optimize(self, coeffs: Mapping) -> str:
+        """Maximize ``coeffs . x`` from the current basis; ``optimal`` or ``unbounded``."""
+        obj, _ = _integer_row(self._columns(coeffs), 0)
         for i, b in enumerate(self.basis):
             if b in obj:
                 _cancel(obj, 0, self.rows[i], self.rhs[i], b)
-        self.obj = obj
-
-    # -- phases -----------------------------------------------------------
-
-    def _phase1(self) -> bool:
-        """Returns True when a feasible basis was reached."""
-        # The presolve kept the original feasible set: it fixed at 0 only the
-        # columns of forcing rows, whose nonnegative terms of one sign sum to
-        # 0 only if each is 0, and kept each emptied row that ``0 rel rhs``
-        # breaks, such as ``0 <= -1``, whose artificial then stays positive.
-        # The optimum is checked against the original LP (``_verify``).
-        if not self.artificial:
-            return True
-        self._set_objective({a: -1 for a in self.artificial})
-        if self._run() != "optimal":
-            raise LpCheckError("phase 1 cannot be unbounded")
-        if any(self.rhs[i] for i, b in enumerate(self.basis) if b in self.artificial):
-            return False
-        # Drive leftover artificials (all at value 0) out of the basis.  Every
-        # row has a nonzero slack entry (its slack part is, up to signs, a
-        # row of the inverse basis), so there is always a column to pivot on
-        # and no row is ever redundant, even with duplicated equalities.
-        for i in range(len(self.rows)):
-            if self.basis[i] in self.artificial:
-                self._pivot(i, min(j for j in self.rows[i] if j != self.basis[i]))
-        return True
-
-    def _phase2(self, coeffs: Mapping) -> str:
-        self._set_objective(self._columns(coeffs, 1 if self.lp.sense == "max" else -1))
+        self.obj = obj  # a positive multiple of the reduced costs at the basis
         return self._run()
 
     # -- results ----------------------------------------------------------
 
     def var_values(self) -> tuple:
         cols = {b: rat(self.rhs[i], self.rows[i][b]) for i, b in enumerate(self.basis)}
-        out = []
-        for j in range(self.lp.n_vars):
-            v = cols.get(self.col_pos[j], ZERO)  # a fixed column (None) reads 0
-            if self.col_neg[j] is not None:
-                v = v - cols.get(self.col_neg[j], ZERO)
-            out.append(v)
-        return tuple(out)
+        return tuple(cols.get(c, ZERO) for c in self.col)  # a fixed column (None) reads 0
 
     def objective_of(self, coeffs: Mapping, values: Sequence) -> object:
         return sum((c * values[j] for j, c in coeffs.items()), ZERO)
@@ -459,15 +406,13 @@ class _Simplex:
     def pin_objective(self, coeffs: Mapping, value) -> None:
         """Pin ``coeffs . x`` at its optimum ``value`` with one row; the vertex stays basic.
 
-        Optimality already bounds ``coeffs . x`` by ``value`` on one side (from
-        above for ``max``, from below for ``min``), so the row bounds the other.
+        Optimality already bounds ``coeffs . x`` by ``value`` from above, so
+        the row ``-coeffs . x <= -value`` bounds it from below.
         """
-        sign = -1 if self.lp.sense == "max" else 1
-        slack = self.ncols
-        self.ncols += 1
-        pin = self._columns(coeffs, sign)
+        slack = self.first_slack + len(self.rows)
+        pin = self._columns(coeffs, -1)
         pin[slack] = 1
-        row, rhs = _integer_row(pin, sign * value)
+        row, rhs = _integer_row(pin, -value)
         for i, b in enumerate(self.basis):
             if b in row:
                 rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
@@ -477,16 +422,13 @@ class _Simplex:
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve exactly; statuses are ``optimal``/``infeasible``/``unbounded``."""
+    """Solve exactly; statuses are ``optimal``/``unbounded``."""
     return _solve(lp)[0]
 
 
 def _solve(lp: LinearProgram):
     simplex = _Simplex(lp)
-    if not simplex._phase1():
-        return LpSolution("infeasible", None, ()), simplex
-    status = simplex._phase2(lp.objective)
-    if status == "unbounded":
+    if simplex.optimize(lp.objective) == "unbounded":
         return LpSolution("unbounded", None, ()), simplex
     values = simplex.var_values()
     _verify(lp, values)
@@ -504,9 +446,8 @@ def _verify(lp: LinearProgram, values: Sequence) -> None:
     exact, only slower.
     """
     den, nums = common_denominator(values)
-    for x, free in zip(nums, lp.free):
-        if x < 0 and not free:
-            raise LpCheckError("solver produced a negative variable")
+    if any(x < 0 for x in nums):
+        raise LpCheckError("solver produced a negative variable")
     get = {j: x for j, x in enumerate(nums) if x}.get
     for con in lp.constraints:
         lhs = 0
@@ -514,23 +455,23 @@ def _verify(lp: LinearProgram, values: Sequence) -> None:
             x = get(j)
             if x is not None:
                 lhs += c * x
-        if not _holds(lhs * con.rhs.denominator, con.rel, con.rhs.numerator * den):
+        lhs, rhs = lhs * con.rhs.denominator, con.rhs.numerator * den
+        if not (lhs <= rhs if con.rel == "<=" else lhs == rhs):
             raise LpCheckError(f"solver violated constraint {con.label or ''}")
 
 
 def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
-    """Optimize ``lp``'s objective, then ``secondary`` among its optima.
+    """Maximize ``lp``'s objective, then ``secondary`` among its optima.
 
-    Both objectives share ``lp.sense``.  The follow-up solve warm-continues
-    from the optimal tableau with the primary objective pinned to its value.
+    The follow-up solve warm-continues from the optimal tableau with the
+    primary objective pinned to its value.
     """
     secondary = lp._clean(secondary)
     first, simplex = _solve(lp)
     if first.status != "optimal":
         return LexSolution(first.status, None, None, ())
     simplex.pin_objective(lp.objective, first.objective_value)
-    status = simplex._phase2(secondary)
-    if status == "unbounded":
+    if simplex.optimize(secondary) == "unbounded":
         return LexSolution("unbounded", first.objective_value, None, ())
     values = simplex.var_values()
     _verify(lp, values)

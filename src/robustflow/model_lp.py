@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, LpSolution, _Constraint, lexicographic_solve, solve_lp
+from .lp import LinearProgram, LpSolution, _Constraint, in_form, lexicographic_solve, solve_lp
 from .network import Network, separates
 from .rational import ZERO
 
@@ -67,7 +67,10 @@ class Rows:
     or ``Fraction`` right-hand sides; they are appended as given (zeros
     dropped) without the input checks of :meth:`LinearProgram.add_constraint`,
     and an ``int`` keys a row like the equal ``Fraction`` would.  Rows with no
-    nonzero coefficient, and repeats of a row already added, are skipped.
+    nonzero coefficient, and repeats of a row already added, are skipped.  A
+    row out of the LP's one form (:func:`robustflow.lp.in_form`) is caught
+    later: the simplex rejects it, and so does :func:`check_zero_start` on
+    the path that skips the simplex.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -102,12 +105,12 @@ def nonzero(columns: Mapping, values) -> dict:
 def check_zero_start(lp: LinearProgram) -> None:
     """Raise unless x = 0 is the simplex's starting vertex of ``lp``.
 
-    That holds when every ``<=`` row has a right-hand side >= 0 and every
-    other row has right-hand side 0: then no row needs an artificial column
-    and the all-slack basis is feasible at x = 0.
+    That holds when every row is in the one form the simplex takes
+    (:func:`robustflow.lp.in_form`): then the all-slack basis is feasible at
+    x = 0.
     """
     for con in lp.constraints:
-        if con.rhs < 0 if con.rel == "<=" else con.rhs != 0:
+        if not in_form(con.rel, con.rhs):
             raise ModelCheckError(
                 f"x = 0 is not the starting vertex: row {con.label} is {con.rel} {con.rhs}"
             )
@@ -122,14 +125,16 @@ def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate, ze
     report's robust (and, lexicographically, nominal) value must equal the
     LP's.
 
-    A plain solve given a :class:`ZeroCut` (which must prove that the LP
-    optimum is 0) does not run the simplex.  It checks that x = 0 is the
-    simplex's starting vertex (:func:`check_zero_start`) and re-checks the
-    cut.  The simplex enters only columns with a positive reduced cost, so a
-    pivot that moved off x = 0 would raise the objective above the optimum;
-    every pivot is degenerate, whichever column it enters, and the simplex
-    would return exactly x = 0.
-    That vector goes through the same ``extract`` and ``evaluate``.
+    The simplex returns ``optimal`` or ``unbounded``; an unbounded model LP
+    raises :class:`ModelCheckError`.  A plain solve given a
+    :class:`ZeroCut` (which must prove that the LP optimum is 0) does not run
+    the simplex.  In its place it checks the rows' form, which makes x = 0
+    the simplex's starting vertex (:func:`check_zero_start`), and re-checks
+    the cut.  The simplex enters only columns with a positive reduced cost,
+    so a pivot that moved off x = 0 would raise the objective above the
+    optimum; every pivot is degenerate, whichever column it enters, and the
+    simplex would return exactly x = 0.  That vector goes through the same
+    ``extract`` and ``evaluate``.
     """
     if maximize_nominal:
         sol = lexicographic_solve(build.lp, build.nominal_coeffs)

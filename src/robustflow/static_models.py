@@ -130,7 +130,7 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
     each arc bounds the flow of the routes through it.
     """
     by_start, by_end, by_arc = route_index(routes)
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     xs = {key: lp.add_var(f"x[{key}]") for key in routes}
     lam = lp.add_var("loss_bound")
     enders = by_end.get(net.sink, ())
@@ -196,7 +196,7 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
         for w in net.nodes
         if w != source and w != v and w in reach_from[v]
     ]
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     nu = lp.add_var("nu")
     y: dict = {}
     by_commodity: dict = {}

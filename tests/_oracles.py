@@ -50,7 +50,7 @@ def full_family_lp(net, model, gamma):
         routes = paths if model == "pm" else sorted(
             {p[i:j] for p in paths for i in range(len(p)) for j in range(i + 1, len(p) + 1)}
         )
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = [lp.add_var() for _ in routes]
     loss = lp.add_var()
     into_sink = [k for k, r in enumerate(routes) if ends[r[-1]][1] == net.sink]
@@ -455,11 +455,10 @@ def row_by_row_verify(lp, values):
     """
     from robustflow.lp import LpCheckError
 
-    for j in range(lp.n_vars):
-        if not (lp.free[j] or values[j] >= 0):
-            raise LpCheckError("solver produced a negative variable")
+    if any(v < 0 for v in values):
+        raise LpCheckError("solver produced a negative variable")
     for con in lp.constraints:
         lhs = sum((c * values[j] for j, c in con.coeffs.items()), Fraction(0))
-        ok = lhs <= con.rhs if con.rel == "<=" else lhs >= con.rhs if con.rel == ">=" else lhs == con.rhs
+        ok = lhs <= con.rhs if con.rel == "<=" else lhs == con.rhs
         if not ok:
             raise LpCheckError(f"solver violated constraint {con.label or ''}")

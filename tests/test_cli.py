@@ -237,7 +237,7 @@ def test_invalid_timed_instance_is_rejected_before_routes_are_read(tmp_path, cap
 @pytest.mark.parametrize(
     "binding, solution, flags",
     [
-        ("solve_lp", LpSolution("infeasible", None, ()), []),
+        ("solve_lp", LpSolution("unbounded", None, ()), []),
         ("lexicographic_solve", LexSolution("unbounded", None, None, ()), ["--lex-nominal"]),
     ],
 )

@@ -38,16 +38,17 @@ from robustflow import (
     solve_lp,
 )
 from robustflow.lp import LpCheckError, _Simplex, _forced_zero, _verify, dump_lp
+from robustflow.model_lp import Rows, check_zero_start
 
 from _oracles import row_by_row_verify
 
 
 def test_small_max_lp():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var("x")
     y = lp.add_var("y")
     lp.add_constraint({x: 1, y: 2}, "<=", 14)
-    lp.add_constraint({x: 3, y: -1}, ">=", 0)
+    lp.add_constraint({x: -3, y: 1}, "<=", 0)  # 3x - y >= 0
     lp.add_constraint({x: 1, y: -1}, "<=", 2)
     lp.set_objective({x: 3, y: 4})
     sol = solve_lp(lp)
@@ -57,7 +58,7 @@ def test_small_max_lp():
 
 
 def test_rational_coefficients_solve_exactly():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var()
     y = lp.add_var()
     lp.add_constraint({x: rat(1, 3), y: rat(1, 7)}, "<=", 1)
@@ -72,42 +73,59 @@ def test_rational_coefficients_solve_exactly():
 
 
 def test_min_sense_and_free_variables():
-    lp = LinearProgram("min")
-    z = lp.add_var("z", free=True)
-    lp.add_constraint({z: 1}, ">=", -5)
-    lp.set_objective({z: 1})
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.objective_value == -5
-    assert sol.values[z] == -5
+    # The LP maximizes over nonnegative variables only: there is no sense to
+    # choose and no free variable, and the ">=" rows that bound a minimum or
+    # a free column from below are out of form.
+    with pytest.raises(TypeError):
+        LinearProgram("min")
+    lp = LinearProgram()
+    with pytest.raises(TypeError):
+        lp.add_var("z", free=True)
+    z = lp.add_var("z")
+    x = lp.add_var("x")
+    with pytest.raises(LpError):
+        lp.add_constraint({z: 1}, ">=", -5)
+    # x + z <= 0 with z free would allow x = -z > 0; with z >= 0 it forces both.
+    lp.add_constraint({x: 1, z: 1}, "<=", 0)
+    with pytest.raises(LpError):
+        lp.add_constraint({z: 1}, ">=", -3)
+    assert lp.free == (False, False) and lp.sense == "max"
+    assert _forced_zero(lp) == [True, True]
 
 
 def test_equality_constraints():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var()
     y = lp.add_var()
-    lp.add_constraint({x: 1, y: 1}, "==", 4)
+    z = lp.add_var()
+    # x + y == 4 becomes x + y - z == 0 with z <= 4; 2x + y is at most
+    # x + z <= 5, so every optimum has z = 4.
+    lp.add_constraint({x: 1, y: 1, z: -1}, "==", 0)
+    lp.add_constraint({z: 1}, "<=", 4)
     lp.add_constraint({x: 1}, "<=", 1)
     lp.set_objective({x: 2, y: 1})
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.objective_value == 5
-    assert sol.values[x] == 1 and sol.values[y] == 3
+    assert sol.values == (1, 3, 4)
 
 
 def test_infeasible_detected():
-    lp = LinearProgram("max")
+    # x = 0 is feasible in every LP of the form, so an infeasible LP is one
+    # with a row out of form, and it is rejected when the row is added.
+    lp = LinearProgram()
     x = lp.add_var()
     lp.add_constraint({x: 1}, "<=", 1)
-    lp.add_constraint({x: 1}, ">=", 2)
+    with pytest.raises(LpError):
+        lp.add_constraint({x: 1}, ">=", 2)
+    with pytest.raises(LpError):
+        lp.add_constraint({x: -1}, "<=", -2)
     lp.set_objective({x: 1})
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    assert sol.objective_value is None
+    assert lp.n_constraints == 1 and solve_lp(lp).objective_value == 1
 
 
 def test_unbounded_detected():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var()
     y = lp.add_var()
     lp.add_constraint({x: 1, y: -1}, "<=", 1)
@@ -133,23 +151,24 @@ def pivot_bound(monkeypatch):
 
 
 def test_degenerate_cycling_guard(pivot_bound):
-    # Beale's classic cycling example; Bland's rule must terminate on it.
-    lp = LinearProgram("min")
+    # Beale's classic cycling example, minimize (-3/4, 150, -1/50, 6) . x,
+    # as the maximum of its negation; Bland's rule must terminate on it.
+    lp = LinearProgram()
     x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
     lp.add_constraint({x1: rat(1, 4), x2: -60, x3: rat(-1, 25), x4: 9}, "<=", 0)
     lp.add_constraint({x1: rat(1, 2), x2: -90, x3: rat(-1, 50), x4: 3}, "<=", 0)
     lp.add_constraint({x3: 1}, "<=", 1)
-    lp.set_objective({x1: rat(-3, 4), x2: 150, x3: rat(-1, 50), x4: 6})
+    lp.set_objective({x1: rat(3, 4), x2: -150, x3: rat(1, 50), x4: -6})
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.objective_value == rat(-1, 20)
+    assert sol.objective_value == rat(1, 20)
     assert sol.values[x1] == rat(1, 25) and sol.values[x3] == 1
 
 
 def test_dantzig_cycling_example_ends_under_the_bland_fallback(pivot_bound):
     # Chvatal, Linear Programming (1983), ch. 3: the largest-coefficient rule
     # alone cycles here.  A repeated basis must hand over to Bland's rule.
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x1, x2, x3, x4 = (lp.add_var() for _ in range(4))
     lp.add_constraint({x1: rat(1, 2), x2: rat(-11, 2), x3: rat(-5, 2), x4: 9}, "<=", 0)
     lp.add_constraint({x1: rat(1, 2), x2: rat(-3, 2), x3: rat(-1, 2), x4: 1}, "<=", 0)
@@ -162,7 +181,7 @@ def test_dantzig_cycling_example_ends_under_the_bland_fallback(pivot_bound):
 
 
 def test_zero_variable_lp():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     lp.set_objective({})
     sol = solve_lp(lp)
     assert sol.status == "optimal"
@@ -170,9 +189,9 @@ def test_zero_variable_lp():
 
 
 def test_bad_inputs_raise():
-    with pytest.raises(LpError):
-        LinearProgram("maximize")
-    lp = LinearProgram("max")
+    with pytest.raises(TypeError):
+        LinearProgram("max")
+    lp = LinearProgram()
     lp.add_var("x")
     with pytest.raises(LpError):
         lp.add_constraint({3: 1}, "<=", 1)
@@ -182,10 +201,37 @@ def test_bad_inputs_raise():
         lp.set_objective({5: 1})
 
 
+OUT_OF_FORM = [(">=", 1), ("<=", -1), ("==", 1)]
+
+
+@pytest.mark.parametrize("rel, rhs", OUT_OF_FORM)
+def test_add_constraint_rejects_rows_out_of_form(rel, rhs):
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    with pytest.raises(LpError):
+        lp.add_constraint({x: 1}, rel, rhs)
+    assert lp.n_constraints == 0
+
+
+@pytest.mark.parametrize("rel, rhs", OUT_OF_FORM)
+def test_a_row_appended_out_of_form_makes_the_solve_raise(rel, rhs):
+    # Rows skips add_constraint's checks; the simplex must refuse the row
+    # instead of returning a vertex of an LP it does not solve.
+    lp = LinearProgram()
+    x = lp.add_var("x")
+    lp.add_constraint({x: 1}, "<=", 2)
+    lp.set_objective({x: 1})
+    Rows(lp).add({x: 1}, rel, rhs, "planted")
+    with pytest.raises(LpError, match=f"row planted is {rel} {rhs}"):
+        solve_lp(lp)
+    with pytest.raises(LpError, match="planted"):
+        lexicographic_solve(lp, {x: 1})
+
+
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, True])
 def test_inexact_data_raises(bad):
     # Only ints and Fractions are LP data; nothing is coerced on the way in.
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var("x")
     with pytest.raises(LpError):
         lp.add_constraint({x: bad}, "<=", 1)
@@ -203,7 +249,7 @@ def test_inexact_data_raises(bad):
 def test_lexicographic_secondary_optimum():
     # Primary: maximize a+b on a+b<=10 (a whole edge is optimal).
     # Secondary: maximize a among those optima -> the (10, 0) vertex.
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     a = lp.add_var("a")
     b = lp.add_var("b")
     lp.add_constraint({a: 1, b: 1}, "<=", 10)
@@ -217,7 +263,7 @@ def test_lexicographic_secondary_optimum():
 
 
 def test_lexicographic_keeps_primary_pinned():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var()
     y = lp.add_var()
     lp.add_constraint({x: 1, y: 1}, "<=", 4)
@@ -231,7 +277,7 @@ def test_lexicographic_keeps_primary_pinned():
 
 
 def test_dump_lp_is_readable():
-    lp = LinearProgram("max")
+    lp = LinearProgram()
     x = lp.add_var("flow")
     lp.add_constraint({x: 1}, "<=", rat(3, 2), label="cap")
     lp.set_objective({x: 1})
@@ -429,6 +475,16 @@ def _broad_lps():
                 yield builder(inst, catalog)
 
 
+def test_model_lps_start_at_zero():
+    # Every model LP is in the simplex's form, so x = 0 is its starting vertex.
+    builds = list(_broad_lps())
+    builds += [build_gamma1_compact_lp(make()) for make in STATIC_NETS.values()]
+    builds += [build_dam_compact_lp(make()) for make in DYNAMIC_INSTANCES.values()]
+    for build in builds:
+        check_zero_start(build.lp)
+    assert len(builds) == 692
+
+
 def test_broad_model_lp_digest():
     digest = hashlib.sha256()
     for build in _broad_lps():
@@ -447,7 +503,7 @@ from fractions import Fraction
 from robustflow import LinearProgram
 from robustflow.lp import LpCheckError, _verify
 assert False, "asserts must be stripped in this interpreter"
-lp = LinearProgram("max")
+lp = LinearProgram()
 x = lp.add_var("x")
 lp.add_constraint({x: 1}, "<=", 1, label="cap")
 try:
@@ -483,60 +539,55 @@ sys.exit(1)
 # exact solver is the authority, HiGHS only a second opinion.
 REL_TOL = 1e-9
 SMALL = st.builds(rat, st.integers(-3, 3), st.integers(1, 3))
+NONNEGATIVE = st.builds(rat, st.integers(0, 3), st.integers(1, 3))
+MOSTLY_POSITIVE = st.builds(rat, st.integers(-1, 3), st.integers(1, 3))
 
 
 @st.composite
 def random_lps(draw):
-    """Small LPs with all three relations, free variables and rational data.
+    """Small LPs in the solver's form with rational data.
 
-    With ``planted`` the right-hand sides are set from a point, so the LP is
-    feasible; equalities are sometimes repeated with a scaled copy, which
-    makes phase 1 drive degenerate artificials out of the basis.
+    ``<=`` rows get a right-hand side >= 0 and ``==`` rows 0.  Equalities are
+    sometimes repeated with a scaled copy, so the tableau holds dependent
+    rows.  Bounds on some columns and a mostly positive objective, as in the
+    models, make more of the LPs bounded with an optimum above 0.
     """
     n = draw(st.integers(1, 4))
-    lp = LinearProgram(draw(st.sampled_from(["max", "min"])))
+    lp = LinearProgram()
     for _ in range(n):
-        lp.add_var(free=draw(st.booleans()))
-    point = [draw(SMALL) for _ in range(n)]
-    planted = draw(st.booleans())
+        lp.add_var()
     for _ in range(draw(st.integers(0, 5))):
         coeffs = {j: draw(SMALL) for j in range(n) if draw(st.booleans())}
-        rel = draw(st.sampled_from(["<=", ">=", "=="]))
-        if planted:
-            at = sum((c * point[j] for j, c in coeffs.items()), rat(0))
-            gap = draw(st.integers(0, 2))
-            rhs = at + gap if rel == "<=" else at - gap if rel == ">=" else at
-        else:
-            rhs = draw(SMALL)
-        lp.add_constraint(coeffs, rel, rhs)
+        rel = draw(st.sampled_from(["<=", "<=", "=="]))
+        lp.add_constraint(coeffs, rel, draw(NONNEGATIVE) if rel == "<=" else 0)
         if rel == "==" and draw(st.booleans()):
             k = draw(st.integers(1, 3))
-            lp.add_constraint({j: k * c for j, c in coeffs.items()}, "==", k * rhs)
-    lp.set_objective({j: draw(SMALL) for j in range(n)})
+            lp.add_constraint({j: k * c for j, c in coeffs.items()}, "==", 0)
+    for j in range(n):
+        if draw(st.booleans()):
+            lp.add_constraint({j: 1}, "<=", draw(st.integers(0, 3)))
+    lp.set_objective({j: draw(MOSTLY_POSITIVE) for j in range(n)})
     return lp
 
 
-def _highs(lp, objective=None, sense=None):
-    """HiGHS's status and optimum of ``lp``, or of ``objective`` (in ``sense``) over its rows."""
+def _highs(lp, objective=None):
+    """HiGHS's status and maximum of ``lp``'s objective, or of ``objective``, over its rows."""
     import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
     n = lp.n_vars
-    sense = sense or lp.sense
-    sign = -1.0 if sense == "max" else 1.0
     c = np.zeros(n)
     for j, v in (lp.objective if objective is None else objective).items():
-        c[j] = sign * float(v)
+        c[j] = -float(v)
     parts = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
     for con in lp.constraints:
         data, rows, cols, rhs = parts["eq" if con.rel == "==" else "ub"]
-        flip = -1.0 if con.rel == ">=" else 1.0
         for j, v in con.coeffs.items():
-            data.append(flip * float(v))
+            data.append(float(v))
             rows.append(len(rhs))
             cols.append(j)
-        rhs.append(flip * float(con.rhs))
+        rhs.append(float(con.rhs))
     matrices = {
         key: (csr_matrix((data, (rows, cols)), shape=(len(rhs), n)), np.array(rhs))
         if rhs
@@ -549,12 +600,12 @@ def _highs(lp, objective=None, sense=None):
         b_ub=matrices["ub"][1],
         A_eq=matrices["eq"][0],
         b_eq=matrices["eq"][1],
-        bounds=[(None, None) if lp.free[j] else (0, None) for j in range(n)],
+        bounds=(0, None),
         method="highs",
         options={"presolve": False},
     )
     status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status, res.message)
-    return status, (sign * res.fun if res.status == 0 else None)
+    return status, (-res.fun if res.status == 0 else None)
 
 
 @given(lp=random_lps())
@@ -622,8 +673,8 @@ def _check_presolve_against_highs(lp) -> list:
         exact = float(sol.objective_value)
         assert abs(exact - value) <= REL_TOL * max(1.0, abs(exact))
     fixed = [j for j, flag in enumerate(_forced_zero(lp)) if flag]
-    if fixed and status != "infeasible":
-        top_status, top = _highs(lp, {j: 1 for j in fixed}, "max")
+    if fixed:
+        top_status, top = _highs(lp, {j: 1 for j in fixed})
         assert top_status == "optimal" and abs(top) <= ZERO_TOL
     if fixed and status == "optimal":
         assert all(sol.values[j] == 0 for j in fixed)
@@ -643,19 +694,19 @@ POSITIVE = st.builds(rat, st.integers(1, 3), st.integers(1, 3))
 def forcing_lps(draw):
     """Small LPs built around rows with right-hand side 0, so the presolve fires.
 
-    Each such row has coefficients of the sign its relation makes forcing;
-    some also get one entry of the other sign, or a free column, which keeps
-    the row from firing until (or unless) that column is fixed by another
-    row.  A few random rows with any right-hand side, and bounds on some
-    columns, follow.
+    Each such row has coefficients of the sign its relation makes forcing:
+    positive for ``<=``, either for ``==``.  Some also get one entry of the
+    other sign, which keeps the row from firing until (or unless) that
+    column is fixed by another row.  A few random rows in form, and bounds
+    on some columns, follow.
     """
     n = draw(st.integers(1, 5))
-    lp = LinearProgram(draw(st.sampled_from(["max", "min"])))
+    lp = LinearProgram()
     for _ in range(n):
-        lp.add_var(free=draw(st.integers(0, 3)) == 0)
+        lp.add_var()
     for _ in range(draw(st.integers(1, 5))):
-        rel = draw(st.sampled_from(["<=", ">=", "=="]))
-        sign = {"<=": 1, ">=": -1, "==": draw(st.sampled_from([1, -1]))}[rel]
+        rel = draw(st.sampled_from(["<=", "=="]))
+        sign = 1 if rel == "<=" else draw(st.sampled_from([1, -1]))
         cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
         coeffs = {j: sign * draw(POSITIVE) for j in cols}
         if draw(st.booleans()):
@@ -663,12 +714,11 @@ def forcing_lps(draw):
         lp.add_constraint(coeffs, rel, 0)
     for _ in range(draw(st.integers(0, 3))):
         coeffs = {j: draw(SMALL) for j in range(n) if draw(st.booleans())}
-        lp.add_constraint(coeffs, draw(st.sampled_from(["<=", ">=", "=="])), draw(SMALL))
+        rel = draw(st.sampled_from(["<=", "=="]))
+        lp.add_constraint(coeffs, rel, draw(NONNEGATIVE) if rel == "<=" else 0)
     for j in range(n):
         if draw(st.booleans()):
             lp.add_constraint({j: 1}, "<=", draw(st.integers(0, 3)))
-            if lp.free[j]:
-                lp.add_constraint({j: 1}, ">=", -draw(st.integers(0, 3)))
     lp.set_objective({j: draw(SMALL) for j in range(n)})
     return lp
 
@@ -680,11 +730,11 @@ def test_presolve_statuses_and_optima_agree_with_highs(lp):
     _check_presolve_against_highs(lp)
 
 
-def _lp(n, rows, objective, sense="max", free=()):
+def _lp(n, rows, objective):
     """An LP over ``n`` variables from ``(coeffs, rel, rhs)`` rows."""
-    lp = LinearProgram(sense)
+    lp = LinearProgram()
     for j in range(n):
-        lp.add_var(f"x{j}", free=j in free)
+        lp.add_var(f"x{j}")
     for coeffs, rel, rhs in rows:
         lp.add_constraint(coeffs, rel, rhs)
     lp.set_objective(objective)
@@ -701,10 +751,11 @@ def test_presolve_follows_a_chain_of_forcing_rows():
     assert (sol.status, sol.objective_value, sol.values) == ("optimal", 5, (0, 0, 5))
 
 
-def test_presolve_fixes_all_negative_ge_and_eq_rows():
-    # -x0 - 2 x1 >= 0 (or == 0) holds only at x0 = x1 = 0; as <= it is slack.
-    for rel in (">=", "=="):
-        lp = _lp(3, [({0: -1, 1: -2}, rel, 0), ({0: 1, 1: 1, 2: 1}, "<=", 4)], {0: 3, 1: 2, 2: 1})
+def test_presolve_fixes_all_negative_eq_rows():
+    # -x0 - 2 x1 == 0, like x0 + 2 x1 <= 0, holds only at x0 = x1 = 0;
+    # -x0 - 2 x1 <= 0 is slack.
+    for row in (({0: -1, 1: -2}, "==", 0), ({0: 1, 1: 2}, "<=", 0)):
+        lp = _lp(3, [row, ({0: 1, 1: 1, 2: 1}, "<=", 4)], {0: 3, 1: 2, 2: 1})
         assert _forced_zero(lp) == [True, True, False]
         assert solve_lp(lp).values == (0, 0, 4)
     loose = _lp(3, [({0: -1, 1: -2}, "<=", 0), ({0: 1, 1: 1, 2: 1}, "<=", 4)], {0: 3, 1: 2, 2: 1})
@@ -713,20 +764,24 @@ def test_presolve_fixes_all_negative_ge_and_eq_rows():
 
 
 def test_a_free_column_blocks_the_presolve():
-    # x0 + z <= 0 with z free allows x0 = -z > 0; here z >= -3, so x0 = 3.
-    lp = _lp(2, [({0: 1, 1: 1}, "<=", 0), ({1: 1}, ">=", -3)], {0: 1}, free=(1,))
-    assert _forced_zero(lp) == [False, False]
+    # A free z enters as z = x1 - x2. x0 + z <= 0 then allows x0 = -z > 0;
+    # z >= -3 is -x1 + x2 <= 3, so x0 = 3 and nothing is fixed.
+    lp = _lp(3, [({0: 1, 1: 1, 2: -1}, "<=", 0), ({1: -1, 2: 1}, "<=", 3)], {0: 1})
+    assert _forced_zero(lp) == [False, False, False]
     sol = solve_lp(lp)
-    assert (sol.objective_value, sol.values) == (3, (3, -3))
+    assert (sol.objective_value, sol.values) == (3, (3, 0, 3))
 
 
 def test_a_row_left_without_columns_stays_infeasible():
-    # x0 <= 0 fixes x0, which leaves x0 <= -1 as 0 <= -1: phase 1 must see it.
-    lp = _lp(2, [({0: 1}, "<=", 0), ({0: 1}, "<=", -1), ({1: 1}, "<=", 1)], {1: 1})
+    # x0 <= 0 fixes x0, which leaves a planted x0 <= -1 as 0 <= -1: the
+    # solve must raise, not drop the row and return a vertex.
+    lp = _lp(2, [({0: 1}, "<=", 0), ({1: 1}, "<=", 1)], {1: 1})
+    Rows(lp).add({0: 1}, "<=", -1, "planted")
     assert _forced_zero(lp) == [True, False]
-    assert solve_lp(lp).status == "infeasible"
-    # An emptied row that holds (0 == 0, 0 >= -1) is dropped, not infeasible.
-    rows = [({0: 1}, "<=", 0), ({0: 2}, "==", 0), ({0: 1}, ">=", -1), ({1: 1}, "<=", 1)]
+    with pytest.raises(LpError, match="planted"):
+        solve_lp(lp)
+    # An emptied row in form (0 == 0, 0 <= 1) holds and is dropped.
+    rows = [({0: 1}, "<=", 0), ({0: 2}, "==", 0), ({0: 1}, "<=", 1), ({1: 1}, "<=", 1)]
     ok = _lp(2, rows, {1: 1})
     assert _forced_zero(ok) == [True, False]
     assert solve_lp(ok).values == (0, 1)

@@ -490,13 +490,15 @@ def test_dynamic_model_checks_raise_under_python_O():
 def test_zero_start_premise_raises_under_python_O():
     # Two-hop gm at Gamma = 2 takes the zero-cut shortcut. A planted row with
     # a negative right-hand side makes x = 0 infeasible, so the premise
-    # check must raise before any flow is returned.
+    # check must raise before any flow is returned.  add_constraint rejects
+    # such a row, so it is planted through Rows, which skips input checks.
     plant = """
 from robustflow import static_models
+from robustflow.model_lp import Rows
 honest = static_models.build_gm_lp
 def planted(*args, **kwargs):
     build = honest(*args, **kwargs)
-    build.lp.add_constraint({0: 1}, "<=", -1, "planted")
+    Rows(build.lp).add({0: 1}, "<=", -1, "planted")
     return build
 static_models.build_gm_lp = planted
 """
