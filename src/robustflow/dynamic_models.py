@@ -57,7 +57,7 @@ from .network import (
     validate_network,
 )
 from .rational import ZERO, common_denominator, rat
-from .static_models import InfeasibleFlowError, Violation
+from .static_models import InfeasibleFlowError, Violation, _intake
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
 
@@ -277,87 +277,76 @@ def build_dam_lp(inst: DynamicInstance) -> ModelBuild:
 
 
 def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
-    """Polynomial-size equivalent of ``dam``: scenario enumeration replaced
-    by per-node and per-arc bounding variables."""
+    """Polynomial-size equivalent of ``dam``: each worst case over the
+    delayed arcs is replaced by its LP dual's bounding variables.
+
+    Columns: ``x[a,theta]``, the flow entering arc a at theta;
+    ``lam[a,theta]`` for each arc not into the sink; ``eta[v,theta]`` for
+    each interior node; ``mu``; ``nu[a]`` for each arc into the sink.  The
+    objective is the flow entering the arcs into the sink by T minus their
+    travel time, less ``gamma * mu`` and every ``nu``.  Rows, in this order:
+
+    * ``flow[v,theta]``: at each interior node v, the outflow at theta plus
+      ``gamma * eta[v,theta]`` and the ``lam[a,theta]`` of the arcs into v is
+      at most the inflow that arrives at theta undelayed;
+    * ``shift[v,a,theta]``, after each node and time's ``flow`` row: the
+      inflow at theta that delaying arc a into v takes away, less what it
+      brings from earlier, is at most ``eta[v,theta] + lam[a,theta]``;
+    * ``tail[a]``: the flow on arc a into the sink that its delay pushes past
+      T is at most ``mu + nu[a]``;
+    * ``cap[a,theta]``: ``x[a,theta]`` is within the arc's capacity.
+
+    A term of an entry time outside 1..T is left out.  Terms on one column
+    are summed, so with a zero delay, or a self-loop of travel time 0, the
+    two terms cancel and :class:`Rows` drops the 0.
+    """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
+    times = range(1, T + 1)
+    inner = [v for v in net.nodes if v not in (net.source, net.sink)]
+    sink_in = net.in_arcs(net.sink)
     lp = LinearProgram()
-    xs = {
-        (arc.id, theta): lp.add_var(f"x[{arc.id},{theta}]")
-        for arc in net.arcs
-        for theta in range(1, T + 1)
-    }
+    xs = {(arc.id, theta): lp.add_var(f"x[{arc.id},{theta}]") for arc in net.arcs for theta in times}
     lam = {
         (arc.id, theta): lp.add_var(f"lam[{arc.id},{theta}]")
-        for arc in net.arcs
-        if arc.head != net.sink
-        for theta in range(1, T + 1)
+        for arc in net.arcs if arc.head != net.sink for theta in times
     }
-    eta = {
-        (v, theta): lp.add_var(f"eta[{v},{theta}]")
-        for v in net.nodes
-        if v not in (net.source, net.sink)
-        for theta in range(1, T + 1)
-    }
+    eta = {(v, theta): lp.add_var(f"eta[{v},{theta}]") for v in inner for theta in times}
     mu = lp.add_var("mu")
-    sink_in = list(net.in_arcs(net.sink))
     nu = {arc.id: lp.add_var(f"nu[{arc.id}]") for arc in sink_in}
-    objective: dict = {}
-    nominal: dict = {}
-    for arc in sink_in:
-        for theta in range(1, T - arc.travel_time + 1):
+
+    def add(coeffs: dict, arc: Arc, theta: int, k: int) -> None:
+        """Add ``k * x[arc, theta]`` to ``coeffs`` when 1 <= theta <= T."""
+        if 1 <= theta <= T:
             col = xs[(arc.id, theta)]
-            objective[col] = objective.get(col, 0) + 1
-            nominal[col] = nominal.get(col, 0) + 1
-    for arc in sink_in:
-        objective[nu[arc.id]] = -1
-    objective[mu] = objective.get(mu, 0) - gamma
-    lp.set_objective(objective)
+            coeffs[col] = coeffs.get(col, 0) + k
+
+    nominal = {xs[(arc.id, theta)]: 1 for arc in sink_in for theta in range(1, T - arc.travel_time + 1)}
+    lp.set_objective({**nominal, **dict.fromkeys(nu.values(), -1), mu: -gamma})
     rows = Rows(lp)
-    for v in net.nodes:
-        if v in (net.source, net.sink):
-            continue
-        for theta in range(1, T + 1):
+    for v in inner:
+        for theta in times:
             coeffs = {eta[(v, theta)]: gamma}
             for arc in net.out_arcs(v):
-                col = xs[(arc.id, theta)]
-                coeffs[col] = coeffs.get(col, 0) + 1
+                add(coeffs, arc, theta, 1)
             for arc in net.in_arcs(v):
-                entry = theta - arc.travel_time
-                if 1 <= entry <= T:
-                    col = xs[(arc.id, entry)]
-                    coeffs[col] = coeffs.get(col, 0) - 1
-                coeffs[lam[(arc.id, theta)]] = coeffs.get(lam[(arc.id, theta)], 0) + 1
+                add(coeffs, arc, theta - arc.travel_time, -1)
+                coeffs[lam[(arc.id, theta)]] = 1
             rows.add(coeffs, "<=", 0, f"flow[{v},{theta}]")
             for arc in net.in_arcs(v):
-                c2 = {eta[(v, theta)]: -1, lam[(arc.id, theta)]: -1}
-                entry = theta - arc.travel_time
-                if 1 <= entry <= T:
-                    col = xs[(arc.id, entry)]
-                    c2[col] = c2.get(col, 0) + 1
-                late = theta - arc.travel_time - arc.delay
-                if 1 <= late <= T:
-                    col = xs[(arc.id, late)]
-                    c2[col] = c2.get(col, 0) - 1
-                rows.add(c2, "<=", 0, f"shift[{v},{arc.id},{theta}]")
+                shift = {eta[(v, theta)]: -1, lam[(arc.id, theta)]: -1}
+                add(shift, arc, theta - arc.travel_time, 1)
+                add(shift, arc, theta - arc.travel_time - arc.delay, -1)
+                rows.add(shift, "<=", 0, f"shift[{v},{arc.id},{theta}]")
     for arc in sink_in:
-        c3 = {mu: -1, nu[arc.id]: -1}
-        for i in range(1, arc.delay + 1):
-            late = T - arc.travel_time - (i - 1)
-            if 1 <= late <= T:
-                col = xs[(arc.id, late)]
-                c3[col] = c3.get(col, 0) + 1
-        rows.add(c3, "<=", 0, f"tail[{arc.id}]")
+        tail = {mu: -1, nu[arc.id]: -1}
+        for late in range(T - arc.travel_time, T - arc.travel_time - arc.delay, -1):
+            add(tail, arc, late, 1)
+        rows.add(tail, "<=", 0, f"tail[{arc.id}]")
     for (a, theta), col in xs.items():
         rows.add({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
-    return ModelBuild(
-        lp,
-        "arc",
-        xs,
-        None,
-        nominal_coeffs=nominal,
-        aux={"lam": lam, "eta": eta, "mu": mu, "nu": nu},
-    )
+    aux = {"lam": lam, "eta": eta, "mu": mu, "nu": nu}
+    return ModelBuild(lp, "arc", xs, None, nominal_coeffs=nominal, aux=aux)
 
 
 def extract_dam_dual(build: ModelBuild, values, objective) -> DamDualSolution:
@@ -451,14 +440,7 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
 
     else:
         noun, word, order = ("path" if kind == "tr" else "route") + " index", "departure", None
-    violations = []
-    values = {}
-    for key, raw in flow.values.items():
-        value = rat(raw)
-        if value < 0:
-            violations.append(Violation("nonnegativity", key, None, f"value {value}"))
-        elif value > 0:
-            values[key] = value
+    values, violations = _intake(flow.values)
     if kind != "tr":
         for key in values:
             if not (

@@ -341,13 +341,13 @@ def flow_routes(net: Network, kind: str) -> tuple:
 
     An ``arc`` flow is keyed by arc id (:func:`arc_routes`), a ``subpath``
     flow by subpath index and any other kind by source-sink path index, into
-    ``net.catalog``.
+    ``net.catalog``.  No ``bool`` is a key, although ``True == 1``.
     """
     if kind == "arc":
         routes = arc_routes(net)
-        return routes, routes.__contains__
+        return routes, lambda key: not isinstance(key, bool) and key in routes
     routes = net.catalog.subpaths if kind == "subpath" else net.catalog.st_paths
-    return routes, lambda key: isinstance(key, int) and 0 <= key < len(routes)
+    return routes, lambda key: isinstance(key, int) and not isinstance(key, bool) and 0 <= key < len(routes)
 
 
 def route_index(routes: Mapping) -> tuple:

@@ -180,98 +180,82 @@ class CompactGamma1Solution:
 def build_gamma1_compact_lp(net: Network) -> ModelBuild:
     """Polynomial-size equivalent of ``gm`` for budget 1.
 
-    Variables ``y[a, v, w]`` carve the subpath flow into commodities by
-    (start, end); ``nu`` bounds the flow crossing any single arc on its way
-    to the sink, which for budget 1 is exactly the worst-case loss.
-    Commodities are limited to reachable pairs, and arcs to those on some
-    v-w walk; junk cycles through neither endpoint are dropped during
-    decomposition.
+    A commodity (v, w) is the subpath flow from v to w, for each w reachable
+    from v (v not the sink, w not the source).  Its column ``y[a,v,w]`` is
+    its flow on arc a, for the arcs on some v-w walk that neither enter v
+    nor leave w; a commodity without such an arc is dropped.  ``nu`` bounds
+    the flow crossing any single arc on its way to the sink, which for
+    budget 1 is exactly the worst-case loss.  The objective is the
+    commodities' flow on the arcs into the sink, minus ``nu``.  Rows, in
+    this order:
+
+    * ``exposure[a]``: the flow on arc a of the commodities that end at the
+      sink is at most ``nu``;
+    * ``robust[v',f]``: at each interior node v', the flow of the
+      commodities starting there is at most the inflow of those ending
+      there, less their flow on the failed arc f;
+    * ``route[v,w,v']``: each commodity is conserved at every other node v';
+    * ``cap[a]``: the commodities' flow on arc a is within its capacity.
+
+    Junk cycles through neither endpoint are dropped during decomposition.
     """
     source, sink = net.source, net.sink
-    reach_from = {v: reachable(net, v) for v in net.nodes}
-    commodities = [
-        (v, w)
-        for v in net.nodes
-        if v != sink
-        for w in net.nodes
-        if w != source and w != v and w in reach_from[v]
-    ]
+    reach = {v: reachable(net, v) for v in net.nodes}
     lp = LinearProgram()
     nu = lp.add_var("nu")
     y: dict = {}
-    by_commodity: dict = {}
-    for v, w in commodities:
-        cols = {}
-        for arc in net.arcs:
-            if arc.head == v or arc.tail == w:
+    # (v, w, {arc id: column}), and the columns of each by first and by last node.
+    commodities = []
+    starting: dict = {}
+    ending: dict = {}
+    for v in net.nodes:
+        for w in net.nodes:
+            if v == sink or w in (source, v) or w not in reach[v]:
                 continue
-            if arc.tail not in reach_from[v] or w not in reach_from[arc.head]:
-                continue
-            cols[arc.id] = lp.add_var(f"y[{arc.id},{v},{w}]")
-        if cols:
-            by_commodity[(v, w)] = cols
-            for a, col in cols.items():
-                y[(a, v, w)] = col
+            cols = {}
+            for arc in net.arcs:
+                if arc.head != v and arc.tail != w and arc.tail in reach[v] and w in reach[arc.head]:
+                    cols[arc.id] = y[(arc.id, v, w)] = lp.add_var(f"y[{arc.id},{v},{w}]")
+            if cols:
+                commodities.append((v, w, cols))
+                starting.setdefault(v, []).append(cols)
+                ending.setdefault(w, []).append(cols)
+    into_sink = ending.get(sink, ())
+    nominal = {cols[a.id]: 1 for a in net.in_arcs(sink) for cols in into_sink if a.id in cols}
+    lp.set_objective({**nominal, nu: -1})
     rows = Rows(lp)
-    sink_cols: dict = {}
-    for (v, w), cols in by_commodity.items():
-        if w != sink:
-            continue
-        for a, col in cols.items():
-            sink_cols.setdefault(a, []).append(col)
-    objective = {col: 1 for a in net.in_arcs(sink) for col in sink_cols.get(a.id, ())}
-    nominal = dict(objective)
-    objective[nu] = -1
-    lp.set_objective(objective)
-    for a, cols in sorted(sink_cols.items(), key=lambda kv: net.arc_rank[kv[0]]):
-        rows.add({col: 1 for col in cols} | {nu: -1}, "<=", 0, f"exposure[{a}]")
-    for vprime in net.nodes:
-        if vprime in (source, sink):
-            continue
-        inflow = {
-            col: 1
-            for arc in net.in_arcs(vprime)
-            for (v, w), cols in by_commodity.items()
-            if w == vprime
-            for a, col in cols.items()
-            if a == arc.id
-        }
-        outflow: dict = {}
-        for arc in net.out_arcs(vprime):
-            for (v, w), cols in by_commodity.items():
-                if v == vprime and arc.id in cols:
-                    outflow[cols[arc.id]] = 1
-        for fail in net.arcs:
-            coeffs = dict(outflow)
-            for col in inflow:
-                coeffs[col] = coeffs.get(col, 0) - 1
-            for (v, w), cols in by_commodity.items():
-                if w == vprime and fail.id in cols:
-                    col = cols[fail.id]
-                    coeffs[col] = coeffs.get(col, 0) + 1
-            rows.add(coeffs, "<=", 0, f"robust[{vprime},{fail.id}]")
-    for (v, w), cols in by_commodity.items():
-        for vprime in net.nodes:
-            if vprime in (v, w):
-                continue
-            coeffs: dict = {}
-            for arc in net.in_arcs(vprime):
-                if arc.id in cols:
-                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], 0) + 1
-            for arc in net.out_arcs(vprime):
-                if arc.id in cols:
-                    coeffs[cols[arc.id]] = coeffs.get(cols[arc.id], 0) - 1
-            if coeffs:
-                rows.add(coeffs, "==", 0, f"route[{v},{w},{vprime}]")
     for arc in net.arcs:
-        coeffs = {}
-        for (v, w), cols in by_commodity.items():
-            if arc.id in cols:
-                coeffs[cols[arc.id]] = 1
-        if coeffs:
-            rows.add(coeffs, "<=", arc.capacity, f"cap[{arc.id}]")
-    build = ModelBuild(lp, "gamma1", dict(y), nu, nominal_coeffs=nominal)
-    return build
+        exposed = {cols[arc.id]: 1 for cols in into_sink if arc.id in cols}
+        if exposed:
+            rows.add({**exposed, nu: -1}, "<=", 0, f"exposure[{arc.id}]")
+    for vp in net.nodes:
+        if vp in (source, sink):
+            continue
+        arriving = ending.get(vp, ())
+        base = {cols[a.id]: 1 for a in net.out_arcs(vp) for cols in starting.get(vp, ()) if a.id in cols}
+        base.update({cols[a.id]: -1 for a in net.in_arcs(vp) for cols in arriving if a.id in cols})
+        for fail in net.arcs:
+            coeffs = dict(base)
+            for cols in arriving:
+                if fail.id in cols:
+                    coeffs[cols[fail.id]] = coeffs.get(cols[fail.id], 0) + 1
+            rows.add(coeffs, "<=", 0, f"robust[{vp},{fail.id}]")
+    for v, w, cols in commodities:
+        # Inflow minus outflow of the commodity at each node; a self-loop cancels.
+        balance: dict = {}
+        for a, col in cols.items():
+            balance.setdefault(net.arc_by_id[a].head, {})[col] = 1
+        for a, col in cols.items():
+            out = balance.setdefault(net.arc_by_id[a].tail, {})
+            out[col] = out.get(col, 0) - 1
+        for vp in net.nodes:
+            if vp in balance and vp not in (v, w):
+                rows.add(balance[vp], "==", 0, f"route[{v},{w},{vp}]")
+    for arc in net.arcs:
+        through = {cols[arc.id]: 1 for _, _, cols in commodities if arc.id in cols}
+        if through:
+            rows.add(through, "<=", arc.capacity, f"cap[{arc.id}]")
+    return ModelBuild(lp, "gamma1", y, nu, nominal_coeffs=nominal)
 
 
 def extract_gamma1_solution(build: ModelBuild, values) -> CompactGamma1Solution:
@@ -298,6 +282,24 @@ def decompose_gamma1_solution(solution: CompactGamma1Solution, net: Network) -> 
                 )
             values[idx] = values.get(idx, ZERO) + val
     return StaticFlow("subpath", values)
+
+
+def _intake(raw_values: Mapping) -> tuple:
+    """``(values, violations)`` of a flow's ``key -> value`` entries, in their order.
+
+    ``values`` holds the positive values as ``Fraction``s; each negative one
+    is a ``nonnegativity`` :class:`Violation`, and zeros are dropped.  Both
+    evaluators take their flow in through here.
+    """
+    values: dict = {}
+    violations = []
+    for key, raw in raw_values.items():
+        value = rat(raw)
+        if value < 0:
+            violations.append(Violation("nonnegativity", key, None, f"value {value}"))
+        elif value > 0:
+            values[key] = value
+    return values, violations
 
 
 def _scenarios(net: Network, gamma: int) -> tuple:
@@ -364,16 +366,7 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     # An arc flow is a flow on one-arc routes.
     routes, known = flow_routes(net, flow.kind)
     noun = "arc id" if flow.kind == "arc" else f"{flow.kind} index"
-    values = {}
-    violations = []
-    for key, raw in flow.values.items():
-        value = rat(raw)
-        if value < 0:
-            violations.append(Violation("nonnegativity", key, None, f"value {value}"))
-            continue
-        if value == 0:
-            continue
-        values[key] = value
+    values, violations = _intake(flow.values)
     for key in values:
         if not known(key):
             raise NetworkError(f"unknown {noun} {key!r}")

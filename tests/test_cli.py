@@ -127,6 +127,29 @@ def test_evaluate_rejects_a_kind_the_flow_does_not_have(tmp_path, capsys, family
     assert run(capsys, "evaluate", str(inst), str(flow_path), "--kind", "path")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "family, flow, message",
+    [
+        ("two-hop", {"kind": "path", "entries": [[True, "1/2"]]}, "unknown path index True"),
+        (
+            "ti-gap",
+            {"kind": "path", "timed": True, "entries": [[False, 1, "1/2"]]},
+            "unknown route index False",
+        ),
+        ("ti-gap", {"kind": "tr", "entries": [[True, "1/2"]]}, "unknown path index True"),
+    ],
+)
+def test_evaluate_rejects_boolean_flow_keys(tmp_path, capsys, family, flow, message):
+    # JSON true/false is no route index, although True == 1 and False == 0 in Python.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", family, "-o", str(inst))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(flow))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_evaluate_infeasible_flow_exits_4(tmp_path, capsys):
     inst = tmp_path / "two-hop.json"
     run(capsys, "generate", "two-hop", "-o", str(inst))

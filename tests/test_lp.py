@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -36,6 +37,7 @@ from robustflow import (
     lexicographic_solve,
     rat,
     solve_lp,
+    split_capacities,
 )
 from robustflow.lp import LpCheckError, _Simplex, _forced_zero, _verify, dump_lp
 from robustflow.model_lp import Rows, check_zero_start
@@ -137,7 +139,8 @@ def test_unbounded_detected():
 @pytest.fixture
 def pivot_bound(monkeypatch):
     """Fail a solve after 100 pivots, so that a pivot rule that cycles fails
-    the test instead of hanging it."""
+    the test instead of hanging it.  Returns the list of entering columns;
+    clearing it resets the bound."""
     pivots = []
     pivot = _Simplex._pivot
 
@@ -148,6 +151,7 @@ def pivot_bound(monkeypatch):
         pivot(self, r, col)
 
     monkeypatch.setattr(_Simplex, "_pivot", counted)
+    return pivots
 
 
 def test_degenerate_cycling_guard(pivot_bound):
@@ -444,18 +448,17 @@ TIMED_PARTITIONS = {
 }
 
 
-def _broad_lps():
+def _broad_nets():
     nets = [gen_two_hop()] + [gen_fan(g) for g in (1, 2, 3)]
     nets += [gen_bottleneck(g, b) for g in (1, 2) for b in (1, 2)]
     for seed in range(20):
         for kind in ("dag", "general"):
             nets.append(gen_random(kind, 5 + seed % 2, 8 + seed % 3, max_cap=3, seed=seed))
-    for net in nets:
-        catalog = enumerate_subpaths(net)
-        for gamma in range(4):
-            yield build_pm_lp(net, catalog, gamma)
-            yield build_am_lp(net, gamma)
-            yield build_gm_lp(net, catalog, gamma)
+    return nets
+
+
+def _broad_timed():
+    """``(instance, timed models)`` pairs of ``_broad_lps``."""
     timed = [(gen_partition(values), models) for values, models in TIMED_PARTITIONS.items()]
     for seed in range(20):
         inst = gen_random(
@@ -465,7 +468,17 @@ def _broad_lps():
     timed.append((gen_ti_gap(), ("tr",)))
     for gamma, alpha in ((1, "3/2"), (2, "2")):
         timed.append((gen_por_dynamic(gamma, rat(alpha))[1], ("tr",)))
-    for inst, models in timed:
+    return timed
+
+
+def _broad_lps():
+    for net in _broad_nets():
+        catalog = enumerate_subpaths(net)
+        for gamma in range(4):
+            yield build_pm_lp(net, catalog, gamma)
+            yield build_am_lp(net, gamma)
+            yield build_gm_lp(net, catalog, gamma)
+    for inst, models in _broad_timed():
         catalog = enumerate_subpaths(inst.network)
         for model in models:
             if model == "dam":
@@ -493,6 +506,37 @@ def test_broad_model_lp_digest():
         text = f"{dump_lp(build.lp)}{columns!r}{nominal!r}"
         digest.update(text.encode() + b"\0")
     assert digest.hexdigest() == BROAD_DIGEST
+
+
+# One sha256 each over the compact reformulations, recorded before their
+# builders were rewritten: ``gm1`` on the static networks of ``_broad_lps``
+# and the capacity splits of three fixed bases (as the static benchmark
+# solves them), ``dam-compact`` on its timed instances.  Each LP's ``dump_lp``
+# text is followed by its kind, flow columns, loss column, objective, nominal
+# objective and auxiliary columns, each dict in its insertion order.
+SPLIT_BASES = (502, 505, 506)
+GM1_DIGEST = "bdbfa569445d63d277dfa0ed1fbc819ef9c5c0466f6f050730e99d61220595ba"
+DAM_COMPACT_DIGEST = "d1593fc60867f07c89f0bb0357d085db36d6900bf9c074e4cf04aafcc34ee0cc"
+
+
+def _compact_digest(builds) -> str:
+    digest = hashlib.sha256()
+    for build in builds:
+        columns = (build.kind, build.flow_vars, build.lam_var, build.lp.objective)
+        text = f"{dump_lp(build.lp)}{columns!r}{build.nominal_coeffs!r}{build.aux!r}"
+        digest.update(text.encode() + b"\0")
+    return digest.hexdigest()
+
+
+def test_gm1_lp_digest():
+    nets = _broad_nets()
+    nets += [split_capacities(gen_random("dag", 4, 5, max_cap=2, seed=s)) for s in SPLIT_BASES]
+    assert _compact_digest(build_gamma1_compact_lp(net) for net in nets) == GM1_DIGEST
+
+
+def test_dam_compact_lp_digest():
+    builds = (build_dam_compact_lp(inst) for inst, _ in _broad_timed())
+    assert _compact_digest(builds) == DAM_COMPACT_DIGEST
 
 
 def test_checks_raise_under_python_O():
@@ -618,6 +662,46 @@ def test_statuses_and_optima_agree_with_highs(lp):
     if status == "optimal":
         exact = float(sol.objective_value)
         assert abs(exact - value) <= REL_TOL * max(1.0, abs(exact))
+
+
+def _bounded_lps():
+    """Seeded LPs of 6-10 columns, each column bounded, so that every one is optimal.
+
+    Most Hypothesis draws of ``random_lps`` are tiny and take no pivot; these
+    are large enough that the simplex must pivot to reach the optimum.
+    """
+    rng = random.Random(18)
+    lps = []
+    for _ in range(40):
+        n = rng.randint(6, 10)
+        lp = LinearProgram()
+        for _ in range(n):
+            lp.add_var()
+        for _ in range(rng.randint(3, 8)):
+            support = rng.sample(range(n), rng.randint(2, n))
+            coeffs = {j: rat(rng.randint(-2, 4), rng.randint(1, 3)) for j in support}
+            lp.add_constraint(coeffs, "<=", rat(rng.randint(0, 12), rng.randint(1, 2)))
+        if rng.random() < 0.3:
+            lp.add_constraint({j: rng.choice((-1, 1)) for j in rng.sample(range(n), 3)}, "==", 0)
+        for j in range(n):
+            lp.add_constraint({j: 1}, "<=", rng.randint(1, 5))
+        lp.set_objective({j: rat(rng.randint(-1, 5), rng.randint(1, 3)) for j in range(n)})
+        lps.append(lp)
+    return lps
+
+
+def test_bounded_lps_pivot_and_agree_with_highs(pivot_bound):
+    pytest.importorskip("scipy")
+    pivots = []
+    for lp in _bounded_lps():
+        pivot_bound.clear()
+        sol = solve_lp(lp)
+        pivots.append(len(pivot_bound))
+        status, value = _highs(lp)
+        assert sol.status == status == "optimal"
+        exact = float(sol.objective_value)
+        assert abs(exact - value) <= REL_TOL * max(1.0, abs(exact))
+    assert sum(1 for k in pivots if k >= 2) >= 0.8 * len(pivots), pivots
 
 
 def _check_outcome(check, lp, values):

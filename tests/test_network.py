@@ -210,3 +210,12 @@ def test_catalog_enumerates_each_route_set_on_first_read():
     assert len(catalog.st_paths) == 6
     assert "subpaths" not in vars(catalog)
     assert len(catalog.subpaths) == 11
+
+
+def test_flow_routes_reject_boolean_keys():
+    # True == 1 and hash(True) == hash(1): a bool must not pass for an int key.
+    net = Network(["s", "t"], [Arc(0, "s", "t", 1), Arc(1, "s", "t", 1)], "s", "t")
+    for kind in ("arc", "path", "subpath"):
+        _, known = network.flow_routes(net, kind)
+        assert known(0) and known(1)
+        assert not known(True) and not known(False)
