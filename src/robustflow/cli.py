@@ -96,7 +96,10 @@ def _read_json(path: str):
 def _alpha(args):
     if args.alpha is None:
         raise NetworkError(f"{args.family} needs --alpha")
-    return rat(args.alpha)
+    try:
+        return rat(args.alpha)
+    except (ValueError, ZeroDivisionError):
+        raise NetworkError(f"--alpha must be a rational such as 6/5, got {args.alpha!r}") from None
 
 
 def _partition(args):

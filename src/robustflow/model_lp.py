@@ -1,12 +1,10 @@
 """The model-LP pipeline shared by the static and dynamic models.
 
-Every model is solved the same way: a builder emits the scenario LP into a
+Every model LP is solved the same way: a builder emits the scenario LP into a
 :class:`ModelBuild` through :class:`Rows`, :func:`solve_model` solves it
 exactly (plainly or lexicographically), turns the optimal values into a flow
 and re-derives the flow's value with the model family's LP-free evaluator,
-raising :class:`ModelCheckError` when the two disagree.  A plain solve that
-comes with a :class:`ZeroCut` skips the simplex: the cut proves the optimum
-is 0, and the simplex would then return x = 0.
+raising :class:`ModelCheckError` when the two disagree.
 """
 
 from __future__ import annotations
@@ -14,9 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, LpSolution, _Constraint, in_form, lexicographic_solve, solve_lp
-from .network import Network, separates
-from .rational import ZERO
+from .lp import LinearProgram, _Constraint, lexicographic_solve, solve_lp
 
 
 class ModelCheckError(AssertionError):
@@ -35,31 +31,6 @@ class ModelBuild:
     aux: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class ZeroCut:
-    """At most ``budget`` arcs of ``net`` whose removal leaves no source-sink path.
-
-    An adversary that removes up to ``budget`` arcs can remove them all, so
-    every flow of a model that this cut is given for has robust value 0.  The
-    proofs (see :func:`robustflow.static_models.solve_static`) also need a
-    sink without outgoing arcs, as in every valid network.
-    """
-
-    net: Network
-    budget: int
-    arcs: tuple
-
-    def check(self) -> None:
-        if len(self.arcs) > self.budget:
-            raise ModelCheckError(
-                f"zero cut has {len(self.arcs)} arcs, over the budget {self.budget}"
-            )
-        if not separates(self.net, self.arcs):
-            raise ModelCheckError(f"zero cut {list(self.arcs)} leaves a source-sink path")
-        if self.net.out_arcs(self.net.sink):
-            raise ModelCheckError("zero cut given for a network with arcs leaving the sink")
-
-
 class Rows:
     """Adds constraints with exact-duplicate elimination.
 
@@ -69,8 +40,7 @@ class Rows:
     and an ``int`` keys a row like the equal ``Fraction`` would.  Rows with no
     nonzero coefficient, and repeats of a row already added, are skipped.  A
     row out of the LP's one form (:func:`robustflow.lp.in_form`) is caught
-    later: the simplex rejects it, and so does :func:`check_zero_start` on
-    the path that skips the simplex.
+    later, by the simplex.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -102,21 +72,7 @@ def nonzero(columns: Mapping, values) -> dict:
     return {key: values[col] for key, col in columns.items() if values[col] != 0}
 
 
-def check_zero_start(lp: LinearProgram) -> None:
-    """Raise unless x = 0 is the simplex's starting vertex of ``lp``.
-
-    That holds when every row is in the one form the simplex takes
-    (:func:`robustflow.lp.in_form`): then the all-slack basis is feasible at
-    x = 0.
-    """
-    for con in lp.constraints:
-        if not in_form(con.rel, con.rhs):
-            raise ModelCheckError(
-                f"x = 0 is not the starting vertex: row {con.label} is {con.rel} {con.rhs}"
-            )
-
-
-def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate, zero_cut=None):
+def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate):
     """Solve ``build.lp`` and cross-check the result; returns ``(flow, report)``.
 
     With ``maximize_nominal`` the nominal objective ``build.nominal_coeffs``
@@ -126,24 +82,11 @@ def solve_model(build: ModelBuild, maximize_nominal: bool, extract, evaluate, ze
     LP's.
 
     The simplex returns ``optimal`` or ``unbounded``; an unbounded model LP
-    raises :class:`ModelCheckError`.  A plain solve given a
-    :class:`ZeroCut` (which must prove that the LP optimum is 0) does not run
-    the simplex.  In its place it checks the rows' form, which makes x = 0
-    the simplex's starting vertex (:func:`check_zero_start`), and re-checks
-    the cut.  The simplex enters only columns with a positive reduced cost,
-    so a pivot that moved off x = 0 would raise the objective above the
-    optimum; every pivot is degenerate, whichever column it enters, and the
-    simplex would return exactly x = 0.  That vector goes through the same
-    ``extract`` and ``evaluate``.
+    raises :class:`ModelCheckError`.
     """
     if maximize_nominal:
         sol = lexicographic_solve(build.lp, build.nominal_coeffs)
         objective = sol.primary_value
-    elif zero_cut is not None:
-        check_zero_start(build.lp)
-        zero_cut.check()
-        sol = LpSolution("optimal", ZERO, (ZERO,) * build.lp.n_vars)
-        objective = ZERO
     else:
         sol = solve_lp(build.lp)
         objective = sol.objective_value

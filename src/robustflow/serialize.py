@@ -34,15 +34,30 @@ def rational_to_json(value):
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def rational_from_json(value):
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise NetworkError(f"expected an integer or 'p/q' string, got {value!r}")
-    return parse_rational(value)
+def rational_from_json(value, field: str = "value"):
+    """Parse an integer or ``"p/q"`` string; a :class:`NetworkError` names ``field``."""
+    try:
+        return parse_rational(value)
+    except ValueError:
+        raise NetworkError(f"{field} must be an integer or 'p/q' string, got {value!r}") from None
 
 
-def _time_from_json(value):
-    parsed = rational_from_json(value)
+def _time_from_json(value, field: str):
+    parsed = rational_from_json(value, field)
     return int(parsed) if parsed.denominator == 1 else parsed
+
+
+def _array(data: dict, key: str) -> list:
+    if not isinstance(data[key], list):
+        raise NetworkError(f"{key!r} must be a JSON array, got {data[key]!r}")
+    return data[key]
+
+
+def _scalar(value, field: str):
+    """``value``, unless it is a JSON array or object, which names nothing."""
+    if isinstance(value, (list, dict)):
+        raise NetworkError(f"{field} must be a string or number, got {value!r}")
+    return value
 
 
 def dumps(data) -> str:
@@ -87,25 +102,31 @@ def instance_from_json(data):
     for key in ("nodes", "arcs", "source", "sink"):
         if key not in data:
             raise NetworkError(f"instance document lacks {key!r}")
+    nodes = [_scalar(v, "node name") for v in _array(data, "nodes")]
     arcs = []
-    for entry in data["arcs"]:
+    for entry in _array(data, "arcs"):
+        if not isinstance(entry, dict):
+            raise NetworkError(f"arc entry must be a JSON object, got {entry!r}")
         missing = {"id", "tail", "head", "capacity"} - set(entry)
         if missing:
             raise NetworkError(f"arc entry lacks {sorted(missing)}")
+        arc_id = _scalar(entry["id"], "arc id")
+        where = f"arc {arc_id!r}"
         arcs.append(
             Arc(
-                entry["id"],
-                entry["tail"],
-                entry["head"],
-                rational_from_json(entry["capacity"]),
-                travel_time=_time_from_json(entry.get("travel_time", 0)),
-                delay=_time_from_json(entry.get("delay", 0)),
+                arc_id,
+                _scalar(entry["tail"], f"{where} tail"),
+                _scalar(entry["head"], f"{where} head"),
+                rational_from_json(entry["capacity"], f"{where} capacity"),
+                travel_time=_time_from_json(entry.get("travel_time", 0), f"{where} travel_time"),
+                delay=_time_from_json(entry.get("delay", 0), f"{where} delay"),
             )
         )
     meta = data.get("provenance", {})
     if not isinstance(meta, dict):
         raise NetworkError("provenance must be a JSON object")
-    net = Network(data["nodes"], arcs, data["source"], data["sink"], meta=meta)
+    source, sink = _scalar(data["source"], "source"), _scalar(data["sink"], "sink")
+    net = Network(nodes, arcs, source, sink, meta=meta)
     violations = validate_network(net).violations
     instance = net
     if not violations and "horizon" in data:
@@ -120,29 +141,21 @@ def flow_to_json(flow, catalog: Optional[PathCatalog] = None) -> dict:
     """Dump a flow: pairs for static kinds and ``tr``, triples for timed kinds."""
     timed = isinstance(flow, DynamicFlow)
     entries = []
-    used_routes = set()
     if timed and flow.kind == "tr":
         for i, value in sorted(flow.values.items()):
             entries.append([i, rational_to_json(value)])
-            used_routes.add(i)
     elif timed:
         for key, value in sorted(flow.values.items(), key=lambda kv: (str(kv[0][0]), kv[0][1])):
             entries.append([key[0], key[1], rational_to_json(value)])
-            if flow.kind in ("path", "subpath"):
-                used_routes.add(key[0])
     else:
         for key, value in sorted(flow.values.items(), key=lambda kv: str(kv[0])):
             entries.append([key, rational_to_json(value)])
-            if flow.kind in ("path", "subpath"):
-                used_routes.add(key)
     data = {"kind": flow.kind, "timed": timed, "entries": entries}
     if catalog is not None and flow.kind in ("path", "subpath", "tr"):
-        routes = (
-            catalog.st_paths if flow.kind in ("path", "tr") else catalog.subpaths
-        )
-        data["routes"] = {
-            str(i): list(routes[i].arcs) for i in sorted(used_routes)
-        }
+        # Each entry starts with its route index.
+        routes = catalog.st_paths if flow.kind in ("path", "tr") else catalog.subpaths
+        used = sorted({entry[0] for entry in entries})
+        data["routes"] = {str(i): list(routes[i].arcs) for i in used}
     return data
 
 
@@ -150,31 +163,24 @@ def flow_from_json(data):
     if not isinstance(data, dict) or "kind" not in data or "entries" not in data:
         raise NetworkError("flow document needs 'kind' and 'entries'")
     kind = data["kind"]
-    timed = bool(data.get("timed", kind == "tr"))
+    timed = data.get("timed", kind == "tr")
+    if not isinstance(timed, bool):
+        raise NetworkError(f"'timed' must be a JSON boolean, got {timed!r}")
+    size = 3 if timed and kind != "tr" else 2
     values = {}
-    for entry in data["entries"]:
-        if kind == "tr":
-            if len(entry) != 2:
-                raise NetworkError(f"tr entries are [index, value], got {entry!r}")
-            key, raw = entry[0], entry[1]
-        elif timed:
-            if len(entry) != 3:
-                raise NetworkError(f"timed entries are [key, theta, value], got {entry!r}")
-            key, raw = (entry[0], entry[1]), entry[2]
-        else:
-            if len(entry) != 2:
-                raise NetworkError(f"static entries are [key, value], got {entry!r}")
-            key, raw = entry[0], entry[1]
+    for entry in _array(data, "entries"):
+        if not isinstance(entry, list) or len(entry) != size:
+            form = "[key, theta, value]" if size == 3 else "[key, value]"
+            raise NetworkError(f"{kind} entries are {form}, got {entry!r}")
+        parts = [_scalar(part, "flow entry key") for part in entry[:-1]]
+        key = tuple(parts) if size == 3 else parts[0]
         if key in values:
             raise NetworkError(f"duplicate flow entry for {key!r}")
-        values[key] = rational_from_json(raw)
-    if timed:
-        if kind not in TIMED_KINDS:
-            raise NetworkError(f"unknown timed flow kind {kind!r}")
-        return DynamicFlow(kind, values)
-    if kind not in STATIC_KINDS:
-        raise NetworkError(f"unknown static flow kind {kind!r}")
-    return StaticFlow(kind, values)
+        values[key] = rational_from_json(entry[-1], f"flow value of {key!r}")
+    kinds, make = (TIMED_KINDS, DynamicFlow) if timed else (STATIC_KINDS, StaticFlow)
+    if kind not in kinds:
+        raise NetworkError(f"unknown {'timed' if timed else 'static'} flow kind {kind!r}")
+    return make(kind, values)
 
 
 def _scenarios_to_json(scenarios) -> list:

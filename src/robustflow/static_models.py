@@ -19,7 +19,8 @@ are restricted per constraint to the arcs that can affect it (the test suite
 cross-checks against the unrestricted families).  A compact polynomial-size
 reformulation of ``gm`` for budget 1 is provided alongside, with an exact
 decomposition back to subpath flow.  Solving goes through the pipeline shared
-with the dynamic models (:mod:`robustflow.model_lp`).
+with the dynamic models (:mod:`robustflow.model_lp`), unless a cut of at most
+``gamma`` arcs proves the optimum 0 before any LP is built (:func:`solve_static`).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .model_lp import (
     ModelBuild,
     ModelCheckError,
     Rows,
-    ZeroCut,
     arcs_on,
     nonzero,
     scenario_label,
@@ -49,6 +49,7 @@ from .network import (
     flow_routes,
     reachable,
     route_index,
+    separates,
 )
 from .rational import ZERO, common_denominator, rat
 
@@ -494,7 +495,7 @@ def solve_static(
     value 0:
 
     * ``pm``: every source-sink path crosses C, so removing C loses all of
-      the flow, and the loss row of C bounds the objective by 0.
+      the flow.
     * ``am`` and ``gm``: let T be the sink side of the cut, the nodes that
       removing C cuts off from the source; every arc from the source side
       into T is in C.  Add up robust conservation under C (outflow <=
@@ -504,21 +505,15 @@ def solve_static(
       a node of T other than the sink, which has no outgoing arcs.  Each
       unit is counted once as outflow at its start and at most once as
       surviving inflow, so the sum is at least the surviving inflow of the
-      sink.  The loss row of C bounds the objective by that inflow, so by 0.
+      sink, which bounds the robust value.
     * ``gm1`` has the optimum of ``gm`` at budget 1.
 
-    Each row uses C restricted to the arcs the row can see, a scenario of
-    at most ``gamma`` arcs in its family that hits the same routes.
-
-    The LP is still built, and :func:`~robustflow.model_lp.solve_model`
-    checks that x = 0 is its simplex's starting vertex, re-checks the cut
-    and passes the all-zero vector through the same extraction and
-    evaluator: from the starting vertex x = 0 with optimum 0, any pivot that
-    raised the objective would pass the optimum, so every pivot is
-    degenerate (the simplex enters only positive reduced costs), x stays 0,
-    and the flow and report are the same.  ``--lex-nominal`` solves
-    still run the simplex: among robust-0 flows, the nominal optimum need
-    not be 0.
+    No LP is built then.  The cut is re-checked (it separates the source
+    from the sink, and no arc leaves the sink), and the zero flow of the
+    model's kind is returned with its report from :func:`evaluate_static`,
+    which must read a robust value of 0: the zero flow is feasible and
+    reaches the bound.  ``--lex-nominal`` solves always run the simplex:
+    among robust-0 flows, the nominal optimum need not be 0.
     """
     if model not in STATIC_MODELS:
         raise NetworkError(f"unknown static model {model!r}")
@@ -526,6 +521,18 @@ def solve_static(
         raise NetworkError(f"gamma must be an integer >= 0, got {gamma!r}")
     if model == "gm1" and gamma != 1:
         raise NetworkError("the compact model is defined for gamma = 1 only")
+    if not maximize_nominal:
+        cut = min_arc_cut(net)
+        if len(cut) <= gamma:
+            if not separates(net, cut):
+                raise ModelCheckError(f"zero cut {list(cut)} leaves a source-sink path")
+            if net.out_arcs(net.sink):
+                raise ModelCheckError("zero cut given for a network with arcs leaving the sink")
+            flow = StaticFlow({"pm": "path", "am": "arc"}.get(model, "subpath"), {})
+            report = evaluate_static(flow, net, gamma)
+            if report.robust_value != 0:
+                raise ModelCheckError(f"the zero flow evaluates to {report.robust_value}, not 0")
+            return flow, report
     if model == "pm":
         build = build_pm_lp(net, net.catalog, gamma)
     elif model == "am":
@@ -534,11 +541,6 @@ def solve_static(
         build = build_gm_lp(net, net.catalog, gamma)
     else:
         build = build_gamma1_compact_lp(net)
-    zero_cut = None
-    if not maximize_nominal:
-        cut = min_arc_cut(net)
-        if len(cut) <= gamma:
-            zero_cut = ZeroCut(net, gamma, cut)
 
     def extract(values) -> StaticFlow:
         if model == "gm1":
@@ -551,5 +553,4 @@ def solve_static(
         maximize_nominal,
         extract,
         lambda flow: evaluate_static(flow, net, gamma),
-        zero_cut,
     )

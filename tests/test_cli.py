@@ -100,6 +100,112 @@ def test_generate_rejects_bad_alpha(tmp_path, capsys):
     assert "error:" in err
 
 
+def _bad_instance(edit):
+    """argv solving two-hop, its JSON document changed by ``edit``."""
+
+    def argv(tmp_path):
+        doc = instance_to_json(gen_two_hop())
+        edit(doc)
+        (tmp_path / "inst.json").write_text(json.dumps(doc))
+        return ["solve", str(tmp_path / "inst.json"), "--model", "pm"]
+
+    return argv
+
+
+def _bad_flow(make, flow):
+    """argv evaluating the JSON document ``flow`` on the instance ``make()``."""
+
+    def argv(tmp_path):
+        (tmp_path / "inst.json").write_text(dumps(instance_to_json(make())))
+        (tmp_path / "flow.json").write_text(json.dumps(flow))
+        return ["evaluate", str(tmp_path / "inst.json"), str(tmp_path / "flow.json")]
+
+    return argv
+
+
+def _bad_alpha(alpha):
+    return lambda tmp_path: [
+        "generate", "por-static", "--gamma", "2", "--alpha", alpha, "-o", str(tmp_path / "x.json")
+    ]
+
+
+def _path_flow(*entries, **fields):
+    return {"kind": "path", "entries": list(entries), **fields}
+
+
+# Malformed numbers and JSON shapes: each names the field and the bad value.
+MALFORMED_INPUT = {
+    **{
+        f"capacity {bad}": (
+            _bad_instance(lambda doc, bad=bad: doc["arcs"][0].update(capacity=bad)),
+            f"arc 'a1' capacity must be an integer or 'p/q' string, got '{bad}'",
+        )
+        for bad in ("abc", "1.5", "1/0")
+    },
+    **{
+        f"flow value {bad}": (
+            _bad_flow(gen_two_hop, _path_flow([0, bad])),
+            f"flow value of 0 must be an integer or 'p/q' string, got '{bad}'",
+        )
+        for bad in ("abc", "1.5", "1/0")
+    },
+    **{
+        f"alpha {bad}": (_bad_alpha(bad), f"--alpha must be a rational such as 6/5, got '{bad}'")
+        for bad in ("abc", "1/0")
+    },
+    "arcs 5": (_bad_instance(lambda doc: doc.update(arcs=5)), "'arcs' must be a JSON array, got 5"),
+    "arc entry 5": (
+        _bad_instance(lambda doc: doc["arcs"].append(5)),
+        "arc entry must be a JSON object, got 5",
+    ),
+    "arc id array": (
+        _bad_instance(lambda doc: doc["arcs"][0].update(id=["a1"])),
+        "arc id must be a string or number, got ['a1']",
+    ),
+    "node name array": (
+        _bad_instance(lambda doc: doc["nodes"].append(["v"])),
+        "node name must be a string or number, got ['v']",
+    ),
+    "source array": (
+        _bad_instance(lambda doc: doc.update(source=["s"])),
+        "source must be a string or number, got ['s']",
+    ),
+    "sink array": (
+        _bad_instance(lambda doc: doc.update(sink=["t"])),
+        "sink must be a string or number, got ['t']",
+    ),
+    "entries 5": (
+        _bad_flow(gen_two_hop, {"kind": "path", "entries": 5}),
+        "'entries' must be a JSON array, got 5",
+    ),
+    "entry 5": (_bad_flow(gen_two_hop, _path_flow(5)), "path entries are [key, value], got 5"),
+    "list key": (
+        _bad_flow(gen_two_hop, _path_flow([[0], "1/2"])),
+        "flow entry key must be a string or number, got [0]",
+    ),
+    "object key": (
+        _bad_flow(gen_two_hop, _path_flow([{"k": 0}, "1/2"])),
+        "flow entry key must be a string or number, got {'k': 0}",
+    ),
+    "timed list key": (
+        _bad_flow(gen_ti_gap, _path_flow([[0], 1, "1/2"], timed=True)),
+        "flow entry key must be a string or number, got [0]",
+    ),
+    "timed no": (
+        _bad_flow(gen_ti_gap, _path_flow(timed="no")),
+        "'timed' must be a JSON boolean, got 'no'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_INPUT.values(), ids=MALFORMED_INPUT)
+def test_malformed_input_exits_2(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err
+
+
 def test_solve_model_instance_mismatch(tmp_path, capsys):
     inst = tmp_path / "two-hop.json"
     run(capsys, "generate", "two-hop", "-o", str(inst))
@@ -222,6 +328,17 @@ def test_guard_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", str(inst), "--model", "pm")
     assert code == 3
     assert "guard exceeded:" in err
+
+
+def test_zero_cut_solve_exits_3_at_the_scenario_guard(tmp_path, capsys, monkeypatch):
+    # gm on two-hop at Gamma = 2 takes the zero-cut shortcut, which builds no
+    # LP; evaluating the zero flow still enumerates all 16 scenarios.
+    inst = tmp_path / "two-hop.json"
+    run(capsys, "generate", "two-hop", "-o", str(inst))
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_SCENARIOS", "5")
+    code, out, err = run(capsys, "solve", str(inst), "--model", "gm", "--gamma", "2")
+    assert (code, out) == (3, "")
+    assert err == "guard exceeded: 16 scenarios exceed the guard of 5; raise the guard to proceed\n"
 
 
 @pytest.mark.parametrize(
@@ -425,6 +542,16 @@ def test_readme_lists_the_cli_families_and_suites():
     suites = readme.split("Suites for `suite`", 1)[1].split("\n\n")[1]  # the bullet list
     assert re.findall(r"`([^`]+)`", families) == list(cli.FAMILIES) == _choices("generate", "family")
     assert re.findall(r"^- `([^`]+)`", suites, re.M) == list(cli.SUITES) == _choices("suite", "name")
+
+
+def test_readme_library_example_runs(capsys):
+    # The python block under "## Library" runs as written and prints the
+    # robust value its comment documents for gm on two-hop.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "print(report.robust_value)   # 2, exactly" in block
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[0] == "2"
 
 
 # Each suite's exit code and stdout at --seeds 2, recorded before the suite

@@ -39,9 +39,10 @@ from robustflow import (
     rat,
     solve_lp,
     solve_static,
+    split_capacities,
 )
 
-from robustflow import model_lp, static_models
+from robustflow import static_models
 
 from _oracles import brute_force_evaluate_static, full_family_lp
 
@@ -185,22 +186,17 @@ def test_unknown_model_rejected(two_hop):
         solve_static(net, "nope", 1)
 
 
-# -- zero-optimum shortcut: a cut of at most Gamma arcs skips the simplex -------
+# -- zero-optimum shortcut: a cut of at most Gamma arcs skips the LP -----------
 
 
 def _solve_both_ways(net, model, gamma):
-    """``solve_static`` as it is, and with its ``solve_model`` call given no
-    zero cut (the simplex path); returns both results and the cut it had."""
-    cuts = []
-
-    def lp_path(build, maximize_nominal, extract, evaluate, zero_cut=None):
-        cuts.append(zero_cut)
-        return model_lp.solve_model(build, maximize_nominal, extract, evaluate)
-
+    """``solve_static`` as it is, and with ``min_arc_cut`` handing it a cut
+    over the budget (the simplex path); returns both results and whether the
+    real cut is within the budget."""
     shortcut = solve_static(net, model, gamma)
-    with mock.patch.object(static_models, "solve_model", lp_path):
+    with mock.patch.object(static_models, "min_arc_cut", lambda net: (None,) * (gamma + 1)):
         simplex = solve_static(net, model, gamma)
-    return shortcut, simplex, cuts[0]
+    return shortcut, simplex, len(min_arc_cut(net)) <= gamma
 
 
 def test_zero_cut_shortcut_matches_the_simplex_path():
@@ -218,51 +214,59 @@ def test_zero_cut_shortcut_matches_the_simplex_path():
     def check(kind, nodes, extra, seed, model, gamma_share):
         net = gen_random(kind, nodes, 2 * (nodes - 2) + extra, max_cap=3, seed=seed)
         gamma = 1 if model == "gm1" else round(gamma_share * len(net.arcs))
-        shortcut, simplex, zero_cut = _solve_both_ways(net, model, gamma)
-        assert (zero_cut is not None) == (len(min_arc_cut(net)) <= gamma)
-        if zero_cut is not None:
+        shortcut, simplex, takes_cut = _solve_both_ways(net, model, gamma)
+        if takes_cut:
             assert simplex[1].robust_value == 0
         assert shortcut == simplex
-        fired.append(zero_cut is not None)
+        fired.append(takes_cut)
 
     check()
     assert len(fired) >= 100
     assert 0.2 <= sum(fired) / len(fired) <= 0.8, sum(fired)
 
 
+def _raising(*args, **kwargs):
+    raise AssertionError("an LP was built")
+
+
+def test_zero_cut_solves_build_no_lp(monkeypatch):
+    # Every static builder raises, so these solves return only through the cut.
+    split = split_capacities(gen_random("dag", 4, 5, max_cap=2, seed=505))
+    assert len(min_arc_cut(split)) == 1
+    for builder in ("build_pm_lp", "build_am_lp", "build_gm_lp", "build_gamma1_compact_lp"):
+        monkeypatch.setattr(static_models, builder, _raising)
+    for net, model, gamma in ((gen_two_hop(), "gm", 2), (split, "gm1", 1)):
+        flow, report = solve_static(net, model, gamma)
+        assert (flow, report.robust_value) == (StaticFlow("subpath", {}), 0)
+
+
 def test_lexicographic_solves_take_no_zero_cut(two_hop):
     net = two_hop
     cuts = []
-    honest = static_models.solve_model
 
-    def spy(*args):
-        cuts.append(args[-1])
-        return honest(*args)
+    def spy(net):
+        cuts.append(min_arc_cut(net))
+        return cuts[-1]
 
-    with mock.patch.object(static_models, "solve_model", spy):
-        solve_static(net, "gm", 2)
-        solve_static(net, "gm", 2, maximize_nominal=True)
-    assert [cut is not None for cut in cuts] == [True, False]
+    with mock.patch.object(static_models, "min_arc_cut", spy):
+        _, plain = solve_static(net, "gm", 2)
+        _, lex = solve_static(net, "gm", 2, maximize_nominal=True)
+    assert len(cuts) == 1 and len(cuts[0]) <= 2
+    assert (plain.robust_value, plain.nominal_value) == (0, 0)
+    assert (lex.robust_value, lex.nominal_value) == (0, 3)
 
 
 @pytest.mark.parametrize(
     "arcs, budget, message",
     [
-        (("a3", "a4", "a5"), 2, "zero cut has 3 arcs, over the budget 2"),
+        ((), 0, "zero cut [] leaves a source-sink path"),
         (("a1",), 2, "zero cut ['a1'] leaves a source-sink path"),
     ],
 )
 def test_zero_cut_is_rechecked(two_hop, arcs, budget, message):
-    net = two_hop
-    build = build_gm_lp(net, net.catalog, budget)
-    with pytest.raises(ModelCheckError, match=re.escape(message)):
-        model_lp.solve_model(
-            build,
-            False,
-            lambda values: StaticFlow("subpath", {}),
-            lambda flow: evaluate_static(flow, net, budget),
-            model_lp.ZeroCut(net, budget, arcs),
-        )
+    with mock.patch.object(static_models, "min_arc_cut", lambda net: arcs):
+        with pytest.raises(ModelCheckError, match=re.escape(message)):
+            solve_static(two_hop, "gm", budget)
 
 
 def test_zero_cut_needs_a_sink_without_outgoing_arcs():
@@ -459,8 +463,8 @@ sys.exit(1)
 
 
 def _planted_mismatch_raises(module, evaluator, call, expected):
-    # Plant a wrong robust value through ``module.evaluator``: the shared
-    # solve step must still raise with the ``expected`` disagreement.
+    # Plant a wrong robust value through ``module.evaluator``: the solve
+    # must still raise with the ``expected`` message.
     plant = f"""
 from robustflow import {module} as module
 honest = module.{evaluator}
@@ -469,41 +473,36 @@ def lying(*args, **kwargs):
     return dataclasses.replace(report, robust_value=report.robust_value + 1)
 module.{evaluator} = lying
 """
-    _raises_under_python_O(plant, call, f"evaluator disagrees with the LP: {expected}")
+    _raises_under_python_O(plant, call, expected)
 
 
 def test_model_checks_raise_under_python_O():
     # A planted evaluator/LP mismatch must raise ModelCheckError even when
     # the interpreter strips asserts.
     _planted_mismatch_raises(
-        "static_models", "evaluate_static", 'solve_static(gen_two_hop(), "gm", 1)', "3 != 2"
+        "static_models",
+        "evaluate_static",
+        'solve_static(gen_two_hop(), "gm", 1)',
+        "evaluator disagrees with the LP: 3 != 2",
     )
 
 
 def test_dynamic_model_checks_raise_under_python_O():
     # The dynamic solvers run the same shared check as the static ones.
     _planted_mismatch_raises(
-        "dynamic_models", "evaluate_dynamic", 'solve_dynamic(gen_ti_gap(), "dpm")', "3 != 2"
+        "dynamic_models",
+        "evaluate_dynamic",
+        'solve_dynamic(gen_ti_gap(), "dpm")',
+        "evaluator disagrees with the LP: 3 != 2",
     )
 
 
-def test_zero_start_premise_raises_under_python_O():
-    # Two-hop gm at Gamma = 2 takes the zero-cut shortcut. A planted row with
-    # a negative right-hand side makes x = 0 infeasible, so the premise
-    # check must raise before any flow is returned.  add_constraint rejects
-    # such a row, so it is planted through Rows, which skips input checks.
-    plant = """
-from robustflow import static_models
-from robustflow.model_lp import Rows
-honest = static_models.build_gm_lp
-def planted(*args, **kwargs):
-    build = honest(*args, **kwargs)
-    Rows(build.lp).add({0: 1}, "<=", -1, "planted")
-    return build
-static_models.build_gm_lp = planted
-"""
-    _raises_under_python_O(
-        plant,
+def test_zero_cut_check_raises_under_python_O():
+    # Two-hop gm at Gamma = 2 takes the zero-cut shortcut, which builds no LP:
+    # the evaluator's report of the zero flow is checked against the cut.
+    _planted_mismatch_raises(
+        "static_models",
+        "evaluate_static",
         'solve_static(gen_two_hop(), "gm", 2)',
-        "x = 0 is not the starting vertex: row planted is <= -1",
+        "the zero flow evaluates to 1, not 0",
     )
