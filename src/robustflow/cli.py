@@ -62,6 +62,7 @@ from .serialize import (
     flow_from_json,
     instance_from_json,
     instance_to_json,
+    rational_from_json,
     report_to_json,
     result_to_json,
 )
@@ -96,10 +97,7 @@ def _read_json(path: str):
 def _alpha(args):
     if args.alpha is None:
         raise NetworkError(f"{args.family} needs --alpha")
-    try:
-        return rat(args.alpha)
-    except (ValueError, ZeroDivisionError):
-        raise NetworkError(f"--alpha must be a rational such as 6/5, got {args.alpha!r}") from None
+    return rational_from_json(args.alpha, "--alpha")
 
 
 def _partition(args):

@@ -38,8 +38,6 @@ from .maxflow import nominal_max_flow
 from .model_lp import (
     ModelBuild,
     ModelCheckError,
-    Rows,
-    arcs_on,
     nonzero,
     scenario_label,
     solve_model,
@@ -135,12 +133,6 @@ def _dist_to_sink(net: Network) -> dict:
     return dist
 
 
-def _positive_delay_ids(net: Network, arcs) -> list:
-    return sorted(
-        {a for a in arcs if net.arc_by_id[a].delay > 0}, key=lambda a: net.arc_rank[a]
-    )
-
-
 def _check_instance(inst: DynamicInstance) -> None:
     report = validate_dynamic_instance(inst)
     if not report.ok:
@@ -171,7 +163,8 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
     Routes whose window is empty carry no column and are left out of the
     scenario universes.  With them in, a scenario would only yield the row of
     its restriction to the arcs of routes with departures, which comes
-    earlier in (size, arc order), and :class:`Rows` would drop the repeat.
+    earlier in (size, arc order), and :meth:`LinearProgram.add_row` would skip
+    the repeat.
     """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
@@ -196,29 +189,33 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
                 xs[(i, theta)] = xs[(i, 1)] if theta > 1 else lp.add_var(f"x[{i}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: 1})
-    rows = Rows(lp)
 
-    def scenarios(ending):
-        """Each scenario over the positive-delay arcs of the routes ``ending``."""
-        universe = _positive_delay_ids(net, arcs_on(net, (kept[i] for i in ending)))
+    def shifted(walks):
+        """Each scenario over the positive-delay arcs of ``walks``, with each walk's duration.
+
+        ``walks`` maps a route to steps ``(arc, travel time, delay)``.
+        """
+        universe = {a for steps in walks.values() for a, _, d in steps if d > 0}
         for scenario in enumerate_scenarios(universe, gamma):
             hit = set(scenario)
-            yield scenario, {i: sum(t + d if a in hit else t for a, t, d in walk[i]) for i in ending}
+            yield scenario, {
+                i: sum(t + d if a in hit else t for a, t, d in steps) for i, steps in walks.items()
+            }
 
     enders = by_end.get(net.sink, ())
-    for scenario, shift in scenarios(enders):
+    for scenario, shift in shifted({i: walk[i] for i in enders}):
         coeffs = {w: 1}
         for i in enders:
             for theta in range(1, min(window[i], T - shift[i]) + 1):
                 col = xs[(i, theta)]
                 coeffs[col] = coeffs.get(col, 0) - 1
-        rows.add(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
+        lp.add_row(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
     for v in net.nodes:
         starting = by_start.get(v, ())
         if v in (net.source, net.sink) or not starting:
             continue
         ending = by_end.get(v, ())
-        for scenario, shift in scenarios(ending):
+        for scenario, shift in shifted({i: walk[i] for i in ending}):
             for theta in range(1, T + 1):
                 coeffs = {xs[(j, theta)]: 1 for j in starting if (j, theta) in xs}
                 if not coeffs:
@@ -227,26 +224,23 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
                     key = (i, theta - shift[i])
                     if key in xs:
                         coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
-                rows.add(coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}")
+                lp.add_row(coeffs, "<=", 0, f"cons[{v},{theta}]{scenario_label(scenario)}")
     for arc in net.arcs:
         through = by_arc.get(arc.id, ())
         if not through:
             continue
         # The steps each route through the arc takes before it.
         before = {i: walk[i][: kept[i].arcs.index(arc.id)] for i in through}
-        upstream = {a for steps in before.values() for a, _, _ in steps}
-        for scenario in enumerate_scenarios(_positive_delay_ids(net, upstream), gamma):
-            hit = set(scenario)
+        for scenario, offsets in shifted(before):
             by_theta: dict = {}
-            for i, steps in before.items():
+            for i, offset in offsets.items():
                 # Flow departing at 0 on route i enters the arc at ``offset``.
-                offset = sum(t + d if a in hit else t for a, t, d in steps)
                 for dep in range(1, min(window[i], T - offset) + 1):
                     by_theta.setdefault(dep + offset, []).append(xs[(i, dep)])
             label = "" if kind == "arc" else scenario_label(scenario)
             for theta in sorted(by_theta):
                 coeffs = dict.fromkeys(by_theta[theta], 1)
-                rows.add(coeffs, "<=", arc.capacity, f"cap[{arc.id},{theta}]{label}")
+                lp.add_row(coeffs, "<=", arc.capacity, f"cap[{arc.id},{theta}]{label}")
     sink_set = set(enders)
     nominal: dict = {}
     for (i, _), col in xs.items():
@@ -298,7 +292,7 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
 
     A term of an entry time outside 1..T is left out.  Terms on one column
     are summed, so with a zero delay, or a self-loop of travel time 0, the
-    two terms cancel and :class:`Rows` drops the 0.
+    two terms cancel and :meth:`LinearProgram.add_row` drops the 0.
     """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
@@ -323,7 +317,6 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
 
     nominal = {xs[(arc.id, theta)]: 1 for arc in sink_in for theta in range(1, T - arc.travel_time + 1)}
     lp.set_objective({**nominal, **dict.fromkeys(nu.values(), -1), mu: -gamma})
-    rows = Rows(lp)
     for v in inner:
         for theta in times:
             coeffs = {eta[(v, theta)]: gamma}
@@ -332,19 +325,19 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
             for arc in net.in_arcs(v):
                 add(coeffs, arc, theta - arc.travel_time, -1)
                 coeffs[lam[(arc.id, theta)]] = 1
-            rows.add(coeffs, "<=", 0, f"flow[{v},{theta}]")
+            lp.add_row(coeffs, "<=", 0, f"flow[{v},{theta}]")
             for arc in net.in_arcs(v):
                 shift = {eta[(v, theta)]: -1, lam[(arc.id, theta)]: -1}
                 add(shift, arc, theta - arc.travel_time, 1)
                 add(shift, arc, theta - arc.travel_time - arc.delay, -1)
-                rows.add(shift, "<=", 0, f"shift[{v},{arc.id},{theta}]")
+                lp.add_row(shift, "<=", 0, f"shift[{v},{arc.id},{theta}]")
     for arc in sink_in:
         tail = {mu: -1, nu[arc.id]: -1}
         for late in range(T - arc.travel_time, T - arc.travel_time - arc.delay, -1):
             add(tail, arc, late, 1)
-        rows.add(tail, "<=", 0, f"tail[{arc.id}]")
+        lp.add_row(tail, "<=", 0, f"tail[{arc.id}]")
     for (a, theta), col in xs.items():
-        rows.add({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
+        lp.add_row({col: 1}, "<=", net.arc_by_id[a].capacity, f"cap[{a},{theta}]")
     aux = {"lam": lam, "eta": eta, "mu": mu, "nu": nu}
     return ModelBuild(lp, "arc", xs, None, nominal_coeffs=nominal, aux=aux)
 

@@ -14,9 +14,11 @@ decided exactly: ``optimal`` or ``unbounded``.
 
 Input contract: every coefficient and right-hand side is an ``int`` or a
 ``fractions.Fraction``; anything else, and any row out of the form above,
-raises :class:`LpError`.  The LP keeps the values it is given (only zeros
-are dropped) and :func:`_integer_row` turns each row into integers once, on
-its way into the tableau.  Values are returned as ``Fraction``s.
+raises :class:`LpError` on its way in.  Every row enters through
+:meth:`LinearProgram.add_row`, which keeps the values it is given (only
+zeros are dropped) and skips an empty row or an exact repeat;
+:func:`_integer_row` turns each row into integers once, on its way into the
+tableau.  Values are returned as ``Fraction``s.
 
 An exact presolve (:func:`_forced_zero`, after Brearley, Mitra & Williams,
 1975) fixes columns at 0 before the simplex.  A forcing row has right-hand
@@ -83,6 +85,7 @@ class LinearProgram:
         self.var_names: list = []
         self.objective: dict = {}
         self.constraints: list = []
+        self._seen: set = set()  # the (rel, rhs, terms) of every row kept
 
     @property
     def free(self) -> tuple:
@@ -96,14 +99,25 @@ class LinearProgram:
     def set_objective(self, coeffs: Mapping) -> None:
         self.objective = self._clean(coeffs)
 
-    def add_constraint(
-        self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None
-    ) -> int:
-        coeffs = self._clean(coeffs)
-        if not in_form(rel, _exact(rhs)):
+    def add_constraint(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
+        """:meth:`add_row` after checking every index and value."""
+        self.add_row(self._clean(coeffs), rel, _exact(rhs), label)
+
+    def add_row(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
+        """Add the row ``coeffs . x rel rhs``, unless it is empty or repeats an earlier row.
+
+        A row out of the one form raises :class:`LpError` first, empty or
+        not.  Zero terms are dropped.  The model builders call this directly
+        with ``int`` coefficients on the LP's own columns, so the terms are
+        not checked; an ``int`` keys a row like the equal ``Fraction`` would.
+        """
+        if not in_form(rel, rhs):
             raise LpError(f"rows must be '<=' with rhs >= 0 or '==' with rhs 0, got {rel} {rhs}")
-        self.constraints.append(_Constraint(coeffs, rel, rhs, label))
-        return len(self.constraints) - 1
+        terms = {j: c for j, c in coeffs.items() if c != 0}
+        key = (rel, rhs, frozenset(terms.items()))
+        if terms and key not in self._seen:
+            self._seen.add(key)
+            self.constraints.append(_Constraint(terms, rel, rhs, label))
 
     def _clean(self, coeffs: Mapping) -> dict:
         """The nonzero entries of ``coeffs``, checked, with their values as given."""
@@ -248,12 +262,6 @@ def _forced_zero(lp: LinearProgram) -> list:
     return fixed
 
 
-def _check_form(con: _Constraint, rhs) -> None:
-    """Raise :class:`LpError` unless ``con`` is in form; ``rhs`` is ``con.rhs`` or a positive multiple."""
-    if not in_form(con.rel, rhs):
-        raise LpError(f"row {con.label} is {con.rel} {con.rhs}, out of the simplex's form")
-
-
 class _Simplex:
     """Primal simplex from the all-slack basis on sparse integer rows: Dantzig, Bland on a repeat.
 
@@ -264,10 +272,9 @@ class _Simplex:
     reads ``0 <= rhs`` or ``0 == 0``, holds, and is dropped.
     :func:`_verify` still checks every optimum against the original LP.
 
-    A row out of the module's one form raises :class:`LpError` here, so a
-    row appended without :meth:`LinearProgram.add_constraint`'s checks never
-    reaches the tableau.  Every right-hand side is then >= 0 and the slacks
-    make a feasible basis at x = 0.
+    Every row came in through :meth:`LinearProgram.add_row`, which refuses a
+    row out of the module's one form, so every right-hand side is >= 0 and
+    the slacks make a feasible basis at x = 0.
 
     Columns are the structural ones, one slack per ``<=`` half (an equality
     is split into two ``<=`` halves), then one slack per pin row: row ``i``'s
@@ -315,15 +322,12 @@ class _Simplex:
         for con in lp.constraints:
             coeffs = self._columns(con.coeffs)
             if not coeffs:
-                _check_form(con, con.rhs)
                 continue
             halves = [coeffs] if con.rel == "<=" else [coeffs, {j: -c for j, c in coeffs.items()}]
             for half in halves:
                 slack = n + len(self.rows)
                 half[slack] = 1
-                row, rhs = _integer_row(half, con.rhs)
-                _check_form(con, rhs)
-                self._add_row(row, rhs, slack)
+                self._add_row(*_integer_row(half, con.rhs), slack)
 
     def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
         """Column coefficients of a (zero-free) linear form over the LP's variables."""

@@ -1,10 +1,11 @@
 """The model-LP pipeline shared by the static and dynamic models.
 
 Every model LP is solved the same way: a builder emits the scenario LP into a
-:class:`ModelBuild` through :class:`Rows`, :func:`solve_model` solves it
-exactly (plainly or lexicographically), turns the optimal values into a flow
-and re-derives the flow's value with the model family's LP-free evaluator,
-raising :class:`ModelCheckError` when the two disagree.
+:class:`ModelBuild`, each row through :meth:`LinearProgram.add_row`, which
+skips empty rows and repeats.  :func:`solve_model` solves it exactly (plainly
+or lexicographically), turns the optimal values into a flow and re-derives
+the flow's value with the model family's LP-free evaluator, raising
+:class:`ModelCheckError` when the two disagree.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .lp import LinearProgram, _Constraint, lexicographic_solve, solve_lp
+from .lp import LinearProgram, lexicographic_solve, solve_lp
 
 
 class ModelCheckError(AssertionError):
@@ -31,40 +32,8 @@ class ModelBuild:
     aux: dict = field(default_factory=dict)
 
 
-class Rows:
-    """Adds constraints with exact-duplicate elimination.
-
-    Builders hand in ``int`` coefficients on the LP's own columns and ``int``
-    or ``Fraction`` right-hand sides; they are appended as given (zeros
-    dropped) without the input checks of :meth:`LinearProgram.add_constraint`,
-    and an ``int`` keys a row like the equal ``Fraction`` would.  Rows with no
-    nonzero coefficient, and repeats of a row already added, are skipped.  A
-    row out of the LP's one form (:func:`robustflow.lp.in_form`) is caught
-    later, by the simplex.
-    """
-
-    def __init__(self, lp: LinearProgram) -> None:
-        self.lp = lp
-        self.seen = set()
-
-    def add(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
-        clean = {j: c for j, c in coeffs.items() if c != 0}
-        if not clean:
-            return
-        key = (rel, rhs, frozenset(clean.items()))
-        if key in self.seen:
-            return
-        self.seen.add(key)
-        self.lp.constraints.append(_Constraint(clean, rel, rhs, label))
-
-
 def scenario_label(scenario) -> str:
     return "{" + ",".join(str(a) for a in scenario) + "}"
-
-
-def arcs_on(net, routes) -> list:
-    """The arcs of any of ``routes``, each once, in the network's arc order."""
-    return sorted({a for route in routes for a in route.arcs}, key=lambda a: net.arc_rank[a])
 
 
 def nonzero(columns: Mapping, values) -> dict:

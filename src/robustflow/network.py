@@ -369,9 +369,6 @@ def route_index(routes: Mapping) -> tuple:
     )
 
 
-Scenario = tuple
-
-
 def scenario_count(universe_size: int, gamma: int) -> int:
     return sum(math.comb(universe_size, k) for k in range(0, min(gamma, universe_size) + 1))
 

@@ -34,8 +34,6 @@ from .maxflow import min_arc_cut, path_decompose
 from .model_lp import (
     ModelBuild,
     ModelCheckError,
-    Rows,
-    arcs_on,
     nonzero,
     scenario_label,
     solve_model,
@@ -137,19 +135,17 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
     enders = by_end.get(net.sink, ())
     nominal = {xs[key]: 1 for key in enders}
     lp.set_objective({**nominal, lam: -1})
-    rows = Rows(lp)
 
     def scenarios(ending):
         """Each scenario over the arcs of the routes ``ending``, with the routes it hits."""
-        universe = arcs_on(net, (routes[key] for key in ending))
+        universe = {a for key in ending for a in routes[key].arcs}
         for scenario in enumerate_scenarios(universe, gamma):
             yield scenario, set().union(*(by_arc[a] for a in scenario))
 
-    sink_set = set(enders)
     for scenario, hit in scenarios(enders):
-        coeffs = {xs[key]: 1 for key in hit if key in sink_set}
+        coeffs = {xs[key]: 1 for key in enders if key in hit}
         coeffs[lam] = -1
-        rows.add(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
+        lp.add_row(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
     for v in net.nodes:
         starting = by_start.get(v, ())
         if v in (net.source, net.sink) or not starting:
@@ -160,11 +156,11 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
             for key in ending:
                 if key not in hit:
                     coeffs[xs[key]] = coeffs.get(xs[key], 0) - 1
-            rows.add(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
+            lp.add_row(coeffs, "<=", 0, f"cons[{v}]{scenario_label(scenario)}")
     for arc in net.arcs:
         through = by_arc.get(arc.id, ())
         if through:
-            rows.add({xs[key]: 1 for key in through}, "<=", arc.capacity, f"cap[{arc.id}]")
+            lp.add_row({xs[key]: 1 for key in through}, "<=", arc.capacity, f"cap[{arc.id}]")
     return ModelBuild(lp, kind, xs, lam, nominal_coeffs=nominal)
 
 
@@ -224,11 +220,10 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
     into_sink = ending.get(sink, ())
     nominal = {cols[a.id]: 1 for a in net.in_arcs(sink) for cols in into_sink if a.id in cols}
     lp.set_objective({**nominal, nu: -1})
-    rows = Rows(lp)
     for arc in net.arcs:
         exposed = {cols[arc.id]: 1 for cols in into_sink if arc.id in cols}
         if exposed:
-            rows.add({**exposed, nu: -1}, "<=", 0, f"exposure[{arc.id}]")
+            lp.add_row({**exposed, nu: -1}, "<=", 0, f"exposure[{arc.id}]")
     for vp in net.nodes:
         if vp in (source, sink):
             continue
@@ -240,7 +235,7 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             for cols in arriving:
                 if fail.id in cols:
                     coeffs[cols[fail.id]] = coeffs.get(cols[fail.id], 0) + 1
-            rows.add(coeffs, "<=", 0, f"robust[{vp},{fail.id}]")
+            lp.add_row(coeffs, "<=", 0, f"robust[{vp},{fail.id}]")
     for v, w, cols in commodities:
         # Inflow minus outflow of the commodity at each node; a self-loop cancels.
         balance: dict = {}
@@ -251,11 +246,11 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
             out[col] = out.get(col, 0) - 1
         for vp in net.nodes:
             if vp in balance and vp not in (v, w):
-                rows.add(balance[vp], "==", 0, f"route[{v},{w},{vp}]")
+                lp.add_row(balance[vp], "==", 0, f"route[{v},{w},{vp}]")
     for arc in net.arcs:
         through = {cols[arc.id]: 1 for _, _, cols in commodities if arc.id in cols}
         if through:
-            rows.add(through, "<=", arc.capacity, f"cap[{arc.id}]")
+            lp.add_row(through, "<=", arc.capacity, f"cap[{arc.id}]")
     return ModelBuild(lp, "gamma1", y, nu, nominal_coeffs=nominal)
 
 

@@ -129,6 +129,16 @@ def _bad_alpha(alpha):
     ]
 
 
+def _bad_file(text):
+    """argv solving an instance file that holds ``text``."""
+
+    def argv(tmp_path):
+        (tmp_path / "inst.json").write_text(text)
+        return ["solve", str(tmp_path / "inst.json"), "--model", "pm"]
+
+    return argv
+
+
 def _path_flow(*entries, **fields):
     return {"kind": "path", "entries": list(entries), **fields}
 
@@ -150,8 +160,8 @@ MALFORMED_INPUT = {
         for bad in ("abc", "1.5", "1/0")
     },
     **{
-        f"alpha {bad}": (_bad_alpha(bad), f"--alpha must be a rational such as 6/5, got '{bad}'")
-        for bad in ("abc", "1/0")
+        f"alpha {bad}": (_bad_alpha(bad), f"--alpha must be an integer or 'p/q' string, got '{bad}'")
+        for bad in ("abc", "1/0", "1.25")
     },
     "arcs 5": (_bad_instance(lambda doc: doc.update(arcs=5)), "'arcs' must be a JSON array, got 5"),
     "arc entry 5": (
@@ -194,6 +204,46 @@ MALFORMED_INPUT = {
     "timed no": (
         _bad_flow(gen_ti_gap, _path_flow(timed="no")),
         "'timed' must be a JSON boolean, got 'no'",
+    ),
+    # Malformed documents, options and pairings.
+    "not JSON": (_bad_file("not json"), "is not valid JSON"),
+    "instance array": (_bad_file("[1, 2]"), "instance document must be a JSON object"),
+    "arc without capacity": (
+        _bad_instance(lambda doc: doc["arcs"][0].pop("capacity")),
+        "arc entry lacks ['capacity']",
+    ),
+    "provenance 5": (
+        _bad_instance(lambda doc: doc.update(provenance=5)),
+        "provenance must be a JSON object",
+    ),
+    "no entries": (
+        _bad_flow(gen_two_hop, {"kind": "path"}),
+        "flow document needs 'kind' and 'entries'",
+    ),
+    "kind bogus": (
+        _bad_flow(gen_two_hop, {"kind": "bogus", "entries": []}),
+        "unknown static flow kind 'bogus'",
+    ),
+    "static flow, timed instance": (
+        _bad_flow(gen_ti_gap, _path_flow([0, "1/2"], timed=False)),
+        "the instance is dynamic but the flow file is static (timed false)",
+    ),
+    "timed flow, static instance": (
+        _bad_flow(gen_two_hop, _path_flow([0, 1, "1/2"], timed=True)),
+        "the instance is static but the flow file is timed",
+    ),
+    "por-static without alpha": (
+        lambda tmp_path: ["generate", "por-static", "--gamma", "2"],
+        "por-static needs --alpha",
+    ),
+    "partition without b": (lambda tmp_path: ["generate", "partition"], "partition needs --b values"),
+    "ti-gap split": (
+        lambda tmp_path: ["generate", "ti-gap", "--split"],
+        "--split applies to static instances only",
+    ),
+    "sizes 6": (
+        lambda tmp_path: ["suite", "static-invariants", "--sizes", "6"],
+        "--sizes must be 'nodes,arcs', got '6'",
     ),
 }
 
@@ -485,6 +535,15 @@ def test_compare_covers_static_models(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines] == ["model", "pm", "am", "gm"]
     values = {line.split(",")[0]: line.split(",")[1] for line in lines[1:]}
     assert values == {"pm": "3/2", "am": "4/3", "gm": "2"}
+
+
+def test_compare_covers_dynamic_models(tmp_path, capsys):
+    inst = tmp_path / "ti-gap.json"
+    run(capsys, "generate", "ti-gap", "-o", str(inst))
+    code, out, _ = run(capsys, "compare", str(inst), "--no-timing")
+    assert code == 0
+    values = [line.split(",")[:2] for line in out.strip().split("\n")[1:]]
+    assert values == [["dpm", "2"], ["dam", "2"], ["dam-compact", "2"], ["dgm", "2"], ["tr", "3/2"]]
 
 
 def test_compare_rejects_unknown_model(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import robustflow
 from robustflow import (
+    LexSolution,
     LinearProgram,
     LpError,
     build_am_lp,
@@ -40,7 +41,6 @@ from robustflow import (
     split_capacities,
 )
 from robustflow.lp import LpCheckError, _Simplex, _forced_zero, _verify, dump_lp, in_form
-from robustflow.model_lp import Rows
 
 from _oracles import row_by_row_verify
 
@@ -136,6 +136,16 @@ def test_unbounded_detected():
     assert sol.status == "unbounded"
 
 
+def test_lexicographic_unbounded_steps():
+    # Unbounded in the primary objective, then only in the secondary one.
+    lp = LinearProgram()
+    x, y = lp.add_var("x"), lp.add_var("y")
+    lp.set_objective({x: 1})
+    assert lexicographic_solve(lp, {y: 1}) == LexSolution("unbounded", None, None, ())
+    lp.add_constraint({x: 1}, "<=", 1)
+    assert lexicographic_solve(lp, {y: 1}) == LexSolution("unbounded", 1, None, ())
+
+
 @pytest.fixture
 def pivot_bound(monkeypatch):
     """Fail a solve after 100 pivots, so that a pivot rule that cycles fails
@@ -218,18 +228,33 @@ def test_add_constraint_rejects_rows_out_of_form(rel, rhs):
 
 
 @pytest.mark.parametrize("rel, rhs", OUT_OF_FORM)
-def test_a_row_appended_out_of_form_makes_the_solve_raise(rel, rhs):
-    # Rows skips add_constraint's checks; the simplex must refuse the row
-    # instead of returning a vertex of an LP it does not solve.
+def test_add_row_rejects_rows_out_of_form(rel, rhs):
+    # add_row skips add_constraint's checks of the terms, not of the form: a
+    # row out of form raises before its zero terms go, so an empty one too,
+    # instead of being skipped and leaving an LP the simplex does not solve.
     lp = LinearProgram()
     x = lp.add_var("x")
     lp.add_constraint({x: 1}, "<=", 2)
     lp.set_objective({x: 1})
-    Rows(lp).add({x: 1}, rel, rhs, "planted")
-    with pytest.raises(LpError, match=f"row planted is {rel} {rhs}"):
-        solve_lp(lp)
-    with pytest.raises(LpError, match="planted"):
-        lexicographic_solve(lp, {x: 1})
+    for coeffs in ({x: 1}, {x: 0}, {}):
+        with pytest.raises(LpError, match=f"got {rel} {rhs}"):
+            lp.add_row(coeffs, rel, rhs, "planted")
+    assert lp.n_constraints == 1 and solve_lp(lp).objective_value == 2
+
+
+def test_add_row_skips_empty_rows_and_repeats():
+    # A repeat is the same relation, right-hand side and nonzero terms; an
+    # int keys a row like the equal Fraction, and the first label stays.
+    lp = LinearProgram()
+    x, y, z = lp.add_var("x"), lp.add_var("y"), lp.add_var("z")
+    lp.add_constraint({x: 1, y: 2}, "<=", 3, label="first")
+    lp.add_constraint({y: 2, x: 1}, "<=", rat(3), label="again")
+    lp.add_row({x: 1, y: 2, z: 0}, "<=", 3, "zero term")
+    lp.add_row({x: 0}, "<=", 3, "empty")
+    lp.add_constraint({x: 1, y: 2}, "<=", 4, label="other rhs")
+    lp.add_constraint({x: 1, y: 2}, "==", 0, label="other rel")
+    assert [con.label for con in lp.constraints] == ["first", "other rhs", "other rel"]
+    assert lp.constraints[0].coeffs == {x: 1, y: 2}
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None, True])
@@ -283,6 +308,7 @@ def test_lexicographic_keeps_primary_pinned():
 def test_dump_lp_is_readable():
     lp = LinearProgram()
     x = lp.add_var("flow")
+    assert dump_lp(lp) == "max: 0\nsubject to:\nfree: (none)\n"
     lp.add_constraint({x: 1}, "<=", rat(3, 2), label="cap")
     lp.set_objective({x: 1})
     text = dump_lp(lp)
@@ -529,15 +555,52 @@ def _compact_digest(builds) -> str:
     return digest.hexdigest()
 
 
-def test_gm1_lp_digest():
+def _gm1_lps():
     nets = _broad_nets()
     nets += [split_capacities(gen_random("dag", 4, 5, max_cap=2, seed=s)) for s in SPLIT_BASES]
-    assert _compact_digest(build_gamma1_compact_lp(net) for net in nets) == GM1_DIGEST
+    return (build_gamma1_compact_lp(net) for net in nets)
+
+
+def _dam_compact_lps():
+    return (build_dam_compact_lp(inst) for inst, _ in _broad_timed())
+
+
+def test_gm1_lp_digest():
+    assert _compact_digest(_gm1_lps()) == GM1_DIGEST
 
 
 def test_dam_compact_lp_digest():
-    builds = (build_dam_compact_lp(inst) for inst, _ in _broad_timed())
-    assert _compact_digest(builds) == DAM_COMPACT_DIGEST
+    assert _compact_digest(_dam_compact_lps()) == DAM_COMPACT_DIGEST
+
+
+def _row_digest() -> str:
+    """sha256 over each row's label, relation, rhs and terms in insertion order."""
+    digest = hashlib.sha256()
+    for build in (*_broad_lps(), *_gm1_lps(), *_dam_compact_lps()):
+        for con in build.lp.constraints:
+            digest.update(repr((con.label, con.rel, con.rhs, list(con.coeffs.items()))).encode())
+    return digest.hexdigest()
+
+
+def test_model_lps_do_not_depend_on_the_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED for string keys such as arc
+    # ids; no builder may let it order a row's terms.
+    src = str(Path(robustflow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, str(Path(__file__).parent), os.environ.get("PYTHONPATH", "")])
+    code = "import test_lp; print(test_lp._row_digest())"
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("1", "2")
+    ]
+    outputs = [run.communicate(timeout=120) for run in runs]
+    assert all(run.returncode == 0 for run in runs), [err for _, err in outputs]
+    assert outputs[0][0] == outputs[1][0]
 
 
 def test_checks_raise_under_python_O():
@@ -593,8 +656,8 @@ def random_lps(draw):
     """Small LPs in the solver's form with rational data.
 
     ``<=`` rows get a right-hand side >= 0 and ``==`` rows 0.  Equalities are
-    sometimes repeated with a scaled copy, so the tableau holds dependent
-    rows.  Bounds on some columns and a mostly positive objective, as in the
+    sometimes repeated with a copy scaled by k, so the tableau holds dependent
+    rows; at k = 1 the copy is an exact repeat, and the LP keeps one row.  Bounds on some columns and a mostly positive objective, as in the
     models, make more of the LPs bounded with an optimum above 0.
     """
     n = draw(st.integers(1, 4))
@@ -857,14 +920,14 @@ def test_a_free_column_blocks_the_presolve():
     assert (sol.objective_value, sol.values) == (3, (3, 0, 3))
 
 
-def test_a_row_left_without_columns_stays_infeasible():
-    # x0 <= 0 fixes x0, which leaves a planted x0 <= -1 as 0 <= -1: the
-    # solve must raise, not drop the row and return a vertex.
+def test_a_row_left_without_columns_holds_and_is_dropped():
+    # x0 <= 0 fixes x0.  A row x0 <= -1 would be left as 0 <= -1, which the
+    # simplex could only drop, so the LP refuses it on the way in.
     lp = _lp(2, [({0: 1}, "<=", 0), ({1: 1}, "<=", 1)], {1: 1})
-    Rows(lp).add({0: 1}, "<=", -1, "planted")
+    with pytest.raises(LpError):
+        lp.add_row({0: 1}, "<=", -1, "planted")
     assert _forced_zero(lp) == [True, False]
-    with pytest.raises(LpError, match="planted"):
-        solve_lp(lp)
+    assert solve_lp(lp).values == (0, 1)
     # An emptied row in form (0 == 0, 0 <= 1) holds and is dropped.
     rows = [({0: 1}, "<=", 0), ({0: 2}, "==", 0), ({0: 1}, "<=", 1), ({1: 1}, "<=", 1)]
     ok = _lp(2, rows, {1: 1})
