@@ -27,9 +27,24 @@ side 0 and live coefficients of one sign: positive for ``<=``, either for
 columns are 0 at every feasible point; fixing them can make another row
 forcing, up to a fixpoint.
 
-Every optimum is re-checked against every row of the original LP, fixed
-columns included, before it is returned, in integers: the values are put
-over one common denominator and each row compares integer sums
+A row may be *lazy* (``add_row(..., lazy=True)``): it is part of the LP,
+but the simplex starts without it, as in the cutting-plane scheme of
+Fischetti & Monaci (2012).  One loop, :meth:`_Simplex._settle`, serves the
+plain solve and the lexicographic step.  It optimizes over the rows in the
+tableau, then evaluates each pending lazy row at the vertex, in integers
+over one common denominator, as :func:`_verify` does.  Every violated row
+goes into the solved tableau, the most violated first, expressed in the
+current basis.  A dual simplex under the dual Bland rule, which cannot
+cycle, makes the vertex feasible again, and the primal simplex
+re-optimizes; this repeats until no lazy row is violated.  If the rows in
+the tableau leave the LP unbounded, every pending lazy row goes in.  The LP
+without its pending rows is a relaxation of the full LP, so its optimum,
+once feasible for every row, is optimal for the full LP.  An LP without lazy
+rows takes the same tableau and pivots as if laziness did not exist.
+
+Every optimum is re-checked against every row of the original LP, lazy rows
+and fixed columns included, before it is returned, in integers: the values
+are put over one common denominator and each row compares integer sums
 (:func:`_verify`).  A failed check raises :class:`LpCheckError`, also under
 ``python -O``.
 """
@@ -73,6 +88,7 @@ class _Constraint:
     rel: str
     rhs: object
     label: Optional[str]
+    lazy: bool = False
 
 
 class LinearProgram:
@@ -85,7 +101,9 @@ class LinearProgram:
         self.var_names: list = []
         self.objective: dict = {}
         self.constraints: list = []
-        self._seen: set = set()  # the (rel, rhs, terms) of every row kept
+        # The (rel, rhs, terms) of every row kept, while rows are being added;
+        # a solve drops it, and a later add_row rebuilds it from the rows.
+        self._seen: Optional[set] = set()
 
     @property
     def free(self) -> tuple:
@@ -103,21 +121,27 @@ class LinearProgram:
         """:meth:`add_row` after checking every index and value."""
         self.add_row(self._clean(coeffs), rel, _exact(rhs), label)
 
-    def add_row(self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None) -> None:
+    def add_row(
+        self, coeffs: Mapping, rel: str, rhs, label: Optional[str] = None, lazy: bool = False
+    ) -> None:
         """Add the row ``coeffs . x rel rhs``, unless it is empty or repeats an earlier row.
 
         A row out of the one form raises :class:`LpError` first, empty or
         not.  Zero terms are dropped.  The model builders call this directly
         with ``int`` coefficients on the LP's own columns, so the terms are
         not checked; an ``int`` keys a row like the equal ``Fraction`` would.
+        A ``lazy`` row enters the simplex only once a vertex violates it
+        (module docstring); the LP, and its optimum, are the same.
         """
         if not in_form(rel, rhs):
             raise LpError(f"rows must be '<=' with rhs >= 0 or '==' with rhs 0, got {rel} {rhs}")
         terms = {j: c for j, c in coeffs.items() if c != 0}
+        if self._seen is None:
+            self._seen = {(c.rel, c.rhs, frozenset(c.coeffs.items())) for c in self.constraints}
         key = (rel, rhs, frozenset(terms.items()))
         if terms and key not in self._seen:
             self._seen.add(key)
-            self.constraints.append(_Constraint(terms, rel, rhs, label))
+            self.constraints.append(_Constraint(terms, rel, rhs, label, lazy))
 
     def _clean(self, coeffs: Mapping) -> dict:
         """The nonzero entries of ``coeffs``, checked, with their values as given."""
@@ -263,7 +287,7 @@ def _forced_zero(lp: LinearProgram) -> list:
 
 
 class _Simplex:
-    """Primal simplex from the all-slack basis on sparse integer rows: Dantzig, Bland on a repeat.
+    """Primal simplex from the all-slack basis on sparse integer rows, and a dual simplex for cuts.
 
     The tableau is the presolved LP.  A forcing row (right-hand side 0, live
     coefficients of the one sign its relation allows) fixes its columns at
@@ -277,9 +301,10 @@ class _Simplex:
     the slacks make a feasible basis at x = 0.
 
     Columns are the structural ones, one slack per ``<=`` half (an equality
-    is split into two ``<=`` halves), then one slack per pin row: row ``i``'s
-    slack is column ``first_slack + i``.  Row ``i`` is a dict ``{column:
-    int}`` with the integer right-hand side ``rhs[i]``; it stands for the
+    is split into two ``<=`` halves), then one slack per row added later (a
+    lazy row's half, or a pin row): row ``i``'s slack is column
+    ``first_slack + i``.  Row ``i`` is a dict ``{column: int}`` with the
+    integer right-hand side ``rhs[i]``; it stands for the
     rational tableau row obtained by dividing by its basic entry
     ``rows[i][basis[i]]``, which is kept positive.  Every row is kept
     primitive (divided by the gcd of its entries), so each rational row has
@@ -292,18 +317,29 @@ class _Simplex:
     column: the same pivots as on a dense rational tableau of the presolved
     LP.
 
-    Dantzig's rule can cycle on degenerate pivots, so each run of them keeps
-    the hash of every basis it reaches.  On the first repeat, the entering
-    column is the smallest one with a positive reduced cost (Bland, 1977)
-    until the next nondegenerate pivot, which clears the hashes and restores
-    Dantzig's rule.  The loop ends: a run either reaches no basis twice, or
-    Bland's rule takes over, and it never cycles; a nondegenerate pivot
-    raises the objective, so no earlier basis returns.  A hash collision
-    only starts Bland's rule early.  Only the hashes are kept, one int per
-    pivot, not the bases.
+    Dantzig's rule (:meth:`_run`) can cycle on degenerate pivots, so each
+    run of them keeps the hash of every basis it reaches.  On the first
+    repeat, the entering column is the smallest one with a positive reduced
+    cost (Bland, 1977) until the next nondegenerate pivot, which clears the
+    hashes and restores Dantzig's rule.  The loop ends: a run either reaches
+    no basis twice, or Bland's rule takes over, and it never cycles; a
+    nondegenerate pivot raises the objective, so no earlier basis returns.
+    A hash collision only starts Bland's rule early.  Only the hashes are
+    kept, one int per pivot, not the bases.
 
-    Kept as an object so a solved tableau can be extended with a pin row and
-    re-optimized for lexicographic objectives without a cold restart.
+    Lazy rows get no tableau row at first.  :meth:`_settle` inserts the
+    ones a vertex violates, each expressed in the current basis with its
+    slack basic (:meth:`_insert`, which also adds the pin row), so a
+    violated row has a negative right-hand side.  The dual simplex
+    (:meth:`_dual`) then restores primal feasibility, keeping every reduced
+    cost <= 0.  The leaving row is the one of negative right-hand side with
+    the smallest basic column.  The entering column has the smallest ratio
+    of reduced cost to row entry, over the row's negative entries, and the
+    smallest column on ties.  That is Bland's rule applied to the dual, so
+    it cannot cycle either.
+
+    Kept as an object so a solved tableau can take cut rows and a pin row,
+    and be re-optimized without a cold restart.
     """
 
     def __init__(self, lp: LinearProgram) -> None:
@@ -319,12 +355,12 @@ class _Simplex:
         self.rhs: list = []
         self.basis: list = []
         self.obj: dict = {}
+        self.lazy: list = []  # the lazy rows not in the tableau yet, in row order
         for con in lp.constraints:
-            coeffs = self._columns(con.coeffs)
-            if not coeffs:
+            if con.lazy:
+                self.lazy.append(con)
                 continue
-            halves = [coeffs] if con.rel == "<=" else [coeffs, {j: -c for j, c in coeffs.items()}]
-            for half in halves:
+            for half in self._halves(con):
                 slack = n + len(self.rows)
                 half[slack] = 1
                 self._add_row(*_integer_row(half, con.rhs), slack)
@@ -333,6 +369,13 @@ class _Simplex:
         """Column coefficients of a (zero-free) linear form over the LP's variables."""
         col = self.col
         return {col[j]: sign * c for j, c in coeffs.items() if col[j] is not None}
+
+    def _halves(self, con: _Constraint) -> list:
+        """``con`` as ``<=`` halves over the tableau's columns; none if no column is left."""
+        coeffs = self._columns(con.coeffs)
+        if not coeffs:
+            return []
+        return [coeffs] if con.rel == "<=" else [coeffs, {j: -c for j, c in coeffs.items()}]
 
     def _add_row(self, row: dict, rhs: int, basic: int) -> None:
         self.rows.append(row)
@@ -388,13 +431,100 @@ class _Simplex:
                 seen.add(key)
 
     def optimize(self, coeffs: Mapping) -> str:
-        """Maximize ``coeffs . x`` from the current basis; ``optimal`` or ``unbounded``."""
+        """Maximize ``coeffs . x`` over the tableau's rows, from the current basis.
+
+        Returns ``optimal`` or ``unbounded``.
+        """
         obj, _ = _integer_row(self._columns(coeffs), 0)
         for i, b in enumerate(self.basis):
             if b in obj:
                 _cancel(obj, 0, self.rows[i], self.rhs[i], b)
         self.obj = obj  # a positive multiple of the reduced costs at the basis
         return self._run()
+
+    def _dual(self) -> None:
+        """Pivot a dual feasible basis to a feasible one by the dual simplex (dual Bland rule).
+
+        The leaving row is negated first, so that its entry in the entering
+        column is positive, as :meth:`_pivot` expects.
+        """
+        rows, rhs, basis, obj = self.rows, self.rhs, self.basis, self.obj
+        while True:
+            r = min((i for i, v in enumerate(rhs) if v < 0), key=basis.__getitem__, default=-1)
+            if r < 0:
+                return
+            # Ratio test: the smallest -obj[j] / -rows[r][j] over negative
+            # entries, compared by cross-multiplication; ties go to the
+            # smallest column.  Every -obj[j] is >= 0, as the basis is dual
+            # feasible.
+            col = -1
+            for j, a in rows[r].items():
+                if a < 0:
+                    cost = -obj.get(j, 0)
+                    if col < 0 or cost * den < num * -a or (cost * den == num * -a and j < col):
+                        col, num, den = j, cost, -a
+            if col < 0:
+                raise LpCheckError("a cut row left no feasible point, but x = 0 is feasible")
+            rows[r] = {j: -a for j, a in rows[r].items()}
+            rhs[r] = -rhs[r]
+            self._pivot(r, col)
+
+    # -- lazy rows --------------------------------------------------------
+
+    def _settle(self, coeffs: Mapping) -> str:
+        """Maximize ``coeffs . x`` over every row, lazy ones included; ``optimal`` or ``unbounded``.
+
+        After :meth:`optimize`, the lazy rows that the vertex violates go
+        into the tableau, :meth:`_dual` makes the vertex feasible again and
+        :meth:`_run` re-optimizes, until the vertex violates no lazy row.
+        If the rows in the tableau leave ``coeffs . x`` unbounded, every
+        lazy row goes in, the dual simplex starts from the zero objective
+        (which every basis is dual feasible for), and ``coeffs`` is
+        optimized afresh.
+        """
+        status = self.optimize(coeffs)
+        while self.lazy:
+            if status == "unbounded":
+                cuts, self.lazy = self.lazy, []
+                self.obj = {}
+            else:
+                cuts = self._separate()
+                if not cuts:
+                    break
+            self._insert((half, con.rhs) for con in cuts for half in self._halves(con))
+            self._dual()
+            status = self.optimize(coeffs) if status == "unbounded" else self._run()
+        return status
+
+    def _separate(self) -> list:
+        """Take the lazy rows that the vertex violates out of ``lazy``.
+
+        They are returned the most violated first, with ties in row order.
+        """
+        den, nums = common_denominator(self.var_values())
+        found = sorted(_violations(self.lazy, den, nums), key=lambda hit: -hit[1])
+        taken = {i for i, _ in found}
+        cuts = [self.lazy[i] for i, _ in found]
+        self.lazy = [con for i, con in enumerate(self.lazy) if i not in taken]
+        return cuts
+
+    def _insert(self, new_rows) -> None:
+        """Append each row ``coeffs . x <= rhs`` of ``new_rows`` in the current basis.
+
+        ``coeffs`` is over the tableau's columns.  The row's new slack is
+        basic in it, and each basic column is eliminated by its own row;
+        that adds only nonbasic columns, so the basic columns to eliminate
+        are those of ``coeffs``.  The row's right-hand side is then negative
+        when the vertex violates it.
+        """
+        row_of = {b: i for i, b in enumerate(self.basis)}
+        for coeffs, rhs in new_rows:
+            slack = self.first_slack + len(self.rows)
+            coeffs[slack] = 1
+            row, rhs = _integer_row(coeffs, rhs)
+            for i in [row_of[j] for j in row if j in row_of]:
+                rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], self.basis[i])
+            self._add_row(row, rhs, slack)
 
     # -- results ----------------------------------------------------------
 
@@ -413,16 +543,9 @@ class _Simplex:
         Optimality already bounds ``coeffs . x`` by ``value`` from above, so
         the row ``-coeffs . x <= -value`` bounds it from below.
         """
-        slack = self.first_slack + len(self.rows)
-        pin = self._columns(coeffs, -1)
-        pin[slack] = 1
-        row, rhs = _integer_row(pin, -value)
-        for i, b in enumerate(self.basis):
-            if b in row:
-                rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], b)
-        if rhs != 0:
+        self._insert([(self._columns(coeffs, -1), -value)])
+        if self.rhs[-1] != 0:
             raise LpCheckError("pin row must be tight at the solved vertex")
-        self._add_row(row, rhs, slack)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -431,8 +554,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def _solve(lp: LinearProgram):
+    lp._seen = None  # the repeat keys are read only while rows are added
     simplex = _Simplex(lp)
-    if simplex.optimize(lp.objective) == "unbounded":
+    if simplex._settle(lp.objective) == "unbounded":
         return LpSolution("unbounded", None, ()), simplex
     values = simplex.var_values()
     _verify(lp, values)
@@ -452,8 +576,18 @@ def _verify(lp: LinearProgram, values: Sequence) -> None:
     den, nums = common_denominator(values)
     if any(x < 0 for x in nums):
         raise LpCheckError("solver produced a negative variable")
+    for i, _ in _violations(lp.constraints, den, nums):
+        raise LpCheckError(f"solver violated constraint {lp.constraints[i].label or ''}")
+
+
+def _violations(rows: Sequence, den: int, nums: Sequence):
+    """``(i, excess)`` for each row ``rows[i]`` that the point ``nums / den`` violates.
+
+    Each row compares integer sums (:func:`_verify`); ``excess`` is ``den``
+    times the amount by which the row fails, exactly.
+    """
     get = {j: x for j, x in enumerate(nums) if x}.get
-    for con in lp.constraints:
+    for i, con in enumerate(rows):
         lhs = 0
         for j, c in con.coeffs.items():
             x = get(j)
@@ -461,7 +595,7 @@ def _verify(lp: LinearProgram, values: Sequence) -> None:
                 lhs += c * x
         lhs, rhs = lhs * con.rhs.denominator, con.rhs.numerator * den
         if not (lhs <= rhs if con.rel == "<=" else lhs == rhs):
-            raise LpCheckError(f"solver violated constraint {con.label or ''}")
+            yield i, Fraction(abs(lhs - rhs), con.rhs.denominator)
 
 
 def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
@@ -475,7 +609,7 @@ def lexicographic_solve(lp: LinearProgram, secondary: Mapping) -> LexSolution:
     if first.status != "optimal":
         return LexSolution(first.status, None, None, ())
     simplex.pin_objective(lp.objective, first.objective_value)
-    if simplex.optimize(secondary) == "unbounded":
+    if simplex._settle(secondary) == "unbounded":
         return LexSolution("unbounded", first.objective_value, None, ())
     values = simplex.var_values()
     _verify(lp, values)

@@ -127,6 +127,12 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
     each interior node where routes start, each scenario over the arcs of the
     routes ending there keeps the outflow within the inflow that survives;
     each arc bounds the flow of the routes through it.
+
+    From ``gamma = 2`` the loss rows are lazy (:mod:`robustflow.lp`): there
+    are C(u, gamma) and more of them over the u arcs of the routes into the
+    sink.  At ``gamma <= 1`` there are at most u + 1, about as many as the
+    capacity rows.  The LP is the same, and so is its optimum, but the
+    simplex may return another optimal vertex.
     """
     by_start, by_end, by_arc = route_index(routes)
     lp = LinearProgram()
@@ -145,7 +151,7 @@ def _route_lp(net: Network, routes: Mapping, kind: str, gamma: int) -> ModelBuil
     for scenario, hit in scenarios(enders):
         coeffs = {xs[key]: 1 for key in enders if key in hit}
         coeffs[lam] = -1
-        lp.add_row(coeffs, "<=", 0, f"loss{scenario_label(scenario)}")
+        lp.add_row(coeffs, "<=", 0, f"loss{scenario_label(scenario)}", lazy=gamma >= 2)
     for v in net.nodes:
         starting = by_start.get(v, ())
         if v in (net.source, net.sink) or not starting:
