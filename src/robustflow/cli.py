@@ -138,8 +138,11 @@ def _overridden(instance, gamma, horizon):
     """The loaded instance with ``--gamma``/``--horizon`` applied, and its budget.
 
     A dynamic instance keeps its own horizon and budget where an option is
-    absent; a static instance has neither, and its budget defaults to 1.
+    absent; a static instance has neither, so ``--horizon`` is rejected for
+    it, and its budget defaults to 1.
     """
+    if horizon is not None and not isinstance(instance, DynamicInstance):
+        raise NetworkError("--horizon applies to dynamic instances only")
     if isinstance(instance, DynamicInstance):
         instance = DynamicInstance(
             instance.network,

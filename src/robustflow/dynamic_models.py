@@ -25,6 +25,10 @@ both transformations are exact: every restricted row is also a row of the
 full family, and the exhaustive evaluator re-checks each optimum.  Solving
 goes through the pipeline shared with the static models
 (:mod:`robustflow.model_lp`).
+
+The evaluator (:func:`evaluate_dynamic`) walks each flow entry's route once
+per scenario; an arc flow's loads, the same in every scenario, are checked
+once, under the empty scenario ``()``.
 """
 
 from __future__ import annotations
@@ -409,9 +413,15 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     arc/subpath kinds), then reports per-scenario arrivals, their minimum,
     and the earliest arrival time guaranteed across scenarios.
 
-    An arc flow is a flow on one-arc routes; only its capacity check, which
-    no scenario changes, stays apart.  Each route's ends, nominal travel time
-    and delaying arcs are found once, before the scenario loops, and the
+    An arc flow is a flow on one-arc routes.  A delayed arc shifts the entry
+    time of every later arc on a route and the route's arrival, so one loop
+    over the scenarios walks each flow entry's route once per scenario: the
+    walk adds the entry's value to the load of each arc it enters by T and,
+    if it ends by T, to the inflow of its end node then, or to the
+    scenario's arrivals when that node is the sink.  An arc flow's loads are
+    the same in every scenario, so they are checked once, under the empty
+    scenario ``()``, and reported with scenario ``None``.  Capacity
+    violations come before conservation ones, each in scenario order.  The
     values are put over one common denominator D
     (:func:`~robustflow.rational.common_denominator`): loads, inflow, outflow
     and arrivals are summed as integers, a capacity is exceeded when
@@ -445,8 +455,7 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
                 raise NetworkError(
                     f"timed flow keys are (key, theta) pairs, got {key!r}"
                 )
-    # Per route: (start, end, nominal travel time, ((delaying arc, delay), ...),
-    # ((arc, travel time, delay), ...)).
+    # Per route: (start, end, ((arc, travel time, delay), ...)).
     info = {}
 
     def route_info(key) -> tuple:
@@ -455,15 +464,14 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
         if key not in info:
             route = routes[key]
             walk = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
-            tau = sum(travel for _, travel, _ in walk)
-            delaying = tuple((a, delay) for a, _, delay in walk if delay > 0)
-            info[key] = (route.start, route.end, tau, delaying, walk)
+            info[key] = (route.start, route.end, walk)
         return info[key]
 
     support = []  # (route key, departure, value)
     if kind == "tr":
         for i, value in values.items():
-            for dep in range(1, T - route_info(i)[2] + 1):
+            tau = sum(travel for _, travel, _ in route_info(i)[2])
+            for dep in range(1, T - tau + 1):
                 support.append((i, dep, value))
     else:
         for (key, theta), value in sorted(values.items(), key=order):
@@ -475,90 +483,60 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
                 continue
             support.append((key, theta, value))
     den, nums = common_denominator([value for _, _, value in support])
+    # Entries as (walk, end, departure, scaled value), and the departures from
+    # interior nodes, which no scenario moves: only arc and subpath flows have them.
+    entries = []
+    outflow: dict = {}
+    for (key, dep, _), n in zip(support, nums):
+        start, end, walk = info[key]
+        entries.append((walk, end, dep, n))
+        if start not in (net.source, net.sink):
+            outflow[(start, dep)] = outflow.get((start, dep), 0) + n
+    demands = sorted(outflow.items())
     scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
-    # Capacity under every scenario.
-    if kind == "arc":
-        for (a, theta, value), n in zip(support, nums):
-            cap = net.arc_by_id[a].capacity
-            if n * cap.denominator > cap.numerator * den:
-                violations.append(
-                    Violation("capacity", (a, theta), None, f"load {value} exceeds {cap}")
-                )
-    else:
-        loaded = [(info[key][4], dep, n) for (key, dep, _), n in zip(support, nums)]
-        for scenario in scenarios:
-            hit = set(scenario)
-            loads: dict = {}
-            for walk, t, n in loaded:
-                for a, travel, delay in walk:
-                    if t > T:
-                        break
+    over, short, totals, arrival_times = [], [], [], []
+    for scenario in scenarios:
+        hit = set(scenario)
+        # An arc flow's loads are the same in every scenario: they are taken under ().
+        loading = kind != "arc" or not scenario
+        loads: dict = {}
+        inflow: dict = {}
+        total = 0
+        times = set()
+        for walk, end, t, n in entries:
+            for a, travel, delay in walk:
+                if t > T:
+                    break
+                if loading:
                     loads[(a, t)] = loads.get((a, t), 0) + n
-                    t += travel + delay if a in hit else travel
-            over = []
+                t += travel + delay if a in hit else travel
+            if t > T:
+                continue
+            if end == net.sink:
+                total += n
+                times.add(t)
+            else:
+                inflow[(end, t)] = inflow.get((end, t), 0) + n
+        totals.append(total)
+        arrival_times.append(times)
+        if loading:
+            bad = []
             for (a, theta), load in loads.items():
                 cap = net.arc_by_id[a].capacity
                 if load * cap.denominator > cap.numerator * den:
-                    over.append((net.arc_rank[a], theta, a, load, cap))
-            for _, theta, a, load, cap in sorted(over):
-                violations.append(
-                    Violation(
-                        "capacity",
-                        (a, theta),
-                        scenario,
-                        f"load {rat(load, den)} exceeds {cap}",
-                    )
-                )
-    # Entries as (end, nominal arrival, delaying arcs, scaled value), split at
-    # the sink, and the departures from interior nodes, which no scenario moves.
-    into_sink = []
-    inner = []
-    outflow: dict = {}
-    for (key, dep, _), n in zip(support, nums):
-        start, end, tau, delaying, _ = info[key]
-        (into_sink if end == net.sink else inner).append((end, dep + tau, delaying, n))
-        if start not in (net.source, net.sink):
-            outflow[(start, dep)] = outflow.get((start, dep), 0) + n
-    # Robust conservation: only arc and subpath flows depart from interior nodes.
-    demands = sorted(outflow.items())
-    for scenario in scenarios:
-        hit = set(scenario)
-        inflow: dict = {}
-        for end, arrival, delaying, n in inner:
-            for a, delay in delaying:
-                if a in hit:
-                    arrival += delay
-            if arrival <= T:
-                inflow[(end, arrival)] = inflow.get((end, arrival), 0) + n
+                    bad.append((net.arc_rank[a], theta, a, load, cap))
+            label = scenario if kind != "arc" else None
+            for _, theta, a, load, cap in sorted(bad):
+                text = f"load {rat(load, den)} exceeds {cap}"
+                over.append(Violation("capacity", (a, theta), label, text))
         for slot, out in demands:
             have = inflow.get(slot, 0)
             if have < out:
-                violations.append(
-                    Violation(
-                        "conservation",
-                        slot,
-                        scenario,
-                        f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}",
-                    )
-                )
+                text = f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}"
+                short.append(Violation("conservation", slot, scenario, text))
+    violations += over + short
     if violations:
         raise InfeasibleFlowError(violations)
-    # Arrivals per scenario.
-    totals = []
-    arrival_times = []
-    for scenario in scenarios:
-        hit = set(scenario)
-        total = 0
-        times = set()
-        for _, arrival, delaying, n in into_sink:
-            for a, delay in delaying:
-                if a in hit:
-                    arrival += delay
-            if arrival <= T:
-                total += n
-                times.add(arrival)
-        totals.append(total)
-        arrival_times.append(times)
     exact = {n: rat(n, den) for n in set(totals)}
     arrivals = tuple((scenario, exact[n]) for scenario, n in zip(scenarios, totals))
     robust = min(totals)

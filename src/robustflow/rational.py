@@ -11,11 +11,14 @@ checks put a whole vector of values over one common denominator
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Sequence, Union
 
 BACKEND = "fractions"
+# An optionally signed integer of ASCII digits, or two of them joined by "/".
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([+-]?[0-9]+))?")
 
 
 def rat(p: Union[int, str, Fraction] = 0, q: int = 1) -> Fraction:
@@ -35,21 +38,24 @@ def common_denominator(values: Sequence) -> tuple:
 
 
 def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse the on-disk rational format: an integer or a "p/q" string."""
+    """Parse the on-disk rational format: an integer or a "p/q" string.
+
+    Each part is an optionally signed run of ASCII digits, with no ``_``
+    separator and no space around the ``/``; the whole string may be padded
+    with whitespace.
+    """
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
         return rat(text)
-    if isinstance(text, str):
-        body = text.strip()
-        if "/" in body:
-            num, _, den = body.partition("/")
-            p, q = int(num), int(den)
-            if q == 0:
-                raise ValueError(f"zero denominator in {text!r}")
-            return rat(p, q)
-        return rat(int(body))
-    raise ValueError(f"not a rational: {text!r}")
+    match = _RATIONAL.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    q = int(den or 1)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return rat(int(num), q)
 
 
 def format_rational(value) -> str:

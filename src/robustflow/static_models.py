@@ -236,11 +236,18 @@ def build_gamma1_compact_lp(net: Network) -> ModelBuild:
         arriving = ending.get(vp, ())
         base = {cols[a.id]: 1 for a in net.out_arcs(vp) for cols in starting.get(vp, ()) if a.id in cols}
         base.update({cols[a.id]: -1 for a in net.in_arcs(vp) for cols in arriving if a.id in cols})
+        # A failed arc that no arriving commodity uses leaves the base row,
+        # which is written at the first such arc only.
+        base_written = False
         for fail in net.arcs:
+            lost = [cols[fail.id] for cols in arriving if fail.id in cols]
+            if not lost:
+                if base_written:
+                    continue
+                base_written = True
             coeffs = dict(base)
-            for cols in arriving:
-                if fail.id in cols:
-                    coeffs[cols[fail.id]] = coeffs.get(cols[fail.id], 0) + 1
+            for col in lost:
+                coeffs[col] = coeffs.get(col, 0) + 1
             lp.add_row(coeffs, "<=", 0, f"robust[{vp},{fail.id}]")
     for v, w, cols in commodities:
         # Inflow minus outflow of the commodity at each node; a self-loop cancels.

@@ -139,6 +139,16 @@ def _bad_file(text):
     return argv
 
 
+def _two_hop(command, *options):
+    """argv running ``command`` on the two-hop instance file, with ``options``."""
+
+    def argv(tmp_path):
+        (tmp_path / "inst.json").write_text(dumps(instance_to_json(gen_two_hop())))
+        return [command, str(tmp_path / "inst.json"), *options]
+
+    return argv
+
+
 def _path_flow(*entries, **fields):
     return {"kind": "path", "entries": list(entries), **fields}
 
@@ -161,7 +171,7 @@ MALFORMED_INPUT = {
     },
     **{
         f"alpha {bad}": (_bad_alpha(bad), f"--alpha must be an integer or 'p/q' string, got '{bad}'")
-        for bad in ("abc", "1/0", "1.25")
+        for bad in ("abc", "1/0", "1.25", "1_1/1_0")
     },
     "arcs 5": (_bad_instance(lambda doc: doc.update(arcs=5)), "'arcs' must be a JSON array, got 5"),
     "arc entry 5": (
@@ -244,6 +254,27 @@ MALFORMED_INPUT = {
     "sizes 6": (
         lambda tmp_path: ["suite", "static-invariants", "--sizes", "6"],
         "--sizes must be 'nodes,arcs', got '6'",
+    ),
+    **{
+        f"static {command} horizon": (argv, "--horizon applies to dynamic instances only")
+        for command, argv in (
+            ("solve", _two_hop("solve", "--model", "gm", "--horizon", "3")),
+            ("compare", _two_hop("compare", "--horizon", "3")),
+            (
+                "evaluate",
+                lambda tmp_path: [
+                    *_bad_flow(gen_two_hop, _path_flow([0, "1/2"]))(tmp_path), "--horizon", "3"
+                ],
+            ),
+        )
+    },
+    "gm1 gamma 2": (
+        _two_hop("solve", "--model", "gm1", "--gamma", "2"),
+        "the compact model is defined for gamma = 1 only",
+    ),
+    "static gamma -1": (
+        _two_hop("solve", "--model", "pm", "--gamma", "-1"),
+        "gamma must be an integer >= 0, got -1",
     ),
 }
 
@@ -378,6 +409,22 @@ def test_guard_exits_3(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "solve", str(inst), "--model", "pm")
     assert code == 3
     assert "guard exceeded:" in err
+
+
+@pytest.mark.parametrize(
+    "name, raw, message",
+    [
+        ("ROBUSTFLOW_GUARD_PATHS", "abc", "ROBUSTFLOW_GUARD_PATHS must be an integer, got 'abc'"),
+        ("ROBUSTFLOW_GUARD_SCENARIOS", "0", "ROBUSTFLOW_GUARD_SCENARIOS must be positive, got 0"),
+    ],
+)
+def test_malformed_guard_exits_2(tmp_path, capsys, monkeypatch, name, raw, message):
+    inst = tmp_path / "two-hop.json"
+    run(capsys, "generate", "two-hop", "-o", str(inst))
+    monkeypatch.setenv(name, raw)
+    code, out, err = run(capsys, "solve", str(inst), "--model", "pm")
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_zero_cut_solve_exits_3_at_the_scenario_guard(tmp_path, capsys, monkeypatch):

@@ -570,6 +570,23 @@ def test_gm1_lp_digest():
     assert _compact_digest(_gm1_lps()) == GM1_DIGEST
 
 
+def test_gm1_writes_no_repeated_row(monkeypatch):
+    """Each node's base ``robust`` row is written once, not once per unused failed arc."""
+    add_row = LinearProgram.add_row
+    dropped = []
+
+    def counting(lp, coeffs, rel, rhs, label=None, lazy=False):
+        before = len(lp.constraints)
+        add_row(lp, coeffs, rel, rhs, label, lazy)
+        if len(lp.constraints) == before:
+            dropped.append(label)
+
+    monkeypatch.setattr(LinearProgram, "add_row", counting)
+    for seed in SPLIT_BASES:
+        build_gamma1_compact_lp(split_capacities(gen_random("dag", 4, 5, max_cap=2, seed=seed)))
+    assert dropped == []
+
+
 def test_dam_compact_lp_digest():
     assert _compact_digest(_dam_compact_lps()) == DAM_COMPACT_DIGEST
 

@@ -34,7 +34,9 @@ def test_parse_rational_accepts_ints_and_strings():
     assert parse_rational(" 9/12 ") == rat(3, 4)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "x", "1.5", None, True, 2.5])
+@pytest.mark.parametrize(
+    "bad", ["1/0", "x", "1.5", None, True, 2.5, "1_000", "\u0663", "4/ 6", "4 /6", "1_1/1_0"]
+)
 def test_parse_rational_rejects_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
