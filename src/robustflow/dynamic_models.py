@@ -411,7 +411,9 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
 
     Checks capacities under every scenario (and robust conservation for the
     arc/subpath kinds), then reports per-scenario arrivals, their minimum,
-    and the earliest arrival time guaranteed across scenarios.
+    and the earliest arrival time guaranteed across scenarios.  Every key is
+    checked before any is used: its ``(key, theta)`` shape, then that it
+    names a known route; only then are the entries sorted.
 
     An arc flow is a flow on one-arc routes.  A delayed arc shifts the entry
     time of every later arc on a route and the route's arrival, so one loop
@@ -434,48 +436,33 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     if kind not in ("arc", "path", "subpath", "tr"):
         raise NetworkError(f"unknown dynamic flow kind {kind!r}")
     routes, known = flow_routes(net, kind)
-    # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
-    if kind == "arc":
-        noun, word = "arc id", "entry"
-
-        def order(item):
-            return net.arc_rank.get(item[0][0], -1), item[0][1]
-
-    else:
-        noun, word, order = ("path" if kind == "tr" else "route") + " index", "departure", None
+    noun = {"arc": "arc id", "tr": "path index"}.get(kind, "route index")
     values, violations = _intake(flow.values)
-    if kind != "tr":
-        for key in values:
-            if not (
-                isinstance(key, tuple)
-                and len(key) == 2
-                and isinstance(key[1], int)
-                and not isinstance(key[1], bool)
-            ):
-                raise NetworkError(
-                    f"timed flow keys are (key, theta) pairs, got {key!r}"
-                )
-    # Per route: (start, end, ((arc, travel time, delay), ...)).
+    # Every key is checked before any is used, and each route is walked once:
+    # info[route key] = (start, end, ((arc, travel time, delay), ...)).
     info = {}
-
-    def route_info(key) -> tuple:
+    for key in values:
+        if kind != "tr":
+            theta = key[1] if isinstance(key, tuple) and len(key) == 2 else None
+            if not isinstance(theta, int) or isinstance(theta, bool):
+                raise NetworkError(f"timed flow keys are (key, theta) pairs, got {key!r}")
+            key = key[0]
         if not known(key):
             raise NetworkError(f"unknown {noun} {key!r}")
         if key not in info:
             route = routes[key]
             walk = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
             info[key] = (route.start, route.end, walk)
-        return info[key]
-
     support = []  # (route key, departure, value)
     if kind == "tr":
         for i, value in values.items():
-            tau = sum(travel for _, travel, _ in route_info(i)[2])
-            for dep in range(1, T - tau + 1):
-                support.append((i, dep, value))
+            tau = sum(travel for _, travel, _ in info[i][2])
+            support.extend((i, dep, value) for dep in range(1, T - tau + 1))
     else:
+        # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
+        order = (lambda item: (net.arc_rank[item[0][0]], item[0][1])) if kind == "arc" else None
+        word = "entry" if kind == "arc" else "departure"
         for (key, theta), value in sorted(values.items(), key=order):
-            route_info(key)
             if not 1 <= theta <= T:
                 violations.append(
                     Violation("horizon", (key, theta), None, f"{word} {theta} outside 1..{T}")

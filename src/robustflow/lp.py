@@ -291,18 +291,19 @@ class _Simplex:
 
     The tableau is the presolved LP.  A forcing row (right-hand side 0, live
     coefficients of the one sign its relation allows) fixes its columns at
-    0, as nonnegative terms of one sign sum to 0 only if each is 0.  Fixed
-    columns get no tableau column and read 0; a row left with no column
-    reads ``0 <= rhs`` or ``0 == 0``, holds, and is dropped.
-    :func:`_verify` still checks every optimum against the original LP.
+    0, as nonnegative terms of one sign sum to 0 only if each is 0.  A fixed
+    column appears in no row and reads 0; a row left with no column reads
+    ``0 <= rhs`` or ``0 == 0``, holds, and is dropped.  :func:`_verify`
+    still checks every optimum against the original LP.
 
     Every row came in through :meth:`LinearProgram.add_row`, which refuses a
     row out of the module's one form, so every right-hand side is >= 0 and
     the slacks make a feasible basis at x = 0.
 
-    Columns are the structural ones, one slack per ``<=`` half (an equality
-    is split into two ``<=`` halves), then one slack per row added later (a
-    lazy row's half, or a pin row): row ``i``'s slack is column
+    Tableau columns are the LP's own variable indices, then one slack per
+    ``<=`` half (an equality is split into two ``<=`` halves), then one
+    slack per row added later (a lazy row's half, or a pin row): the slacks
+    start at ``first_slack == lp.n_vars``, and row ``i``'s slack is column
     ``first_slack + i``.  Row ``i`` is a dict ``{column: int}`` with the
     integer right-hand side ``rhs[i]``; it stands for the
     rational tableau row obtained by dividing by its basic entry
@@ -343,14 +344,8 @@ class _Simplex:
     """
 
     def __init__(self, lp: LinearProgram) -> None:
-        # Structural columns: a fixed variable gets none.
-        self.col: list = [None] * lp.n_vars
-        n = 0
-        for j, fixed in enumerate(_forced_zero(lp)):
-            if not fixed:
-                self.col[j] = n
-                n += 1
-        self.first_slack = n
+        self.fixed = _forced_zero(lp)  # a fixed column enters no row
+        self.first_slack = n = lp.n_vars
         self.rows: list = []
         self.rhs: list = []
         self.basis: list = []
@@ -366,9 +361,9 @@ class _Simplex:
                 self._add_row(*_integer_row(half, con.rhs), slack)
 
     def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
-        """Column coefficients of a (zero-free) linear form over the LP's variables."""
-        col = self.col
-        return {col[j]: sign * c for j, c in coeffs.items() if col[j] is not None}
+        """The (zero-free) linear form over the LP's variables, times ``sign``, without fixed columns."""
+        fixed = self.fixed
+        return {j: sign * c for j, c in coeffs.items() if not fixed[j]}
 
     def _halves(self, con: _Constraint) -> list:
         """``con`` as ``<=`` halves over the tableau's columns; none if no column is left."""
@@ -530,7 +525,7 @@ class _Simplex:
 
     def var_values(self) -> tuple:
         cols = {b: rat(self.rhs[i], self.rows[i][b]) for i, b in enumerate(self.basis)}
-        return tuple(cols.get(c, ZERO) for c in self.col)  # a fixed column (None) reads 0
+        return tuple(cols.get(j, ZERO) for j in range(self.first_slack))  # a fixed column reads 0
 
     def objective_of(self, coeffs: Mapping, values: Sequence) -> object:
         return sum((c * values[j] for j, c in coeffs.items()), ZERO)

@@ -1,9 +1,12 @@
 """Exact maximum flow (Edmonds-Karp) and flow decomposition.
 
 Everything here runs over exact rationals; the max-flow routine also returns
-the value of a minimum cut found from the final residual graph, which callers
-use as an optimality certificate.  The same routine on unit capacities gives
-a smallest source-sink arc cut (:func:`min_arc_cut`).
+the value of a minimum cut, which callers use as an optimality certificate.
+The cut is read off the last augmenting search, the one that finds no path:
+the nodes it reaches are the source side of a minimum cut (the max-flow
+min-cut theorem: Ford & Fulkerson, 1956; Edmonds & Karp, 1972).  The same
+routine on unit capacities gives a smallest source-sink arc cut
+(:func:`min_arc_cut`).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Mapping, Optional
 
-from .network import Network, NetworkError, Path, arc_sort_key
+from .network import Network, NetworkError, Path
 from .rational import ONE, ZERO, rat
 
 
@@ -19,8 +22,8 @@ def nominal_max_flow(net: Network):
     """Maximum source-sink flow value, an optimal arc flow, and a min-cut value.
 
     Returns ``(value, arc_flow, min_cut_value)`` with ``arc_flow`` keyed by
-    arc id.  The cut value comes from the residual reachability cut, so
-    ``value == min_cut_value`` certifies optimality.
+    arc id.  The cut value comes from the cut of the last augmenting search
+    (module docstring), so ``value == min_cut_value`` certifies optimality.
     """
     flow, cut = _max_flow(net, {arc.id: arc.capacity for arc in net.arcs})
     value = sum((flow[a.id] for a in net.out_arcs(net.source)), ZERO) - sum(
@@ -43,9 +46,10 @@ def min_arc_cut(net: Network) -> tuple:
 def _max_flow(net: Network, capacity: Mapping):
     """Edmonds-Karp under ``capacity`` (arc id -> rational).
 
-    Returns ``(arc_flow, cut)``: a maximum flow keyed by arc id, and the arcs
-    (in arc order) leaving the set of nodes reachable from the source in the
-    final residual graph, a minimum cut.
+    Returns ``(arc_flow, cut)``: a maximum flow keyed by arc id, and a
+    minimum cut: the arcs (in arc order) leaving the nodes that the last
+    breadth-first search reaches.  That search finds no augmenting path, so
+    it has explored everything reachable in the final residual graph.
     """
     flow = {arc.id: ZERO for arc in net.arcs}
     source, sink = net.source, net.sink
@@ -64,7 +68,7 @@ def _max_flow(net: Network, capacity: Mapping):
                     parent[arc.tail] = (arc, -1)
                     queue.append(arc.tail)
         if sink not in parent:
-            break
+            break  # parent holds the source side of a minimum cut
         # Find the bottleneck along the augmenting path, then push.
         slack = None
         v = sink
@@ -78,20 +82,7 @@ def _max_flow(net: Network, capacity: Mapping):
             arc, direction = parent[v]
             flow[arc.id] += slack if direction > 0 else -slack
             v = arc.tail if direction > 0 else arc.head
-    # Residual reachability from the source gives a minimum cut.
-    reach = {source}
-    stack = [source]
-    while stack:
-        v = stack.pop()
-        for arc in net.out_arcs(v):
-            if arc.head not in reach and capacity[arc.id] - flow[arc.id] > 0:
-                reach.add(arc.head)
-                stack.append(arc.head)
-        for arc in net.in_arcs(v):
-            if arc.tail not in reach and flow[arc.id] > 0:
-                reach.add(arc.tail)
-                stack.append(arc.tail)
-    cut = tuple(arc for arc in net.arcs if arc.tail in reach and arc.head not in reach)
+    cut = tuple(arc for arc in net.arcs if arc.tail in parent and arc.head not in parent)
     return flow, cut
 
 
@@ -129,12 +120,11 @@ def path_decompose(arc_flow: Mapping, net: Network, from_node: str, to_node: str
             v, trail = stack.pop()
             if v == to_node:
                 return trail
-            # Reverse-sorted push so the lexicographically first arc pops first.
-            for arc in sorted(
-                (a for a in net.out_arcs(v) if remaining.get(a.id, ZERO) > 0 and a.head not in visited),
-                key=lambda a: arc_sort_key(a.id),
-                reverse=True,
-            ):
+            # The network keeps out-arcs in arc order; pushing them reversed
+            # pops the first arc first.
+            for arc in [
+                a for a in net.out_arcs(v) if remaining.get(a.id, ZERO) > 0 and a.head not in visited
+            ][::-1]:
                 visited.add(arc.head)
                 stack.append((arc.head, trail + [arc]))
         return None

@@ -170,10 +170,14 @@ def validate_network(net: Network) -> ValidationReport:
     if net.source == net.sink:
         bad.append("source equals sink")
     seen_ids = set()
+    texts: dict = {}  # the first arc id printed as each text
     for arc in net.arcs:
         if arc.id in seen_ids:
             bad.append(f"duplicate arc id {arc.id!r}")
+        elif str(arc.id) in texts:
+            bad.append(f"arc ids {texts[str(arc.id)]!r} and {arc.id!r} have the same text")
         seen_ids.add(arc.id)
+        texts.setdefault(str(arc.id), arc.id)
         if arc.tail not in nodeset:
             bad.append(f"arc {arc.id!r}: unknown tail {arc.tail!r}")
         if arc.head not in nodeset:

@@ -1,14 +1,17 @@
 """End-to-end CLI runs: generate, solve, evaluate, compare, suites, exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from robustflow import (
     LexSolution,
@@ -276,6 +279,31 @@ MALFORMED_INPUT = {
         _two_hop("solve", "--model", "pm", "--gamma", "-1"),
         "gamma must be an integer >= 0, got -1",
     ),
+    # Arc ids that print the same would share a JSON key and a CSV label.
+    "arc ids 1 and '1'": (
+        _bad_instance(lambda doc: (doc["arcs"][0].update(id=1), doc["arcs"][1].update(id="1"))),
+        "arc ids 1 and '1' have the same text",
+    ),
+    # Input errors of the instance and generator intake.
+    "no sink": (_bad_instance(lambda doc: doc.pop("sink")), "instance document lacks 'sink'"),
+    "source x": (_bad_instance(lambda doc: doc.update(source="x")), "source 'x' is not a node"),
+    "sink is source": (_bad_instance(lambda doc: doc.update(sink="s")), "source equals sink"),
+    "arc tail q": (
+        _bad_instance(lambda doc: doc["arcs"][0].update(tail="q")),
+        "arc 'a1': unknown tail 'q'",
+    ),
+    "partition extra budget -1": (
+        lambda tmp_path: ["generate", "partition", "--b", "2", "2", "--extra-budget", "-1"],
+        "extra_budget must be >= 0, got -1",
+    ),
+    "random-dag max cap 0": (
+        lambda tmp_path: ["generate", "random-dag", "--max-cap", "0"],
+        "max_cap must be >= 1, got 0",
+    ),
+    "random-dynamic max delay -1": (
+        lambda tmp_path: ["generate", "random-dynamic", "--max-delay", "-1"],
+        "max_tau and max_delay must be >= 0",
+    ),
 }
 
 
@@ -335,6 +363,50 @@ def test_evaluate_rejects_boolean_flow_keys(tmp_path, capsys, family, flow, mess
     code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
     assert (code, out) == (2, "")
     assert message in err
+
+
+# JSON scalars that a flow entry may hold, valid or not: ints, strings, bools,
+# null and bad numbers.  The valid ones come first, so shrinking moves to them.
+FLOW_KEYS = st.sampled_from([0, 1, 5, "a1", "a3", -1, "x", "0", "", True, None, 1.5, float("nan")])
+FLOW_THETAS = st.sampled_from([1, 2, 0, 9, "1", False, None, 1.5, float("inf")])
+FLOW_VALUES = st.sampled_from([1, 2, "1/2", 0, -1, "-1/2", "abc", "1/0", "1.5", 1.5, True, None])
+
+
+@st.composite
+def flow_documents(draw):
+    """A static or timed flow document whose keys, thetas and values mix JSON types."""
+    timed = draw(st.booleans())
+    kind = draw(st.sampled_from(["path", "arc", "subpath"] + ["tr"] * timed))
+    thetas = [FLOW_THETAS] if timed and kind != "tr" else []
+    value = st.one_of(st.integers(min_value=0, max_value=3), FLOW_VALUES)  # mostly valid
+    entry = st.tuples(FLOW_KEYS, *thetas, value).map(list)
+    entries = st.lists(entry, max_size=3, unique_by=lambda e: repr(e[:-1]))
+    return {"kind": kind, "timed": timed, "entries": draw(entries)}
+
+
+@pytest.fixture(scope="module")
+def flow_instances(tmp_path_factory):
+    """The two-hop and ti-gap instance files, and a path for the flow file."""
+    root = tmp_path_factory.mktemp("flows")
+    paths = []
+    for name, make in (("two-hop", gen_two_hop), ("ti-gap", gen_ti_gap)):
+        (root / f"{name}.json").write_text(dumps(instance_to_json(make())))
+        paths.append(str(root / f"{name}.json"))
+    return paths, root / "flow.json"
+
+
+@given(doc=flow_documents())
+@example(doc={"kind": "path", "timed": True, "entries": [["x", 1, 1], [0, 1, 1]]})
+@settings(deadline=None, max_examples=150, derandomize=True)
+def test_no_flow_file_exits_1(flow_instances, doc):
+    # Every flow file is either evaluated (0), rejected (2) or infeasible (4);
+    # no exception escapes cli.main.
+    instances, flow_path = flow_instances
+    flow_path.write_text(json.dumps(doc))
+    for inst in instances:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["evaluate", inst, str(flow_path)])
+        assert code in (0, 2, 4)
 
 
 def test_evaluate_infeasible_flow_exits_4(tmp_path, capsys):

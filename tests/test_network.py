@@ -92,6 +92,16 @@ def test_validate_reports_all_violations():
     assert "enters the source" in text
 
 
+def test_validate_rejects_arc_ids_that_print_the_same():
+    net = Network(
+        nodes=("s", "t"),
+        arcs=(Arc("1", "s", "t", rat(2)), Arc(1, "s", "t", rat(1)), Arc("2", "s", "t", rat(1))),
+        source="s",
+        sink="t",
+    )
+    assert validate_network(net).violations == ("arc ids 1 and '1' have the same text",)
+
+
 def test_validate_flags_off_route_nodes():
     net = Network(
         nodes=("s", "v", "w", "t"),
