@@ -212,8 +212,10 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     instance = instance_from_json(_read_json(args.instance))
-    if args.models:
+    if args.models is not None:
         models = [m.strip() for m in args.models.split(",") if m.strip()]
+        if not models:
+            raise NetworkError(f"--models names no model, got {args.models!r}")
     elif isinstance(instance, DynamicInstance):
         models = list(DYNAMIC_MODELS)
     else:
@@ -260,8 +262,6 @@ def _drop_arc(net: Network, arc_id):
     if net.source not in keep or net.sink not in keep:
         return None
     arcs = [a for a in net.arcs if a.id != arc_id and a.tail in keep and a.head in keep]
-    if not arcs:
-        return None
     nodes = [v for v in net.nodes if v in keep]
     candidate = Network(nodes, arcs, net.source, net.sink, meta=dict(net.meta))
     return candidate if validate_network(candidate).ok else None

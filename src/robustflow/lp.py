@@ -42,6 +42,12 @@ without its pending rows is a relaxation of the full LP, so its optimum,
 once feasible for every row, is optimal for the full LP.  An LP without lazy
 rows takes the same tableau and pivots as if laziness did not exist.
 
+Every row enters the tableau through one routine,
+:meth:`_Simplex._insert`: the eager rows when the tableau is built, each
+lazy row a vertex violates, and the pin row of the lexicographic step.  It
+expresses a row in the current basis by :meth:`_Simplex._reduce`, the
+elimination that also expresses each objective in the basis.
+
 Every optimum is re-checked against every row of the original LP, lazy rows
 and fixed columns included, before it is returned, in integers: the values
 are put over one common denominator and each row compares integer sums
@@ -55,7 +61,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .rational import ZERO, common_denominator, rat
 
@@ -301,11 +307,14 @@ class _Simplex:
     the slacks make a feasible basis at x = 0.
 
     Tableau columns are the LP's own variable indices, then one slack per
-    ``<=`` half (an equality is split into two ``<=`` halves), then one
-    slack per row added later (a lazy row's half, or a pin row): the slacks
-    start at ``first_slack == lp.n_vars``, and row ``i``'s slack is column
-    ``first_slack + i``.  Row ``i`` is a dict ``{column: int}`` with the
-    integer right-hand side ``rhs[i]``; it stands for the
+    tableau row: the slacks start at ``first_slack == lp.n_vars``, and row
+    ``i``'s slack is column ``first_slack + i``.  Every row enters through
+    :meth:`_insert`, which gives it that slack: the ``<=`` halves of the
+    eager rows (an equality is split into two) when the tableau is built,
+    then each half of a lazy row that a vertex violates, and the pin row.
+    :meth:`_reduce` expresses a new row in the current basis, and the
+    objective as well (:meth:`optimize`).  Row ``i`` is a dict ``{column:
+    int}`` with the integer right-hand side ``rhs[i]``; it stands for the
     rational tableau row obtained by dividing by its basic entry
     ``rows[i][basis[i]]``, which is kept positive.  Every row is kept
     primitive (divided by the gcd of its entries), so each rational row has
@@ -329,15 +338,14 @@ class _Simplex:
     kept, one int per pivot, not the bases.
 
     Lazy rows get no tableau row at first.  :meth:`_settle` inserts the
-    ones a vertex violates, each expressed in the current basis with its
-    slack basic (:meth:`_insert`, which also adds the pin row), so a
-    violated row has a negative right-hand side.  The dual simplex
-    (:meth:`_dual`) then restores primal feasibility, keeping every reduced
-    cost <= 0.  The leaving row is the one of negative right-hand side with
-    the smallest basic column.  The entering column has the smallest ratio
-    of reduced cost to row entry, over the row's negative entries, and the
-    smallest column on ties.  That is Bland's rule applied to the dual, so
-    it cannot cycle either.
+    ones a vertex violates, each with its slack basic, so a violated row has
+    a negative right-hand side.  The dual simplex (:meth:`_dual`) then
+    restores primal feasibility, keeping every reduced cost <= 0.  The
+    leaving row is the one of negative right-hand side with the smallest
+    basic column.  The entering column has the smallest ratio of reduced
+    cost to row entry, over the row's negative entries, and the smallest
+    column on ties.  That is Bland's rule applied to the dual, so it cannot
+    cycle either.
 
     Kept as an object so a solved tableau can take cut rows and a pin row,
     and be re-optimized without a cold restart.
@@ -345,37 +353,62 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram) -> None:
         self.fixed = _forced_zero(lp)  # a fixed column enters no row
-        self.first_slack = n = lp.n_vars
+        self.first_slack = lp.n_vars
         self.rows: list = []
         self.rhs: list = []
         self.basis: list = []
+        self.row_of: dict = {}  # the row of each column that a pivot made basic
         self.obj: dict = {}
-        self.lazy: list = []  # the lazy rows not in the tableau yet, in row order
-        for con in lp.constraints:
-            if con.lazy:
-                self.lazy.append(con)
-                continue
-            for half in self._halves(con):
-                slack = n + len(self.rows)
-                half[slack] = 1
-                self._add_row(*_integer_row(half, con.rhs), slack)
+        self.lazy = [con for con in lp.constraints if con.lazy]  # not in the tableau yet
+        self._insert(self._halves(con for con in lp.constraints if not con.lazy))
 
-    def _columns(self, coeffs: Mapping, sign: int = 1) -> dict:
-        """The (zero-free) linear form over the LP's variables, times ``sign``, without fixed columns."""
+    def _columns(self, coeffs: Mapping) -> dict:
+        """The (zero-free) linear form over the LP's variables, without fixed columns."""
         fixed = self.fixed
-        return {j: sign * c for j, c in coeffs.items() if not fixed[j]}
+        return {j: c for j, c in coeffs.items() if not fixed[j]}
 
-    def _halves(self, con: _Constraint) -> list:
-        """``con`` as ``<=`` halves over the tableau's columns; none if no column is left."""
-        coeffs = self._columns(con.coeffs)
-        if not coeffs:
-            return []
-        return [coeffs] if con.rel == "<=" else [coeffs, {j: -c for j, c in coeffs.items()}]
+    def _halves(self, cons) -> Iterator:
+        """``(coeffs, rhs)`` of each ``<=`` half of the rows ``cons``, over the tableau's columns.
 
-    def _add_row(self, row: dict, rhs: int, basic: int) -> None:
-        self.rows.append(row)
-        self.rhs.append(rhs)
-        self.basis.append(basic)
+        An ``==`` row gives two halves, and a row left with no column none.
+        """
+        for con in cons:
+            row = self._columns(con.coeffs)
+            if row:
+                halves = [row] if con.rel == "<=" else [row, {j: -c for j, c in row.items()}]
+                for half in halves:
+                    yield half, con.rhs
+
+    def _insert(self, new_rows) -> None:
+        """Append each row ``coeffs . x <= rhs`` of ``new_rows``, in the current basis.
+
+        This is the one way a row enters the tableau.  ``coeffs`` is over
+        the LP's columns; row ``t`` gets the slack ``first_slack + t``, basic
+        in it, and :meth:`_reduce` expresses it in the basis, so its
+        right-hand side is negative when the vertex violates it.
+        """
+        for coeffs, rhs in new_rows:
+            slack = self.first_slack + len(self.rows)
+            coeffs[slack] = 1
+            row, rhs = _integer_row(coeffs, rhs)
+            self.rhs.append(self._reduce(row, rhs))
+            self.rows.append(row)
+            self.basis.append(slack)
+
+    def _reduce(self, row: dict, rhs: int) -> int:
+        """Eliminate every basic column from ``row``, in place; returns the new right-hand side.
+
+        ``row`` is a new row or an objective.  Its columns are the LP's, and a
+        new row's own slack, which is not basic yet, so each basic one among
+        them was made basic by a pivot (``row_of``; on the all-slack basis
+        there is none).  Each is eliminated by its own row, which holds no
+        other basic column.  The result is the primitive positive multiple
+        of ``row`` in the current basis, whatever the order.
+        """
+        for j in self.row_of.keys() & row.keys() if self.row_of else ():
+            i = self.row_of[j]
+            rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], j)
+        return rhs
 
     # -- pivoting ---------------------------------------------------------
 
@@ -387,6 +420,8 @@ class _Simplex:
                 self.rhs[i] = _cancel(row, self.rhs[i], prow, prhs, col)
         if col in self.obj:
             _cancel(self.obj, 0, prow, prhs, col)
+        self.row_of.pop(self.basis[r], None)
+        self.row_of[col] = r
         self.basis[r] = col
 
     def _run(self) -> str:
@@ -428,13 +463,12 @@ class _Simplex:
     def optimize(self, coeffs: Mapping) -> str:
         """Maximize ``coeffs . x`` over the tableau's rows, from the current basis.
 
+        The objective goes through :meth:`_reduce`, as a new row does, and
+        is then a positive multiple of the reduced costs at the basis.
         Returns ``optimal`` or ``unbounded``.
         """
-        obj, _ = _integer_row(self._columns(coeffs), 0)
-        for i, b in enumerate(self.basis):
-            if b in obj:
-                _cancel(obj, 0, self.rows[i], self.rhs[i], b)
-        self.obj = obj  # a positive multiple of the reduced costs at the basis
+        self.obj, _ = _integer_row(self._columns(coeffs), 0)
+        self._reduce(self.obj, 0)
         return self._run()
 
     def _dual(self) -> None:
@@ -486,7 +520,7 @@ class _Simplex:
                 cuts = self._separate()
                 if not cuts:
                     break
-            self._insert((half, con.rhs) for con in cuts for half in self._halves(con))
+            self._insert(self._halves(cuts))
             self._dual()
             status = self.optimize(coeffs) if status == "unbounded" else self._run()
         return status
@@ -502,24 +536,6 @@ class _Simplex:
         cuts = [self.lazy[i] for i, _ in found]
         self.lazy = [con for i, con in enumerate(self.lazy) if i not in taken]
         return cuts
-
-    def _insert(self, new_rows) -> None:
-        """Append each row ``coeffs . x <= rhs`` of ``new_rows`` in the current basis.
-
-        ``coeffs`` is over the tableau's columns.  The row's new slack is
-        basic in it, and each basic column is eliminated by its own row;
-        that adds only nonbasic columns, so the basic columns to eliminate
-        are those of ``coeffs``.  The row's right-hand side is then negative
-        when the vertex violates it.
-        """
-        row_of = {b: i for i, b in enumerate(self.basis)}
-        for coeffs, rhs in new_rows:
-            slack = self.first_slack + len(self.rows)
-            coeffs[slack] = 1
-            row, rhs = _integer_row(coeffs, rhs)
-            for i in [row_of[j] for j in row if j in row_of]:
-                rhs = _cancel(row, rhs, self.rows[i], self.rhs[i], self.basis[i])
-            self._add_row(row, rhs, slack)
 
     # -- results ----------------------------------------------------------
 
@@ -538,7 +554,7 @@ class _Simplex:
         Optimality already bounds ``coeffs . x`` by ``value`` from above, so
         the row ``-coeffs . x <= -value`` bounds it from below.
         """
-        self._insert([(self._columns(coeffs, -1), -value)])
+        self._insert([({j: -c for j, c in self._columns(coeffs).items()}, -value)])
         if self.rhs[-1] != 0:
             raise LpCheckError("pin row must be tight at the solved vertex")
 

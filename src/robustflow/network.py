@@ -63,8 +63,6 @@ def arc_sort_key(arc_id: Hashable):
 
     The length-first rule keeps numbered ids in natural order (a2 before a10).
     """
-    if isinstance(arc_id, bool):
-        return (2, 1, str(arc_id))
     if isinstance(arc_id, int):
         return (0, arc_id, "")
     text = str(arc_id)
@@ -172,6 +170,8 @@ def validate_network(net: Network) -> ValidationReport:
     seen_ids = set()
     texts: dict = {}  # the first arc id printed as each text
     for arc in net.arcs:
+        if isinstance(arc.id, bool):
+            bad.append(f"arc id {arc.id!r} is a boolean")
         if arc.id in seen_ids:
             bad.append(f"duplicate arc id {arc.id!r}")
         elif str(arc.id) in texts:
@@ -295,34 +295,35 @@ class PathCatalog:
 
 
 def enumerate_st_paths(net: Network) -> tuple:
-    """All simple source-sink paths, lexicographic in the arc order."""
+    """All simple source-sink paths, lexicographic in the arc order.
+
+    A depth-first search that keeps one iterator over the out-arcs of each
+    node on the current path, so a path of any length needs no recursion.
+    """
     limit = guard_paths()
     paths = []
-    arc_stack = []
-    node_stack = [net.source]
+    ids = []  # the arc ids of the current path
+    nodes = [net.source]
     visited = {net.source}
-
-    def walk(v: str) -> None:
-        if v == net.sink:
-            if len(paths) >= limit:
-                raise GuardExceeded(
-                    f"more than {limit} source-sink paths; raise the guard to proceed"
-                )
-            paths.append(Path(tuple(a.id for a in arc_stack), tuple(node_stack)))
-            return
-        for arc in net.out_arcs(v):
-            w = arc.head
-            if w in visited:
-                continue
-            visited.add(w)
-            arc_stack.append(arc)
-            node_stack.append(w)
-            walk(w)
-            node_stack.pop()
-            arc_stack.pop()
-            visited.discard(w)
-
-    walk(net.source)
+    out_left = [iter(net.out_arcs(net.source))]
+    while out_left:
+        for arc in out_left[-1]:
+            if arc.head == net.sink:
+                if len(paths) >= limit:
+                    raise GuardExceeded(
+                        f"more than {limit} source-sink paths; raise the guard to proceed"
+                    )
+                paths.append(Path((*ids, arc.id), (*nodes, arc.head)))
+            elif arc.head not in visited:
+                visited.add(arc.head)
+                ids.append(arc.id)
+                nodes.append(arc.head)
+                out_left.append(iter(net.out_arcs(arc.head)))
+                break
+        else:
+            out_left.pop()
+            visited.discard(nodes.pop())
+            del ids[-1:]  # empty once the source's arcs run out
     return tuple(paths)
 
 

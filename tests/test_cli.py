@@ -279,6 +279,25 @@ MALFORMED_INPUT = {
         _two_hop("solve", "--model", "pm", "--gamma", "-1"),
         "gamma must be an integer >= 0, got -1",
     ),
+    "evaluate gamma -1": (
+        lambda tmp_path: [
+            *_bad_flow(gen_two_hop, _path_flow([0, "1/2"]))(tmp_path), "--gamma", "-1"
+        ],
+        "gamma must be an integer >= 0, got -1",
+    ),
+    # A command that would check nothing must not report success.
+    **{
+        f"compare models {models!r}": (
+            _two_hop("compare", "--models", models),
+            f"--models names no model, got {models!r}",
+        )
+        for models in (",", "")
+    },
+    # JSON true is no arc id, although True == 1 in Python.
+    "arc id true": (
+        _bad_instance(lambda doc: doc["arcs"][0].update(id=True)),
+        "invalid instance: arc id True is a boolean",
+    ),
     # Arc ids that print the same would share a JSON key and a CSV label.
     "arc ids 1 and '1'": (
         _bad_instance(lambda doc: (doc["arcs"][0].update(id=1), doc["arcs"][1].update(id="1"))),
@@ -529,6 +548,44 @@ def test_path_guard_counts_only_the_routes_a_model_reads(tmp_path, capsys, monke
         assert (out, err) == unguarded[1:]
     else:
         assert err == "guard exceeded: more than 8 subpaths; raise the guard to proceed\n"
+
+
+def test_a_path_longer_than_the_recursion_limit(tmp_path, capsys, monkeypatch):
+    # A unit chain of 1,100 nodes: one source-sink path of 1,099 arcs, more
+    # arcs than Python's default recursion limit has frames.
+    nodes = [f"v{i}" for i in range(1100)]
+    arcs = [
+        {"id": f"a{i}", "tail": v, "head": w, "capacity": 1}
+        for i, (v, w) in enumerate(zip(nodes, nodes[1:]))
+    ]
+    inst = tmp_path / "chain.json"
+    inst.write_text(json.dumps({"nodes": nodes, "arcs": arcs, "source": "v0", "sink": "v1099"}))
+    result = tmp_path / "result.json"
+    # At budget 1 the only path carries nothing robustly; at 0 it carries 1.
+    for gamma, value in (("1", 0), ("0", 1)):
+        argv = ["solve", str(inst), "--model", "pm", "--gamma", gamma, "-o", str(result)]
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(result.read_text())["robust_value"] == value
+    flow = tmp_path / "flow.json"
+    flow.write_text(dumps(json.loads(result.read_text())["flow"]))
+    for gamma, value in (("0", 1), ("1", 0)):
+        code, out, _ = run(capsys, "evaluate", str(inst), str(flow), "--gamma", gamma)
+        assert code == 0
+        assert json.loads(out)["robust_value"] == value
+    # The path's 604,450 subpaths stop at the guard, not at the stack.
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_PATHS", "100")
+    code, _, err = run(capsys, "solve", str(inst), "--model", "gm", "--gamma", "1")
+    assert code == 3
+    assert err == "guard exceeded: more than 100 subpaths; raise the guard to proceed\n"
+
+
+def test_generate_random_dag_on_two_nodes_emits_one_arc(capsys):
+    code, out, _ = run(capsys, "generate", "random-dag", "--nodes", "2", "--arcs", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["nodes"] == ["s", "t"]
+    assert [(a["tail"], a["head"]) for a in doc["arcs"]] == [("s", "t")]
 
 
 @pytest.mark.parametrize("model", ["dpm", "dgm", "tr", "dam", "dam-compact"])

@@ -591,6 +591,32 @@ def test_dam_compact_lp_digest():
     assert _compact_digest(_dam_compact_lps()) == DAM_COMPACT_DIGEST
 
 
+# One sha256 over ``repr((status, values, pivots))`` of the plain and then the
+# lexicographic solve of every LP of ``_broad_lps``, ``_gm1_lps`` and
+# ``_dam_compact_lps``, where ``pivots`` lists the ``(row, column)`` of each
+# pivot: 1,540 solves and 14,232 pivots, recorded before the tableau's row
+# intake was merged into one routine.
+PIVOT_DIGEST = "ee959eed60422de815fab7bc883b2ddd0dd0620bb194b48fe0dd90335174507d"
+
+
+def test_model_lps_keep_their_pivot_sequence(monkeypatch):
+    pivots = []
+    pivot = _Simplex._pivot
+
+    def traced(self, r, col):
+        pivots.append((r, col))
+        pivot(self, r, col)
+
+    monkeypatch.setattr(_Simplex, "_pivot", traced)
+    digest = hashlib.sha256()
+    for build in (*_broad_lps(), *_gm1_lps(), *_dam_compact_lps()):
+        for solve in (solve_lp, lambda lp: lexicographic_solve(lp, build.nominal_coeffs)):
+            pivots.clear()
+            sol = solve(build.lp)
+            digest.update(repr((sol.status, sol.values, pivots)).encode())
+    assert digest.hexdigest() == PIVOT_DIGEST
+
+
 def _row_digest() -> str:
     """sha256 over each row's label, relation, rhs and terms in insertion order."""
     digest = hashlib.sha256()

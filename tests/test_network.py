@@ -102,6 +102,18 @@ def test_validate_rejects_arc_ids_that_print_the_same():
     assert validate_network(net).violations == ("arc ids 1 and '1' have the same text",)
 
 
+def test_validate_rejects_boolean_arc_ids():
+    # JSON true is no arc id; an unvalidated network sorts it as the int 1.
+    net = Network(
+        nodes=("s", "t"),
+        arcs=(Arc("a", "s", "t", rat(1)), Arc(2, "s", "t", rat(1)), Arc(True, "s", "t", rat(1))),
+        source="s",
+        sink="t",
+    )
+    assert validate_network(net).violations == ("arc id True is a boolean",)
+    assert [arc.id for arc in net.arcs] == [True, 2, "a"]
+
+
 def test_validate_flags_off_route_nodes():
     net = Network(
         nodes=("s", "v", "w", "t"),
