@@ -648,9 +648,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InfeasibleFlowError as exc:
-        print("infeasible flow:", file=sys.stderr)
-        for line in exc.lines:
-            print(f"  {line}", file=sys.stderr)
+        sys.stderr.write("\n  ".join(("infeasible flow:", *exc.lines)) + "\n")
         return 4
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

@@ -34,6 +34,7 @@ once, under the empty scenario ``()``.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
@@ -59,7 +60,7 @@ from .network import (
     validate_network,
 )
 from .rational import ZERO, common_denominator, rat
-from .static_models import InfeasibleFlowError, Violation, _intake
+from .static_models import InfeasibleFlowError, _intake, _line
 
 DYNAMIC_MODELS = ("dpm", "dam", "dam-compact", "dgm", "tr")
 
@@ -411,9 +412,10 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
 
     Checks capacities under every scenario (and robust conservation for the
     arc/subpath kinds), then reports per-scenario arrivals, their minimum,
-    and the earliest arrival time guaranteed across scenarios.  Every key is
-    checked before any is used: its ``(key, theta)`` shape, then that it
-    names a known route; only then are the entries sorted.
+    and the earliest arrival time guaranteed across scenarios.  Every key,
+    whatever its value, is checked before any value is read: its
+    ``(key, theta)`` shape, then that it names a known route; only then are
+    the entries sorted.
 
     An arc flow is a flow on one-arc routes.  A delayed arc shifts the entry
     time of every later arc on a route and the route's arrival, so one loop
@@ -428,7 +430,9 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     (:func:`~robustflow.rational.common_denominator`): loads, inflow, outflow
     and arrivals are summed as integers, a capacity is exceeded when
     ``n * cap.denominator > cap.numerator * D``, and only reported values
-    and violation texts are turned back into ``Fraction``s.
+    and violation texts are turned back into ``Fraction``s.  An infeasible
+    flow raises :class:`InfeasibleFlowError` with its violations in this
+    order: nonnegativity and horizon, then capacity, then conservation.
     """
     _check_instance(inst)
     kind = flow.kind
@@ -437,11 +441,10 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
         raise NetworkError(f"unknown dynamic flow kind {kind!r}")
     routes, known = flow_routes(net, kind)
     noun = {"arc": "arc id", "tr": "path index"}.get(kind, "route index")
-    values, violations = _intake(flow.values)
     # Every key is checked before any is used, and each route is walked once:
     # info[route key] = (start, end, ((arc, travel time, delay), ...)).
     info = {}
-    for key in values:
+    for key in flow.values:
         if kind != "tr":
             theta = key[1] if isinstance(key, tuple) and len(key) == 2 else None
             if not isinstance(theta, int) or isinstance(theta, bool):
@@ -453,6 +456,7 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
             route = routes[key]
             walk = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
             info[key] = (route.start, route.end, walk)
+    values, violations = _intake(flow.values)
     support = []  # (route key, departure, value)
     if kind == "tr":
         for i, value in values.items():
@@ -464,9 +468,7 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
         word = "entry" if kind == "arc" else "departure"
         for (key, theta), value in sorted(values.items(), key=order):
             if not 1 <= theta <= T:
-                violations.append(
-                    Violation("horizon", (key, theta), None, f"{word} {theta} outside 1..{T}")
-                )
+                violations.append(("horizon", (key, theta), None, f"{word} {theta} outside 1..{T}"))
                 continue
             support.append((key, theta, value))
     den, nums = common_denominator([value for _, _, value in support])
@@ -515,15 +517,15 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
             label = scenario if kind != "arc" else None
             for _, theta, a, load, cap in sorted(bad):
                 text = f"load {rat(load, den)} exceeds {cap}"
-                over.append(Violation("capacity", (a, theta), label, text))
+                over.append(("capacity", (a, theta), label, text))
         for slot, out in demands:
             have = inflow.get(slot, 0)
             if have < out:
                 text = f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}"
-                short.append(Violation("conservation", slot, scenario, text))
+                short.append(("conservation", slot, scenario, text))
     violations += over + short
     if violations:
-        raise InfeasibleFlowError(violations)
+        raise InfeasibleFlowError(itertools.starmap(_line, violations), lambda: violations)
     exact = {n: rat(n, den) for n in set(totals)}
     arrivals = tuple((scenario, exact[n]) for scenario, n in zip(scenarios, totals))
     robust = min(totals)

@@ -25,6 +25,7 @@ with the dynamic models (:mod:`robustflow.model_lp`), unless a cut of at most
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -66,6 +67,18 @@ class StaticFlow:
     values: Mapping
 
 
+def _scenario_text(scenario) -> str:
+    """``repr(list(scenario))``, the scenario as a violation line prints it."""
+    return "[" + ", ".join(map(repr, scenario)) + "]"
+
+
+def _line(constraint: str, where, scenario: Optional[tuple], detail: str) -> str:
+    """The text of one violation: ``Violation.__str__`` and the evaluators' lines."""
+    if scenario is None:
+        return f"{constraint} at {where!r}; {detail}"
+    return f"{constraint} at {where!r}; scenario {_scenario_text(scenario)}; {detail}"
+
+
 @dataclass(frozen=True)
 class Violation:
     constraint: str
@@ -74,20 +87,27 @@ class Violation:
     detail: str
 
     def __str__(self) -> str:
-        parts = [f"{self.constraint} at {self.where!r}"]
-        if self.scenario is not None:
-            parts.append(f"scenario {list(self.scenario)}")
-        parts.append(self.detail)
-        return "; ".join(parts)
+        return _line(self.constraint, self.where, self.scenario, self.detail)
 
 
 class InfeasibleFlowError(NetworkError):
-    """A flow failed the evaluator's checks; ``lines`` formats each violation once."""
+    """A flow failed the evaluator's checks.
 
-    def __init__(self, violations) -> None:
-        self.violations = tuple(violations)
-        self.lines = tuple(str(v) for v in self.violations)
+    ``lines`` holds the text of each violation, in order.  ``found()``
+    yields the same violations, in the same order, as ``(constraint, where,
+    scenario, detail)`` tuples; ``violations``, the tuple of their
+    :class:`Violation` objects, is built from it on first read and cached,
+    so a caller that only prints ``lines`` never builds one.
+    """
+
+    def __init__(self, lines, found) -> None:
+        self.lines = tuple(lines)
+        self._found = found
         super().__init__()
+
+    @functools.cached_property
+    def violations(self) -> tuple:
+        return tuple(itertools.starmap(Violation, self._found()))
 
     def __str__(self) -> str:
         return "flow is infeasible:\n  " + "\n  ".join(self.lines)
@@ -297,15 +317,16 @@ def _intake(raw_values: Mapping) -> tuple:
     """``(values, violations)`` of a flow's ``key -> value`` entries, in their order.
 
     ``values`` holds the positive values as ``Fraction``s; each negative one
-    is a ``nonnegativity`` :class:`Violation`, and zeros are dropped.  Both
-    evaluators take their flow in through here.
+    is a ``nonnegativity`` violation tuple (:class:`InfeasibleFlowError`),
+    and zeros are dropped.  Both evaluators take their flow in through here,
+    after they have checked every key.
     """
     values: dict = {}
     violations = []
     for key, raw in raw_values.items():
         value = rat(raw)
         if value < 0:
-            violations.append(Violation("nonnegativity", key, None, f"value {value}"))
+            violations.append(("nonnegativity", key, None, f"value {value}"))
         elif value > 0:
             values[key] = value
     return values, violations
@@ -354,8 +375,10 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     Checks feasibility (capacity everywhere; robust conservation at every
     interior node where flow starts, which path flow never does) and
     computes the worst case by exhaustive scenario enumeration over all arcs.
-    Raises :class:`InfeasibleFlowError` with all violations when the flow is
-    not feasible.
+    Every key is checked before any value is read.  Raises
+    :class:`InfeasibleFlowError` with all violations when the flow is not
+    feasible: nonnegativity in entry order, then capacity in arc order, then
+    robust conservation by node, each node's in scenario order.
 
     The values are put over one common denominator D
     (:func:`~robustflow.rational.common_denominator`), so that loads, inflow,
@@ -367,18 +390,21 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     projected onto their union (:func:`_projected_sums`), and each integer
     sum is taken once per distinct projection, not once per scenario.  The
     cost is one ``&`` and one dict lookup per scenario and node plus one sum
-    per distinct projection; violations and worst scenarios still come out
-    in scenario order.
+    per distinct projection.  A node's violated scenarios are picked out by
+    ``itertools.compress``, and each conservation line is one f-string of
+    three parts, each formatted at most once per call: the node's prefix,
+    the scenario's text and the short projection's detail.  No
+    :class:`Violation` is built unless ``violations`` is read.
     """
     if flow.kind not in ("arc", "path", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
     # An arc flow is a flow on one-arc routes.
     routes, known = flow_routes(net, flow.kind)
     noun = "arc id" if flow.kind == "arc" else f"{flow.kind} index"
-    values, violations = _intake(flow.values)
-    for key in values:
+    for key in flow.values:
         if not known(key):
             raise NetworkError(f"unknown {noun} {key!r}")
+    values, violations = _intake(flow.values)
     if flow.kind == "arc":
         values = {a: values[a] for a in routes if a in values}  # exposure in arc order
     den, nums = common_denominator(list(values.values()))
@@ -399,11 +425,12 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     for a, load in sorted(loads.items(), key=lambda kv: net.arc_rank[kv[0]]):
         cap = net.arc_by_id[a].capacity
         if load * cap.denominator > cap.numerator * den:
-            violations.append(
-                Violation("capacity", a, None, f"load {rat(load, den)} exceeds capacity {cap}")
-            )
+            violations.append(("capacity", a, None, f"load {rat(load, den)} exceeds capacity {cap}"))
+    lines = list(itertools.starmap(_line, violations))
     scenarios, masks = _scenarios(net, gamma)
-    # Robust conservation.
+    # Robust conservation: (node, projections, short) of each node with violations.
+    conservation = []
+    texts: dict = {}  # scenario index -> its text, once it is in a line
     for v in net.nodes:
         out = outflow.get(v, 0)
         if v in (net.source, net.sink) or out == 0:
@@ -420,11 +447,23 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
                 )
         if not short:
             continue
-        for scenario, detail in zip(scenarios, map(short.get, projections)):
-            if detail is not None:
-                violations.append(Violation("conservation", v, scenario, detail))
-    if violations:
-        raise InfeasibleFlowError(violations)
+        conservation.append((v, projections, short))
+        prefix = f"conservation at {v!r}; scenario "
+        for i in itertools.compress(range(len(projections)), map(short.__contains__, projections)):
+            text = texts.get(i)
+            if text is None:
+                text = texts[i] = _scenario_text(scenarios[i])
+            lines.append(f"{prefix}{text}; {short[projections[i]]}")
+    if lines:
+
+        def found():
+            yield from violations
+            for v, projections, short in conservation:
+                for scenario, projection in zip(scenarios, projections):
+                    if projection in short:
+                        yield "conservation", v, scenario, short[projection]
+
+        raise InfeasibleFlowError(lines, found)
     # Worst case over the exhaustive scenario set.
     t_support = ending.get(net.sink, [])
     nominal = sum(n for _, _, n in t_support)

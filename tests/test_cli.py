@@ -9,6 +9,7 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,7 +34,7 @@ from robustflow import (
     solve_dynamic,
     split_capacities,
 )
-from robustflow import cli, model_lp
+from robustflow import cli, model_lp, static_models
 from robustflow.cli import build_parser, main
 
 
@@ -384,6 +385,25 @@ def test_evaluate_rejects_boolean_flow_keys(tmp_path, capsys, family, flow, mess
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "family, flow, message",
+    [
+        ("two-hop", {"kind": "arc", "entries": [["zz", 0], ["a1", 1]]}, "unknown arc id 'zz'"),
+        ("two-hop", {"kind": "arc", "entries": [["zz", -1]]}, "unknown arc id 'zz'"),
+        ("two-hop", {"kind": "path", "entries": [[0, 1], [99, 0]]}, "unknown path index 99"),
+        ("ti-gap", {"kind": "arc", "timed": True, "entries": [["zz", 1, 0]]}, "unknown arc id 'zz'"),
+        ("ti-gap", {"kind": "tr", "entries": [[99, "-1/2"]]}, "unknown path index 99"),
+    ],
+)
+def test_evaluate_rejects_unknown_keys_whatever_their_value(tmp_path, capsys, family, flow, message):
+    # A zero or negative value does not excuse a key that names nothing.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", family, "-o", str(inst))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(flow))
+    assert run(capsys, "evaluate", str(inst), str(flow_path)) == (2, "", f"error: {message}\n")
+
+
 # JSON scalars that a flow entry may hold, valid or not: ints, strings, bools,
 # null and bad numbers.  The valid ones come first, so shrinking moves to them.
 FLOW_KEYS = st.sampled_from([0, 1, 5, "a1", "a3", -1, "x", "0", "", True, None, 1.5, float("nan")])
@@ -454,7 +474,9 @@ def test_evaluate_infeasible_stderr_is_golden(tmp_path, capsys):
     ]
     flow_path = tmp_path / "flow.json"
     flow_path.write_text(dumps({"kind": "arc", "timed": False, "entries": entries}))
-    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path), "--gamma", "3")
+    with mock.patch.object(static_models, "Violation") as violation:
+        code, out, err = run(capsys, "evaluate", str(inst), str(flow_path), "--gamma", "3")
+    assert not violation.called  # the lines are printed without a Violation object
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1029
@@ -1063,13 +1085,17 @@ def test_dynamic_solves_are_golden(tmp_path, capsys, monkeypatch, make, model, c
     assert digests == [csv_digest, json_digest]
 
 
-def _partition_arc_flow_times_3_2():
-    """The nominal timed arc flow of partition (2,2,4), scaled by 3/2."""
-    _, flow = nominal_dynamic_max_flow(gen_partition((2, 2, 4)))
+def _arc_flow_times_3_2(inst):
+    """The entries of the nominal timed arc flow of ``inst``, scaled by 3/2."""
+    _, flow = nominal_dynamic_max_flow(inst)
     return [
         [a, theta, rational_to_json(v * Fraction(3, 2))]
         for (a, theta), v in sorted(flow.values.items(), key=lambda kv: (str(kv[0][0]), kv[0][1]))
     ]
+
+
+def _random_dynamic_seed_5():
+    return gen_random("dynamic", nodes=6, arcs=9, max_cap=3, max_tau=2, max_delay=2, horizon=6, gamma=2, seed=5)
 
 
 @pytest.mark.parametrize(
@@ -1077,9 +1103,16 @@ def _partition_arc_flow_times_3_2():
     [
         (  # 15 capacity and 9 conservation violations
             lambda: gen_partition((2, 2, 4)),
-            lambda: {"kind": "arc", "timed": True, "entries": _partition_arc_flow_times_3_2()},
+            lambda: {"kind": "arc", "timed": True, "entries": _arc_flow_times_3_2(gen_partition((2, 2, 4)))},
             25,
             "83540a395baf33d98d31f3c14793aa21b3dff9301dafd1cdc123b6d878b16caa",
+        ),
+        (  # 12 capacity and 18 conservation violations, recorded before the
+            # CLI wrote the block in one piece
+            _random_dynamic_seed_5,
+            lambda: {"kind": "arc", "timed": True, "entries": _arc_flow_times_3_2(_random_dynamic_seed_5())},
+            30,
+            "7611e7b20ec07b2b22b935ff5c0876a0c8ffbf0f5e62acc38d0c5bb3b70bdb93",
         ),
         (  # a negative entry and two departures outside 1..T
             gen_ti_gap,
@@ -1092,15 +1125,18 @@ def _partition_arc_flow_times_3_2():
             "06c874d79738d32183144384b8f0e44c312de39808113d0853f5f08629c4d1e5",
         ),
     ],
-    ids=["arc-capacity-conservation", "path-horizon"],
+    ids=["arc-capacity-conservation", "random-dynamic-arc", "path-horizon"],
 )
 def test_evaluate_dynamic_infeasible_stderr_is_golden(tmp_path, capsys, make, flow, lines, digest):
-    # Recorded from the Fraction-summing evaluator, like DYNAMIC_GOLDEN.
+    # The partition and ti-gap digests were recorded from the Fraction-summing
+    # evaluator, like DYNAMIC_GOLDEN.
     inst = tmp_path / "net.json"
     inst.write_text(dumps(instance_to_json(make())))
     flow_path = tmp_path / "flow.json"
     flow_path.write_text(dumps(flow()))
-    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    with mock.patch.object(static_models, "Violation") as violation:
+        code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert not violation.called
     assert (code, out) == (4, "")
     assert len(err.splitlines()) == lines + 1
     assert hashlib.sha256(err.encode()).hexdigest() == digest

@@ -192,6 +192,22 @@ def test_evaluator_rejects_bad_dynamic_flows(ti_gap):
         evaluate_dynamic(DynamicFlow("arc", {("a1", 3): rat(1)}), inst)
 
 
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        (DynamicFlow("arc", {"junk": 0}), "timed flow keys are (key, theta) pairs, got 'junk'"),
+        (DynamicFlow("arc", {("a1", 1): 1, ("zz", 1): 0}), "unknown arc id 'zz'"),
+        (DynamicFlow("path", {(99, 1): -1}), "unknown route index 99"),
+        (DynamicFlow("tr", {0: 1, 99: 0}), "unknown path index 99"),
+    ],
+)
+def test_evaluator_checks_every_key_before_its_value(ti_gap, flow, message):
+    with pytest.raises(NetworkError) as err:
+        evaluate_dynamic(flow, ti_gap)
+    assert not isinstance(err.value, InfeasibleFlowError)
+    assert str(err.value) == message
+
+
 def test_validate_dynamic_instance_errors():
     inst = gen_ti_gap()
     assert validate_dynamic_instance(inst).ok
@@ -213,10 +229,17 @@ def test_lexicographic_dynamic_solve(ti_gap):
 
 
 def _evaluated_dynamic(flow, inst):
-    """The evaluator's result in the oracle's shape: ``(lines, None)`` or ``((), fields)``."""
+    """The evaluator's result in the oracle's shape: ``(lines, None)`` or ``((), fields)``.
+
+    An infeasible flow's ``violations``, built on first read and then cached,
+    print its lines.
+    """
     try:
         report = evaluate_dynamic(flow, inst)
     except InfeasibleFlowError as exc:
+        violations = exc.violations
+        assert exc.violations is violations
+        assert tuple(map(str, violations)) == exc.lines
         return exc.lines, None
     return (), {f.name: getattr(report, f.name) for f in fields(report)}
 

@@ -19,6 +19,7 @@ from robustflow import (
     Network,
     NetworkError,
     StaticFlow,
+    Violation,
     build_am_lp,
     build_gamma1_compact_lp,
     build_gm_lp,
@@ -44,7 +45,7 @@ from robustflow import (
 
 from robustflow import static_models
 
-from _oracles import brute_force_evaluate_static, full_family_lp
+from _oracles import _line, brute_force_evaluate_static, full_family_lp
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +164,21 @@ def test_evaluate_rejects_infeasible_flows(two_hop):
     negative = StaticFlow("path", {0: rat(-1)})
     with pytest.raises(InfeasibleFlowError):
         evaluate_static(negative, net, 1)
+
+
+@pytest.mark.parametrize(
+    "flow, message",
+    [
+        (StaticFlow("arc", {"zz": 0, "a1": 1}), "unknown arc id 'zz'"),
+        (StaticFlow("arc", {"zz": -1}), "unknown arc id 'zz'"),
+        (StaticFlow("path", {0: 1, 99: 0}), "unknown path index 99"),
+        (StaticFlow("subpath", {-1: -1}), "unknown subpath index -1"),
+    ],
+)
+def test_evaluate_checks_every_key_before_its_value(two_hop, flow, message):
+    with pytest.raises(NetworkError, match=re.escape(message)) as err:
+        evaluate_static(flow, two_hop, 1)
+    assert not isinstance(err.value, InfeasibleFlowError)
 
 
 def test_evaluate_rejects_conservation_violation(two_hop):
@@ -299,14 +315,28 @@ def test_zero_cut_needs_a_sink_without_outgoing_arcs():
 # -- differential test of the evaluator against the brute-force oracle ---------
 
 
-def _evaluated(flow, net, gamma):
-    """``evaluate_static`` in the oracle's shape: (violation tuples, report fields)."""
+def _matches_oracle(flow, net, catalog, gamma):
+    """``evaluate_static`` against the brute-force oracle; returns the oracle's
+    ``(violation tuples, report fields)``.
+
+    An infeasible flow's ``lines`` and ``str`` are the oracle's lines, and its
+    ``violations``, built on first read and then cached, are the oracle's.
+    """
+    expected_violations, expected_report = brute_force_evaluate_static(flow, net, catalog, gamma)
     try:
         report = evaluate_static(flow, net, gamma)
     except InfeasibleFlowError as exc:
-        assert exc.lines == tuple(str(v) for v in exc.violations)
-        return tuple((v.constraint, v.where, v.scenario, v.detail) for v in exc.violations), None
-    return (), {f.name: getattr(report, f.name) for f in fields(report)}
+        lines = tuple(_line(*v) for v in expected_violations)
+        assert exc.lines == lines, flow
+        assert str(exc) == "flow is infeasible:\n  " + "\n  ".join(lines)
+        violations = exc.violations
+        assert exc.violations is violations
+        assert violations == tuple(Violation(*v) for v in expected_violations), flow
+        return expected_violations, None
+    found = {f.name: getattr(report, f.name) for f in fields(report)}
+    assert (expected_violations, found) == ((), expected_report), flow
+    assert list(found["per_arc_exposure"].items()) == list(expected_report["per_arc_exposure"].items())
+    return expected_violations, expected_report
 
 
 def _candidate_flows(net, catalog, gamma, noise):
@@ -362,14 +392,7 @@ def test_evaluator_matches_brute_force_oracle(nodes, extra, seed, gamma_pick, no
     ]
     catalog = enumerate_subpaths(net)
     for flow in _candidate_flows(net, catalog, gamma, noise):
-        violations, report = _evaluated(flow, net, gamma)
-        expected_violations, expected_report = brute_force_evaluate_static(flow, net, catalog, gamma)
-        assert violations == expected_violations, flow
-        assert report == expected_report, flow
-        if report is not None:
-            assert list(report["per_arc_exposure"].items()) == list(
-                expected_report["per_arc_exposure"].items()
-            )
+        _matches_oracle(flow, net, catalog, gamma)
 
 
 def test_evaluator_matches_brute_force_oracle_on_a_wide_dag():
@@ -398,12 +421,28 @@ def test_evaluator_matches_brute_force_oracle_on_a_wide_dag():
     ]
     outcomes = []
     for flow in flows:
-        violations, report = _evaluated(flow, net, 1)
-        assert (violations, report) == brute_force_evaluate_static(flow, net, catalog, 1), flow
+        violations, report = _matches_oracle(flow, net, catalog, 1)
         outcomes.append(("conservation" in {v[0] for v in violations}, report is not None))
     # The nominal arc flow and the cut paths break robust conservation, the
     # doubled path flow only capacity; the others are feasible.
     assert outcomes == [(True, False), (False, True), (False, False), (False, True), (True, False)]
+
+
+def test_evaluator_matches_brute_force_oracle_on_integer_arc_ids():
+    # Two units cross u and w on parallel arcs with int ids; any scenario
+    # that hits a u-w arc and an s-u arc breaks conservation at both nodes,
+    # so its text is formatted once and used in two lines.
+    arcs = [Arc(1, "s", "u", 1), Arc(2, "s", "u", 1), Arc(3, "u", "w", 1), Arc(4, "u", "w", 1)]
+    arcs += [Arc(5, "w", "t", 2), Arc(6, "s", "t", 1)]
+    net = Network(("s", "u", "w", "t"), arcs, "s", "t")
+    flow = StaticFlow("arc", {1: rat(1), 2: rat(1), 3: rat(1), 4: rat(1), 5: rat(2), 6: rat(1)})
+    texts = mock.Mock(wraps=static_models._scenario_text)
+    with mock.patch.object(static_models, "_scenario_text", texts):
+        violations, _ = _matches_oracle(flow, net, enumerate_subpaths(net), 3)
+    scenarios = [scenario for _, _, scenario, _ in violations]
+    assert {where for _, where, _, _ in violations} == {"u", "w"}
+    assert scenarios.count((1, 3)) == 2
+    assert texts.call_count == len(set(scenarios)) < len(scenarios)
 
 
 @pytest.mark.parametrize(
