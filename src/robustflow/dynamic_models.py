@@ -27,7 +27,8 @@ goes through the pipeline shared with the static models
 (:mod:`robustflow.model_lp`).
 
 The evaluator (:func:`evaluate_dynamic`) walks each flow entry's route once
-per scenario; an arc flow's loads, the same in every scenario, are checked
+per distinct projection of the scenarios onto the positive-delay arcs of the
+flow's routes; an arc flow's loads, the same in every scenario, are checked
 once, under the empty scenario ``()``.
 """
 
@@ -57,6 +58,7 @@ from .network import (
     enumerate_scenarios,
     flow_routes,
     route_index,
+    scenario_masks,
     validate_network,
 )
 from .rational import ZERO, common_denominator, rat
@@ -418,14 +420,19 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     the entries sorted.
 
     An arc flow is a flow on one-arc routes.  A delayed arc shifts the entry
-    time of every later arc on a route and the route's arrival, so one loop
-    over the scenarios walks each flow entry's route once per scenario: the
-    walk adds the entry's value to the load of each arc it enters by T and,
-    if it ends by T, to the inflow of its end node then, or to the
-    scenario's arrivals when that node is the sink.  An arc flow's loads are
-    the same in every scenario, so they are checked once, under the empty
-    scenario ``()``, and reported with scenario ``None``.  Capacity
-    violations come before conservation ones, each in scenario order.  The
+    time of every later arc on a route and the route's arrival, but only an
+    arc with a positive delay on some walk of the flow moves anything, so
+    the unit of work is a scenario's projection onto those arcs (its arc
+    mask, :func:`~robustflow.network.scenario_masks`, ``&`` theirs), not
+    the scenario.  Each distinct projection walks each flow entry's route
+    once: the walk adds the entry's value to the load of each arc it enters
+    by T and, if it ends by T, to the inflow of its end node then, or to the
+    arrivals when that node is the sink.  Each scenario then takes its
+    projection's total and arrival times, and its capacity and conservation
+    texts, under the scenario's own label.  An arc flow's loads are the same
+    in every scenario, so they are checked once, under the empty scenario
+    ``()``, and reported with scenario ``None``.  Capacity violations come
+    before conservation ones, each in scenario order.  The
     values are put over one common denominator D
     (:func:`~robustflow.rational.common_denominator`): loads, inflow, outflow
     and arrivals are summed as integers, a capacity is exceeded when
@@ -442,7 +449,7 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     routes, known = flow_routes(net, kind)
     noun = {"arc": "arc id", "tr": "path index"}.get(kind, "route index")
     # Every key is checked before any is used, and each route is walked once:
-    # info[route key] = (start, end, ((arc, travel time, delay), ...)).
+    # info[route key] = (start, end, ((arc, travel time, delay, arc bit), ...)).
     info = {}
     for key in flow.values:
         if kind != "tr":
@@ -454,13 +461,14 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
             raise NetworkError(f"unknown {noun} {key!r}")
         if key not in info:
             route = routes[key]
-            walk = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
+            arcs = [net.arc_by_id[a] for a in route.arcs]
+            walk = tuple((arc.id, arc.travel_time, arc.delay, 1 << net.arc_rank[arc.id]) for arc in arcs)
             info[key] = (route.start, route.end, walk)
     values, violations = _intake(flow.values)
     support = []  # (route key, departure, value)
     if kind == "tr":
         for i, value in values.items():
-            tau = sum(travel for _, travel, _ in info[i][2])
+            tau = sum(travel for _, travel, _, _ in info[i][2])
             support.extend((i, dep, value) for dep in range(1, T - tau + 1))
     else:
         # An arc flow is a flow on one-arc routes, keyed by arc id and sorted in arc order.
@@ -474,31 +482,36 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     den, nums = common_denominator([value for _, _, value in support])
     # Entries as (walk, end, departure, scaled value), and the departures from
     # interior nodes, which no scenario moves: only arc and subpath flows have them.
+    # Only the positive-delay arcs of the walks (``union``, one bit per arc)
+    # move a walk, so scenarios with the same projection onto them agree.
     entries = []
     outflow: dict = {}
+    union = 0
     for (key, dep, _), n in zip(support, nums):
         start, end, walk = info[key]
         entries.append((walk, end, dep, n))
         if start not in (net.source, net.sink):
             outflow[(start, dep)] = outflow.get((start, dep), 0) + n
+        for _, _, delay, bit in walk:
+            if delay > 0:
+                union |= bit
     demands = sorted(outflow.items())
-    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
-    over, short, totals, arrival_times = [], [], [], []
-    for scenario in scenarios:
-        hit = set(scenario)
-        # An arc flow's loads are the same in every scenario: they are taken under ().
-        loading = kind != "arc" or not scenario
+
+    def walked(projection):
+        """``(total, arrival times, capacity texts, conservation texts)`` of the
+        scenarios with this projection; an arc flow's loads only under 0."""
+        loading = kind != "arc" or not projection
         loads: dict = {}
         inflow: dict = {}
         total = 0
         times = set()
         for walk, end, t, n in entries:
-            for a, travel, delay in walk:
+            for a, travel, delay, bit in walk:
                 if t > T:
                     break
                 if loading:
                     loads[(a, t)] = loads.get((a, t), 0) + n
-                t += travel + delay if a in hit else travel
+                t += travel + delay if bit & projection else travel
             if t > T:
                 continue
             if end == net.sink:
@@ -506,23 +519,34 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
                 times.add(t)
             else:
                 inflow[(end, t)] = inflow.get((end, t), 0) + n
-        totals.append(total)
-        arrival_times.append(times)
-        if loading:
-            bad = []
-            for (a, theta), load in loads.items():
-                cap = net.arc_by_id[a].capacity
-                if load * cap.denominator > cap.numerator * den:
-                    bad.append((net.arc_rank[a], theta, a, load, cap))
-            label = scenario if kind != "arc" else None
-            for _, theta, a, load, cap in sorted(bad):
-                text = f"load {rat(load, den)} exceeds {cap}"
-                over.append(("capacity", (a, theta), label, text))
+        bad = []
+        for (a, theta), load in loads.items():
+            cap = net.arc_by_id[a].capacity
+            if load * cap.denominator > cap.numerator * den:
+                bad.append((net.arc_rank[a], theta, a, load, cap))
+        over = [((a, theta), f"load {rat(load, den)} exceeds {cap}") for _, theta, a, load, cap in sorted(bad)]
+        short = []
         for slot, out in demands:
             have = inflow.get(slot, 0)
             if have < out:
-                text = f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}"
-                short.append(("conservation", slot, scenario, text))
+                short.append((slot, f"surviving inflow {rat(have, den)} < outflow {rat(out, den)}"))
+        return total, times, over, short
+
+    scenarios, masks = scenario_masks(net, gamma)
+    by_projection: dict = {}
+    over, short, totals = [], [], []
+    for scenario, mask in zip(scenarios, masks):
+        projection = mask & union
+        result = by_projection.get(projection)
+        if result is None:
+            result = by_projection[projection] = walked(projection)
+        totals.append(result[0])
+        if kind != "arc":
+            over += [("capacity", slot, scenario, text) for slot, text in result[2]]
+        short += [("conservation", slot, scenario, text) for slot, text in result[3]]
+    if kind == "arc":
+        # An arc flow's loads are the same in every scenario: taken under ().
+        over = [("capacity", slot, None, text) for slot, text in by_projection[0][2]]
     violations += over + short
     if violations:
         raise InfeasibleFlowError(itertools.starmap(_line, violations), lambda: violations)
@@ -530,7 +554,8 @@ def evaluate_dynamic(flow: DynamicFlow, inst: DynamicInstance) -> DynamicRobustR
     arrivals = tuple((scenario, exact[n]) for scenario, n in zip(scenarios, totals))
     robust = min(totals)
     minimizing = tuple(sc for sc, n in zip(scenarios, totals) if n == robust)
-    common = set.intersection(*arrival_times) if arrival_times else set()
+    # Every projection is some scenario's, so its arrival times are intersected once.
+    common = set.intersection(*(result[1] for result in by_projection.values()))
     earliest = min(common) if common else None
     return DynamicRobustReport(
         robust_value=exact[robust],

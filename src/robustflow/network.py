@@ -5,7 +5,8 @@ carry exact rational capacities plus integer travel times / delays (only used
 by the dynamic models; static instances leave both at 0).
 
 Enumeration helpers are deterministic: arcs are ordered by id, simple paths
-lexicographically by their arc-id sequences, scenarios by (size, arc order).
+lexicographically by their arc-id sequences, scenarios by (size, arc order);
+a scenario's arc mask has bit i set when it holds arc ``net.arcs[i]``.
 Exhaustive enumerations are protected by guards that raise ``GuardExceeded``
 instead of looping for hours; the defaults can be overridden with the
 ``ROBUSTFLOW_GUARD_PATHS`` / ``ROBUSTFLOW_GUARD_SCENARIOS`` environment
@@ -21,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .rational import rat
 
@@ -378,21 +379,53 @@ def scenario_count(universe_size: int, gamma: int) -> int:
     return sum(math.comb(universe_size, k) for k in range(0, min(gamma, universe_size) + 1))
 
 
+def check_scenarios(size: int, gamma: int) -> None:
+    """Raise unless ``gamma`` is an integer >= 0 and the scenarios of at most
+    ``gamma`` of ``size`` arcs are within the scenario guard."""
+    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 0:
+        raise NetworkError(f"gamma must be an integer >= 0, got {gamma!r}")
+    limit = guard_scenarios()
+    total = scenario_count(size, gamma)
+    if total > limit:
+        raise GuardExceeded(
+            f"{total} scenarios exceed the guard of {limit}; raise the guard to proceed"
+        )
+
+
 def enumerate_scenarios(universe: Iterable[Hashable], gamma: int) -> tuple:
     """All subsets of ``universe`` of size <= gamma, ordered by (size, arc order).
 
     Each scenario is a tuple of arc ids.
     """
-    if isinstance(gamma, bool) or not isinstance(gamma, int) or gamma < 0:
-        raise NetworkError(f"gamma must be an integer >= 0, got {gamma!r}")
     ordered = tuple(sorted(set(universe), key=arc_sort_key))
-    limit = guard_scenarios()
-    total = scenario_count(len(ordered), gamma)
-    if total > limit:
-        raise GuardExceeded(
-            f"{total} scenarios exceed the guard of {limit}; raise the guard to proceed"
-        )
+    check_scenarios(len(ordered), gamma)
     scenarios = []
     for k in range(0, min(gamma, len(ordered)) + 1):
         scenarios.extend(itertools.combinations(ordered, k))
     return tuple(scenarios)
+
+
+def subset_masks(mask: int, gamma: int) -> Iterator[int]:
+    """The masks of every subset of at most ``gamma`` of the bits of ``mask``.
+
+    They come in scenario order: by size, then in the order of
+    ``itertools.combinations`` over the bits from the lowest.  Nothing is
+    guarded here: the caller checks the scenarios of all arcs first
+    (:func:`check_scenarios`), and a mask's subsets are no more than those.
+    """
+    bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    sizes = range(min(gamma, len(bits)) + 1)
+    return itertools.chain.from_iterable(map(sum, itertools.combinations(bits, k)) for k in sizes)
+
+
+def scenario_masks(net: Network, gamma: int) -> tuple:
+    """``(scenarios, masks)``: the scenarios of at most ``gamma`` arcs of ``net``
+    (:func:`enumerate_scenarios`, which guards their number) and, in the same
+    order, each one's arc mask.
+
+    Arc ``net.arcs[i]`` is bit ``i``.  ``net.arcs`` is sorted by
+    :func:`arc_sort_key`, the enumeration's order, so the subsets of all the
+    bits (:func:`subset_masks`) come in step with the tuples.
+    """
+    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
+    return scenarios, list(subset_masks((1 << len(net.arcs)) - 1, gamma))

@@ -44,11 +44,13 @@ from .network import (
     NetworkError,
     PathCatalog,
     arc_routes,
+    check_scenarios,
     enumerate_scenarios,
     flow_routes,
     reachable,
     route_index,
     separates,
+    subset_masks,
 )
 from .rational import ZERO, common_denominator, rat
 
@@ -332,41 +334,50 @@ def _intake(raw_values: Mapping) -> tuple:
     return values, violations
 
 
-def _scenarios(net: Network, gamma: int) -> tuple:
-    """``(scenarios, masks)``: the scenarios of at most ``gamma`` arcs of ``net``
-    (:func:`~robustflow.network.enumerate_scenarios`, which guards their
-    number) and, in the same order, each one's arc mask.
+def _scenario_texts(net: Network, gamma: int) -> list:
+    """The text of each scenario of at most ``gamma`` arcs of ``net``, in
+    scenario order, as :func:`_scenario_text` prints it, formatted in bulk."""
+    reprs = [repr(arc.id) for arc in net.arcs]
+    return [
+        "[" + ", ".join(combination) + "]"
+        for k in range(min(gamma, len(reprs)) + 1)
+        for combination in itertools.combinations(reprs, k)
+    ]
 
-    Arc ``net.arcs[i]`` is bit ``i``.  ``net.arcs`` is sorted by
-    :func:`~robustflow.network.arc_sort_key`, the enumeration's order, so
-    summing the same combinations of the bits gives the masks in step with
-    the tuples.
+
+def _hit_sums(entries, gamma: int) -> tuple:
+    """``(union, sums)`` of ``(key, arc mask, value)`` triples with integer values.
+
+    ``union`` is the union of the entries' masks, and ``sums`` maps each
+    subset of at most ``gamma`` of its arcs (:func:`subset_masks`), in
+    scenario order, to the sum of the values of the entries it meets.  A
+    scenario meets the same entries as its projection ``mask & union``, so
+    these are the sums of every scenario, each taken once per projection.
     """
-    scenarios = enumerate_scenarios([a.id for a in net.arcs], gamma)
-    bits = [1 << i for i in range(len(net.arcs))]
-    masks = []
-    for k in range(min(gamma, len(bits)) + 1):
-        masks.extend(map(sum, itertools.combinations(bits, k)))
-    return scenarios, masks
+    masks = [mask for _, mask, _ in entries]
+    nums = [n for _, _, n in entries]
+    union = functools.reduce(int.__or__, masks, 0)
+    sums = {p: sum(itertools.compress(nums, map(p.__and__, masks))) for p in subset_masks(union, gamma)}
+    return union, sums
 
 
-def _projected_sums(entries, masks):
-    """Sum the hit values of ``entries`` once per distinct scenario projection.
+def _scenarios_onto(net: Network, union: int, projections, gamma: int) -> tuple:
+    """The scenarios of at most ``gamma`` arcs of ``net`` that project onto
+    ``union`` as one of ``projections``, in scenario order.
 
-    ``entries`` are ``(key, arc mask, value)`` triples with integer values,
-    and ``masks`` are the scenarios' arc masks.  A scenario's projection is
-    its mask restricted to the union of the entries' masks, ``mask & union``;
-    scenarios with the same projection hit the same entries, and an entry is
-    hit when its mask meets the projection.  Returns the projections in
-    scenario order and a dict from each distinct projection to the integer
-    sum of the values of the entries it hits.
+    Each is a projection's arcs plus a combination of the arcs outside
+    ``union``, so each is built once, as arc ranks, then sorted by (size,
+    ranks): the order of :func:`~robustflow.network.enumerate_scenarios`.
     """
-    union = 0
-    for _, mask, _ in entries:
-        union |= mask
-    projections = list(map(union.__and__, masks))
-    sums = {p: sum(n for _, mask, n in entries if mask & p) for p in dict.fromkeys(projections)}
-    return projections, sums
+    off = [i for i in range(len(net.arcs)) if not union >> i & 1]
+    ranked = []
+    for p in projections:
+        own = tuple(i for i in range(p.bit_length()) if p >> i & 1)
+        for k in range(min(gamma - len(own), len(off)) + 1):
+            ranked.extend(tuple(sorted(own + extra)) for extra in itertools.combinations(off, k))
+    ranked.sort(key=lambda ranks: (len(ranks), ranks))
+    ids = [arc.id for arc in net.arcs]
+    return tuple(tuple(ids[i] for i in ranks) for ranks in ranked)
 
 
 def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
@@ -374,8 +385,9 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
 
     Checks feasibility (capacity everywhere; robust conservation at every
     interior node where flow starts, which path flow never does) and
-    computes the worst case by exhaustive scenario enumeration over all arcs.
-    Every key is checked before any value is read.  Raises
+    computes the worst case over every scenario of at most ``gamma`` arcs.
+    Every key is checked before any value is read, and the number of
+    scenarios before any is looked at (:func:`check_scenarios`).  Raises
     :class:`InfeasibleFlowError` with all violations when the flow is not
     feasible: nonnegativity in entry order, then capacity in arc order, then
     robust conservation by node, each node's in scenario order.
@@ -384,17 +396,20 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
     (:func:`~robustflow.rational.common_denominator`), so that loads, inflow,
     outflow and losses are summed and compared as integers; only reported
     values and violation texts are turned back into ``Fraction``s.  Each
-    scenario and each flow-carrying route is an int with one bit per arc
-    (:func:`_scenarios`).  A sum over routes only depends on the part of a
-    scenario that meets those routes' arcs, so each scenario mask is
-    projected onto their union (:func:`_projected_sums`), and each integer
-    sum is taken once per distinct projection, not once per scenario.  The
-    cost is one ``&`` and one dict lookup per scenario and node plus one sum
-    per distinct projection.  A node's violated scenarios are picked out by
-    ``itertools.compress``, and each conservation line is one f-string of
-    three parts, each formatted at most once per call: the node's prefix,
-    the scenario's text and the short projection's detail.  No
-    :class:`Violation` is built unless ``violations`` is read.
+    flow-carrying route is an int with one bit per arc.  A sum over routes
+    depends only on the part of a scenario that meets their arcs, its
+    projection, so the unit of work is the distinct projection, not the
+    scenario: each sum is taken once per subset of at most ``gamma`` of the
+    arcs of the routes summed (:func:`_hit_sums`).  All scenarios are
+    enumerated only to list violations: when some node's subset falls
+    short, every scenario's mask and text (:func:`_scenario_texts`) are
+    built once per call, each node's violated scenarios are picked by
+    projecting the masks with one ``map``, and its lines are built in one
+    comprehension.  The worst scenarios are built from the worst projections
+    onto the arcs of the routes into the sink (:func:`_scenarios_onto`); when
+    no flow reaches the sink, every scenario is worst.  No
+    :class:`Violation` is built unless ``violations`` is read, and a
+    feasible flow builds no scenario tuple but its worst ones.
     """
     if flow.kind not in ("arc", "path", "subpath"):
         raise NetworkError(f"unknown static flow kind {flow.kind!r}")
@@ -427,54 +442,56 @@ def evaluate_static(flow: StaticFlow, net: Network, gamma: int) -> RobustReport:
         if load * cap.denominator > cap.numerator * den:
             violations.append(("capacity", a, None, f"load {rat(load, den)} exceeds capacity {cap}"))
     lines = list(itertools.starmap(_line, violations))
-    scenarios, masks = _scenarios(net, gamma)
-    # Robust conservation: (node, projections, short) of each node with violations.
+    check_scenarios(len(net.arcs), gamma)
+    ids = [arc.id for arc in net.arcs]
+    # Robust conservation: (node, union, short) of each node where some
+    # projection onto the union of its incoming routes' arcs falls short;
+    # short maps each such projection to its detail.
     conservation = []
-    texts: dict = {}  # scenario index -> its text, once it is in a line
     for v in net.nodes:
         out = outflow.get(v, 0)
         if v in (net.source, net.sink) or out == 0:
             continue
         incoming = ending.get(v, ())
         total_in = sum(n for _, _, n in incoming)
-        projections, hit_sums = _projected_sums(incoming, masks)
-        short = {}
-        for projection, hit in hit_sums.items():
-            surviving = total_in - hit
-            if surviving < out:
-                short[projection] = (
-                    f"surviving inflow {rat(surviving, den)} < outflow {rat(out, den)}"
-                )
-        if not short:
-            continue
-        conservation.append((v, projections, short))
-        prefix = f"conservation at {v!r}; scenario "
-        for i in itertools.compress(range(len(projections)), map(short.__contains__, projections)):
-            text = texts.get(i)
-            if text is None:
-                text = texts[i] = _scenario_text(scenarios[i])
-            lines.append(f"{prefix}{text}; {short[projections[i]]}")
+        union, hit_sums = _hit_sums(incoming, gamma)
+        short = {
+            projection: f"surviving inflow {rat(total_in - hit, den)} < outflow {rat(out, den)}"
+            for projection, hit in hit_sums.items()
+            if total_in - hit < out
+        }
+        if short:
+            conservation.append((v, union, short))
+    if conservation:
+        masks = list(subset_masks((1 << len(ids)) - 1, gamma))
+        texts = _scenario_texts(net, gamma)
+        for v, union, short in conservation:
+            prefix = f"conservation at {v!r}; scenario "
+            details = map(short.get, map(union.__and__, masks))
+            lines += [f"{prefix}{text}; {detail}" for text, detail in zip(texts, details) if detail]
     if lines:
 
         def found():
             yield from violations
-            for v, projections, short in conservation:
-                for scenario, projection in zip(scenarios, projections):
-                    if projection in short:
-                        yield "conservation", v, scenario, short[projection]
+            scenarios = enumerate_scenarios(ids, gamma) if conservation else ()
+            for v, union, short in conservation:
+                details = map(short.get, map(union.__and__, masks))
+                for scenario, detail in zip(scenarios, details):
+                    if detail:
+                        yield "conservation", v, scenario, detail
 
         raise InfeasibleFlowError(lines, found)
-    # Worst case over the exhaustive scenario set.
+    # Worst case over every scenario, one loss per projection onto the
+    # arcs of the routes into the sink.
     t_support = ending.get(net.sink, [])
     nominal = sum(n for _, _, n in t_support)
-    projections, losses = _projected_sums(t_support, masks)
+    union, losses = _hit_sums(t_support, gamma)
     worst_loss = max(losses.values())
-    top = {projection for projection, loss in losses.items() if loss == worst_loss}
-    worst = tuple(
-        scenario
-        for scenario, projection in zip(scenarios, projections)
-        if projection in top
-    )
+    if union:
+        top = [projection for projection, loss in losses.items() if loss == worst_loss]
+        worst = _scenarios_onto(net, union, top, gamma)
+    else:
+        worst = enumerate_scenarios(ids, gamma)  # no flow reaches the sink: each loses 0
     exposure: dict = {}
     for key, _, n in t_support:
         for a in routes[key].arcs:

@@ -404,6 +404,86 @@ def test_evaluate_rejects_unknown_keys_whatever_their_value(tmp_path, capsys, fa
     assert run(capsys, "evaluate", str(inst), str(flow_path)) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "family, model, gamma",
+    [
+        ("two-hop", "pm", 1),
+        ("two-hop", "gm", 1),
+        ("ti-gap", "dpm", None),
+        ("ti-gap", "dgm", None),
+        ("ti-gap", "tr", None),
+    ],
+)
+def test_evaluate_accepts_the_routes_solve_writes(tmp_path, capsys, family, model, gamma):
+    # A solve result's flow, with its routes map, evaluates as it was written.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", family, "-o", str(inst))
+    result = tmp_path / "result.json"
+    budget = ["--gamma", str(gamma)] if gamma is not None else []
+    assert run(capsys, "solve", str(inst), "--model", model, *budget, "-o", str(result))[0] == 0
+    solved = json.loads(result.read_text())
+    assert solved["flow"]["routes"]
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(solved["flow"]))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path), *budget)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["robust_value"] == solved["robust_value"]
+
+
+def _swapped_routes(flow):
+    routes = flow["routes"]
+    routes["1"], routes["3"] = routes["3"], routes["1"]
+    return flow
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_swapped_routes, "routes['1'] is ['a2', 'a3'], but path 1 of the network is ['a1', 'a4']"),
+        (lambda flow: {**flow, "routes": {"9": ["a1"]}}, "routes['9']: the network has no path 9"),
+        (lambda flow: {**flow, "routes": [["a1", "a4"]]}, "'routes' must be an object of route index -> arc list"),
+        (lambda flow: {**flow, "routes": {"x": ["a1"]}}, "'routes' must map route indices to arc lists, got 'x'"),
+        (lambda flow: {**flow, "routes": {"01": ["a1", "a4"]}}, "got '01'"),
+        (lambda flow: {**flow, "routes": {"-1": ["a1", "a4"]}}, "got '-1'"),
+        (lambda flow: {**flow, "routes": {"1": "a1 a4"}}, "got '1': 'a1 a4'"),
+        (lambda flow: {**flow, "routes": {"1": ["a1", ["a4"]]}}, "got '1': ['a1', ['a4']]"),
+        (lambda flow: {**flow, "routes": {"1": [True]}}, "got '1': [True]"),
+        (
+            lambda flow: {"kind": "arc", "entries": [["a1", 1]], "routes": {}},
+            "an arc flow is keyed by arc id and has no 'routes'",
+        ),
+    ],
+    ids=["swapped", "unknown-index", "array", "word", "leading-zero", "negative", "string", "nested", "bool", "arc"],
+)
+def test_evaluate_checks_the_flow_routes(tmp_path, capsys, edit, message):
+    # The route indices of a flow file must mean, in the instance evaluated,
+    # the routes its 'routes' map lists.
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "two-hop", "-o", str(inst))
+    result = tmp_path / "result.json"
+    assert run(capsys, "solve", str(inst), "--model", "pm", "--gamma", "1", "-o", str(result))[0] == 0
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(edit(json.loads(result.read_text())["flow"])))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_evaluate_checks_the_routes_of_a_timed_flow(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run(capsys, "generate", "ti-gap", "-o", str(inst))
+    result = tmp_path / "result.json"
+    assert run(capsys, "solve", str(inst), "--model", "dgm", "-o", str(result))[0] == 0
+    flow = json.loads(result.read_text())["flow"]
+    index = next(iter(flow["routes"]))
+    flow["routes"][index] = flow["routes"][index][:-1] + ["zz"]
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps(flow))
+    code, out, err = run(capsys, "evaluate", str(inst), str(flow_path))
+    assert (code, out) == (2, "")
+    assert f"routes['{index}'] is " in err and f"but subpath {index} of the network is" in err
+
+
 # JSON scalars that a flow entry may hold, valid or not: ints, strings, bools,
 # null and bad numbers.  The valid ones come first, so shrinking moves to them.
 FLOW_KEYS = st.sampled_from([0, 1, 5, "a1", "a3", -1, "x", "0", "", True, None, 1.5, float("nan")])
@@ -547,6 +627,22 @@ def test_zero_cut_solve_exits_3_at_the_scenario_guard(tmp_path, capsys, monkeypa
     run(capsys, "generate", "two-hop", "-o", str(inst))
     monkeypatch.setenv("ROBUSTFLOW_GUARD_SCENARIOS", "5")
     code, out, err = run(capsys, "solve", str(inst), "--model", "gm", "--gamma", "2")
+    assert (code, out) == (3, "")
+    assert err == "guard exceeded: 16 scenarios exceed the guard of 5; raise the guard to proceed\n"
+
+
+def test_evaluate_of_a_feasible_path_flow_exits_3_at_the_scenario_guard(tmp_path, capsys, monkeypatch):
+    # One unit on path 1 (a1, a4): its 4 projections onto {a1, a4} fit a guard
+    # of 5, but the guard counts all 16 scenarios of at most 2 of the 5 arcs.
+    inst = tmp_path / "two-hop.json"
+    run(capsys, "generate", "two-hop", "-o", str(inst))
+    flow_path = tmp_path / "flow.json"
+    flow_path.write_text(dumps({"kind": "path", "entries": [[1, 1]], "routes": {"1": ["a1", "a4"]}}))
+    argv = ("evaluate", str(inst), str(flow_path), "--gamma", "2")
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_SCENARIOS", "16")
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("ROBUSTFLOW_GUARD_SCENARIOS", "5")
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (3, "")
     assert err == "guard exceeded: 16 scenarios exceed the guard of 5; raise the guard to proceed\n"
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from robustflow import (
+    Arc,
     DynamicFlow,
     DynamicInstance,
     InfeasibleFlowError,
@@ -318,3 +319,65 @@ def test_dynamic_evaluator_matches_brute_force_oracle(
             assert _evaluated_dynamic(flow, inst) == brute_force_evaluate_dynamic(
                 flow, inst, catalog
             ), flow
+
+
+def _mixed_delays():
+    """Two routes s-u-t and two direct arcs; delays 0, 1 and 2, travel times 0 to 2."""
+    arcs = [
+        Arc("d0", "s", "u", 1, travel_time=1, delay=0),
+        Arc("d1", "s", "u", 2, travel_time=0, delay=1),
+        Arc("e0", "u", "t", 2, travel_time=0, delay=0),
+        Arc("e2", "u", "t", 1, travel_time=1, delay=2),
+        Arc("f1", "s", "t", 1, travel_time=1, delay=1),
+        Arc("g0", "s", "t", 1, travel_time=2, delay=0),
+    ]
+    return Network(("s", "u", "t"), arcs, "s", "t")
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 3, 6])
+def test_dynamic_evaluator_matches_the_oracle_on_zero_and_partial_delays(gamma):
+    # Zero-delay arcs never move a walk, and a flow that touches only some
+    # delayed arcs projects the scenarios onto those: both are walked once
+    # per distinct projection, and each scenario is labelled as its own.
+    inst = DynamicInstance(_mixed_delays(), 4, gamma)
+    catalog = enumerate_subpaths(inst.network)
+    path = {p.arcs: i for i, p in enumerate(catalog.st_paths)}
+    sub = {p.arcs: i for i, p in enumerate(catalog.subpaths)}
+    undelayed = {(path[("d0", "e0")], 1): Fraction(1), (path[("g0",)], 2): Fraction(1)}
+    flows = [
+        nominal_dynamic_max_flow(inst)[1],
+        *(solve_dynamic(inst, model)[0] for model in ("dam", "dpm", "dgm", "tr")),
+        DynamicFlow("path", undelayed),
+        DynamicFlow("path", {(path[("d1", "e0")], 1): Fraction(1), (path[("d1", "e0")], 3): Fraction(1, 2)}),
+        DynamicFlow("path", {**undelayed, (path[("f1",)], 3): Fraction(1)}),
+        DynamicFlow("subpath", {(sub[("d1",)], 1): Fraction(2), (sub[("e2",)], 1): Fraction(1)}),
+        DynamicFlow("subpath", {(sub[("d0",)], 1): Fraction(1), (sub[("e0",)], 2): Fraction(1)}),
+        DynamicFlow("arc", {("d0", 1): Fraction(1), ("e0", 2): Fraction(1), ("g0", 1): Fraction(1)}),
+        DynamicFlow("tr", {path[("d1", "e0")]: Fraction(1, 2), path[("g0",)]: Fraction(1)}),
+    ]
+    outcomes = []
+    for flow in flows:
+        expected = brute_force_evaluate_dynamic(flow, inst, catalog)
+        assert _evaluated_dynamic(flow, inst) == expected, flow
+        outcomes.append(expected[1] is not None)
+    assert all(outcomes[1:8])  # the nominal arc flow may break conservation
+    report = evaluate_dynamic(DynamicFlow("path", undelayed), inst)
+    assert report.minimizing_scenarios == tuple(s for s, _ in report.per_scenario_arrival)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 6])
+def test_dynamic_evaluator_matches_the_oracle_on_arc_flows_over_capacity(gamma):
+    # An arc flow's loads are checked once, under (), whatever the budget;
+    # its conservation lines still come once per violated scenario.
+    inst = DynamicInstance(_mixed_delays(), 4, gamma)
+    _, nominal = nominal_dynamic_max_flow(inst)
+    flows = [
+        DynamicFlow("arc", {key: value * 3 for key, value in nominal.values.items()}),
+        DynamicFlow("arc", {("d1", 1): Fraction(5, 2), ("e2", 1): Fraction(3), ("e0", 1): Fraction(1, 2)}),
+        DynamicFlow("arc", {("f1", 1): Fraction(2), ("f1", 3): Fraction(3, 2), ("g0", 2): Fraction(1)}),
+    ]
+    for flow in flows:
+        lines, report = brute_force_evaluate_dynamic(flow, inst)
+        assert report is None and any(line.startswith("capacity") for line in lines)
+        assert not any(line.startswith("capacity") and "scenario" in line for line in lines)
+        assert _evaluated_dynamic(flow, inst) == (lines, None), flow

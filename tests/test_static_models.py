@@ -44,6 +44,7 @@ from robustflow import (
 )
 
 from robustflow import static_models
+from robustflow.network import scenario_masks
 
 from _oracles import _line, brute_force_evaluate_static, full_family_lp
 
@@ -442,7 +443,123 @@ def test_evaluator_matches_brute_force_oracle_on_integer_arc_ids():
     scenarios = [scenario for _, _, scenario, _ in violations]
     assert {where for _, where, _, _ in violations} == {"u", "w"}
     assert scenarios.count((1, 3)) == 2
-    assert texts.call_count == len(set(scenarios)) < len(scenarios)
+    # The lines format every scenario once per call, in bulk, as _scenario_text does.
+    bulk = mock.Mock(wraps=static_models._scenario_texts)
+    with mock.patch.object(static_models, "_scenario_texts", bulk), pytest.raises(InfeasibleFlowError):
+        evaluate_static(flow, net, 3)
+    every = enumerate_scenarios([a.id for a in net.arcs], 3)
+    assert texts.call_count == 0 and bulk.call_count == 1 and len(set(scenarios)) < len(scenarios)
+    assert static_models._scenario_texts(net, 3) == list(map(static_models._scenario_text, every))
+
+
+def _mixed_ids():
+    """Two-hop with int and str arc ids, whose order puts 2 before 10 and a2 before a10."""
+    arcs = [Arc("a10", "s", "u", 2), Arc(2, "s", "u", 2), Arc("a2", "u", "t", 1), Arc(10, "u", "t", 1)]
+    return Network(("s", "u", "t"), arcs + [Arc("b", "s", "t", 1)], "s", "t")
+
+
+@pytest.mark.parametrize("net", [gen_two_hop(), _mixed_ids()], ids=["two-hop", "mixed-ids"])
+def test_worst_scenarios_add_arcs_off_the_routes_into_the_sink(net):
+    # One unit on path 1: each worst projection onto its two arcs has at most
+    # 2 arcs, so the worst scenarios up to Gamma arcs add off-route arcs to
+    # them, in scenario order (the oracle sweeps all scenarios).
+    catalog = enumerate_subpaths(net)
+    route = set(catalog.st_paths[1].arcs)
+    for gamma in (1, 2, 3, 4, len(net.arcs), len(net.arcs) + 1):
+        _, report = _matches_oracle(StaticFlow("path", {1: rat(1)}), net, catalog, gamma)
+        assert report["worst_loss"] == 1
+        assert max(map(len, report["worst_scenarios"])) == min(gamma, len(net.arcs))
+        assert bool({a for s in report["worst_scenarios"] for a in s} - route) == (gamma > 1)
+    # Path 1 and every one-arc path: a worst projection needs both routes.
+    values = {i: rat(1) for i, p in enumerate(catalog.st_paths) if len(p.arcs) == 1}
+    for gamma in (2, 3, 4):
+        _matches_oracle(StaticFlow("path", {**values, 1: rat(1)}), net, catalog, gamma)
+
+
+@pytest.mark.parametrize("gamma", [0, 1, 2, 5, 6])
+def test_every_scenario_is_worst_when_no_flow_reaches_the_sink(two_hop, gamma):
+    catalog = enumerate_subpaths(two_hop)
+    into_v = catalog.subpath_id(("a1",))
+    flows = [
+        StaticFlow("path", {}),
+        StaticFlow("arc", {}),
+        StaticFlow("arc", {"a1": rat(1)}),
+        StaticFlow("subpath", {into_v: rat(1)}),
+    ]
+    every = enumerate_scenarios([a.id for a in two_hop.arcs], gamma)
+    for flow in flows:
+        _, report = _matches_oracle(flow, two_hop, catalog, gamma)
+        assert (report["nominal_value"], report["worst_scenarios"]) == (0, every)
+
+
+@pytest.mark.parametrize("nodes, arcs, seed", [(5, 8, 2), (6, 10, 3)])
+def test_evaluator_matches_brute_force_oracle_on_flows_over_every_arc(nodes, arcs, seed):
+    # Every arc carries flow, so no arc is off the routes into the sink, and
+    # every interior node checks conservation over all its in-arcs.
+    net = gen_random("dag", nodes=nodes, arcs=arcs, max_cap=3, seed=seed)
+    catalog = enumerate_subpaths(net)
+    flows = [
+        StaticFlow("arc", {a.id: rat(1, 7) for a in net.arcs}),
+        StaticFlow("path", {i: rat(1, 50) for i in range(len(catalog.st_paths))}),
+        StaticFlow("subpath", {i: rat(1, 100) for i in range(len(catalog.subpaths))}),
+        StaticFlow("path", {i: rat(1) for i in range(len(catalog.st_paths))}),
+    ]
+    for flow in flows[:3]:
+        routes = catalog.st_paths if flow.kind == "path" else catalog.subpaths
+        covered = set(flow.values) if flow.kind == "arc" else {a for i in flow.values for a in routes[i].arcs}
+        assert covered == {a.id for a in net.arcs}
+    for gamma in (0, 1, 2, 3, len(net.arcs)):
+        for flow in flows:
+            _matches_oracle(flow, net, catalog, gamma)
+
+
+def test_evaluator_matches_brute_force_oracle_on_a_30_arc_dag_at_gamma_3():
+    # 4,526 scenarios; the flows touch a few of the 30 arcs each.
+    net = gen_random("dag", nodes=12, arcs=30, max_cap=3, seed=4)
+    assert len(net.arcs) == 30
+    catalog = enumerate_subpaths(net)
+    _, arc_flow, _ = nominal_max_flow(net)
+    arc_flow = {a: v for a, v in arc_flow.items() if v != 0}
+    pieces = path_decompose(arc_flow, net, net.source, net.sink)
+    st_index = {p.arcs: i for i, p in enumerate(catalog.st_paths)}
+    path_flow = {st_index[tuple(piece.arcs)]: val for piece, val in pieces}
+    flows = [
+        StaticFlow("arc", arc_flow),
+        StaticFlow("path", path_flow),
+        StaticFlow("path", {i: v / 2 for i, v in path_flow.items()}),
+        StaticFlow("subpath", {catalog.subpath_id(catalog.st_paths[i].arcs): v for i, v in path_flow.items()}),
+        StaticFlow("path", {}),
+    ]
+    outcomes = [_matches_oracle(flow, net, catalog, 3)[1] is not None for flow in flows]
+    assert outcomes == [False, True, True, True, True]
+
+
+def test_evaluator_matches_brute_force_oracle_with_int_arc_ids_on_every_kind():
+    # Int ids sort by value, so arc 10 comes after arc 9 in every scenario.
+    arcs = [Arc(i, "s", "u", 2) for i in (1, 10)] + [Arc(i, "u", "w", 1) for i in (2, 9)]
+    arcs += [Arc(3, "w", "t", 3), Arc(11, "u", "t", 1), Arc(4, "s", "t", 1)]
+    net = Network(("s", "u", "w", "t"), arcs, "s", "t")
+    catalog = enumerate_subpaths(net)
+    flows = [
+        StaticFlow("path", {i: rat(1, 2) for i in range(len(catalog.st_paths))}),
+        StaticFlow("path", {0: rat(1)}),
+        StaticFlow("subpath", {i: rat(1, 4) for i in range(len(catalog.subpaths))}),
+        StaticFlow("arc", {1: rat(1), 10: rat(1), 2: rat(1), 9: rat(1), 3: rat(2), 4: rat(1)}),
+    ]
+    for gamma in (0, 1, 2, 3, len(arcs)):
+        for flow in flows:
+            _matches_oracle(flow, net, catalog, gamma)
+
+
+@pytest.mark.parametrize("gamma", [True, -1])
+def test_evaluate_rejects_a_bad_budget_before_any_scenario(two_hop, gamma):
+    # The budget is checked before any scenario is looked at, for a feasible
+    # flow and for one whose capacity lines are already written.
+    message = f"gamma must be an integer >= 0, got {gamma!r}"
+    for flow in (StaticFlow("path", {1: rat(1)}), StaticFlow("path", {1: rat(5)})):
+        with pytest.raises(NetworkError, match=re.escape(message)) as err:
+            evaluate_static(flow, two_hop, gamma)
+        assert not isinstance(err.value, InfeasibleFlowError)
 
 
 @pytest.mark.parametrize(
@@ -474,7 +591,7 @@ def test_scenario_masks_align_with_scenario_tuples(net):
     # Every budget on the small networks; the 72-arc one has C(72, 3) = 59,640
     # scenarios of size 3 alone, so it stops at 2.
     for gamma in (0, 1, 2) if m > 64 else (0, 1, 2, m, m + 1):
-        scenarios, masks = static_models._scenarios(net, gamma)
+        scenarios, masks = scenario_masks(net, gamma)
         assert scenarios == enumerate_scenarios([a.id for a in net.arcs], gamma)
         expected = []
         for scenario in scenarios:
