@@ -54,7 +54,7 @@ from .instances import (
     split_capacities,
 )
 from .maxflow import nominal_max_flow
-from .network import GuardExceeded, Network, NetworkError, reachable, validate_network
+from .network import GuardExceeded, Network, NetworkError, reachable
 from .rational import rat
 from .serialize import (
     compare_to_csv,
@@ -234,39 +234,10 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _check_routes(routes, kind: str, net: Network) -> None:
-    """Check a flow file's ``routes``, route index -> arc list as ``solve``
-    writes it: each listed index must name the route with those arcs in
-    ``net.catalog``, so that a flow's indices mean the routes it was made on."""
-    if routes is None:
-        return
-    if kind == "arc":
-        raise NetworkError("an arc flow is keyed by arc id and has no 'routes'")
-    if not isinstance(routes, dict):
-        raise NetworkError(f"'routes' must be an object of route index -> arc list, got {routes!r}")
-    noun = "subpath" if kind == "subpath" else "path"
-    known = net.catalog.subpaths if kind == "subpath" else net.catalog.st_paths
-    for index, arcs in routes.items():
-        if not (
-            index.isdecimal()
-            and str(int(index)) == index
-            and isinstance(arcs, list)
-            and all(isinstance(a, (str, int)) and not isinstance(a, bool) for a in arcs)
-        ):
-            raise NetworkError(f"'routes' must map route indices to arc lists, got {index!r}: {arcs!r}")
-        i = int(index)
-        if i >= len(known):
-            raise NetworkError(f"routes[{index!r}]: the network has no {noun} {i}")
-        if tuple(arcs) != known[i].arcs:
-            raise NetworkError(
-                f"routes[{index!r}] is {arcs!r}, but {noun} {i} of the network is {list(known[i].arcs)!r}"
-            )
-
-
 def cmd_evaluate(args) -> int:
     instance = instance_from_json(_read_json(args.instance))
-    document = _read_json(args.flow)
-    flow = flow_from_json(document)
+    net = instance.network if isinstance(instance, DynamicInstance) else instance
+    flow = flow_from_json(_read_json(args.flow), net.catalog)
     if isinstance(instance, DynamicInstance) and not isinstance(flow, DynamicFlow):
         raise NetworkError("the instance is dynamic but the flow file is static (timed false)")
     if not isinstance(instance, DynamicInstance) and isinstance(flow, DynamicFlow):
@@ -274,8 +245,6 @@ def cmd_evaluate(args) -> int:
     if args.kind is not None and args.kind != flow.kind:
         raise NetworkError(f"flow kind {flow.kind!r} does not match {args.kind!r}")
     inst, gamma = _overridden(instance, args.gamma, args.horizon)
-    net = inst.network if isinstance(inst, DynamicInstance) else inst
-    _check_routes(document.get("routes"), flow.kind, net)
     if isinstance(inst, DynamicInstance):
         report = evaluate_dynamic(flow, inst)
     else:
@@ -296,7 +265,7 @@ def _drop_arc(net: Network, arc_id):
     arcs = [a for a in net.arcs if a.id != arc_id and a.tail in keep and a.head in keep]
     nodes = [v for v in net.nodes if v in keep]
     candidate = Network(nodes, arcs, net.source, net.sink, meta=dict(net.meta))
-    return candidate if validate_network(candidate).ok else None
+    return candidate if candidate.validation.ok else None
 
 
 def _minimize(net: Network, violated) -> Network:

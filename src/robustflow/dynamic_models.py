@@ -17,14 +17,21 @@ As in the static case, ``dpm`` and ``dam`` are ``dgm`` over whole
 source-sink paths and over single arcs, and ``tr`` is ``dpm`` whose
 departures from one path share one rate column.  One function writes every
 row of all four; ``dam``'s capacity rows are its rows for the empty scenario
-(a one-arc route has no arc upstream), without a scenario suffix.  Builders
-prune variables that can never reach the sink in time even without delays
-(``theta + travel + remaining distance > T``) and restrict scenario
-families to the positive-delay arcs that can actually shift a constraint;
-both transformations are exact: every restricted row is also a row of the
-full family, and the exhaustive evaluator re-checks each optimum.  Solving
-goes through the pipeline shared with the static models
-(:mod:`robustflow.model_lp`).
+(a one-arc route has no arc upstream), without a scenario suffix.
+
+Every timed builder gives each node v one time window, from the nominal
+travel times: ``first[v]`` is 1 plus the shortest time from the source to
+v, ``last[v]`` is T less the shortest time from v to the sink (one Dijkstra
+run each way).  Delays only make flow later, so no flow reaches v before
+``first[v]``, and flow at v after ``last[v]`` cannot reach the sink by T
+even undelayed; the builders make columns and rows only for times inside
+the windows.  They also restrict scenario families to the positive-delay
+arcs that can actually shift a constraint.  Both are exact: the columns
+left out are 0 at some optimum of the full LP (flow there either arrives
+too late or can only circulate before any flow from the source arrives),
+every restricted row is also a row of the full family, and the exhaustive
+evaluator re-checks each optimum.  Solving goes through the pipeline shared
+with the static models (:mod:`robustflow.model_lp`).
 
 The evaluator (:func:`evaluate_dynamic`) walks each flow entry's route once
 per distinct projection of the scenarios onto the positive-delay arcs of the
@@ -59,7 +66,6 @@ from .network import (
     flow_routes,
     route_index,
     scenario_masks,
-    validate_network,
 )
 from .rational import ZERO, common_denominator, rat
 from .static_models import InfeasibleFlowError, _intake, _line
@@ -75,7 +81,7 @@ class DynamicInstance:
 
 
 def validate_dynamic_instance(inst: DynamicInstance) -> ValidationReport:
-    return ValidationReport(validate_network(inst.network).violations + timing_violations(inst))
+    return ValidationReport(inst.network.validation.violations + timing_violations(inst))
 
 
 def timing_violations(inst: DynamicInstance) -> tuple:
@@ -124,20 +130,33 @@ def path_delay(net: Network, arcs, scenario) -> int:
     return sum(net.arc_by_id[a].delay for a in arcs if a in hit)
 
 
-def _dist_to_sink(net: Network) -> dict:
-    """Nominal shortest travel time from every node to the sink (Dijkstra)."""
-    dist = {net.sink: 0}
-    heap = [(0, net.sink)]
+def _shortest_times(net: Network, start: str, forward: bool) -> dict:
+    """Nominal shortest travel time from ``start`` to every node (to ``start``
+    from every node, if not ``forward``), by Dijkstra."""
+    dist = {start: 0}
+    order = itertools.count()  # breaks ties, so nodes are never compared
+    heap = [(0, next(order), start)]
     while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist.get(v, float("inf")):
+        d, _, v = heapq.heappop(heap)
+        if d > dist[v]:
             continue
-        for arc in net.in_arcs(v):
-            nd = d + arc.travel_time
-            if nd < dist.get(arc.tail, float("inf")):
-                dist[arc.tail] = nd
-                heapq.heappush(heap, (nd, arc.tail))
+        for arc in net.out_arcs(v) if forward else net.in_arcs(v):
+            w, nd = (arc.head if forward else arc.tail), d + arc.travel_time
+            if w not in dist or nd < dist[w]:
+                dist[w] = nd
+                heapq.heappush(heap, (nd, next(order), w))
     return dist
+
+
+def _windows(net: Network, horizon: int) -> tuple:
+    """``(first, last)``: each node's time window (module docstring).
+
+    Every node of a valid network is on a source-sink path, so both ends
+    are defined for each.
+    """
+    to_node = _shortest_times(net, net.source, forward=True)
+    to_sink = _shortest_times(net, net.sink, forward=False)
+    return {v: 1 + d for v, d in to_node.items()}, {v: horizon - d for v, d in to_sink.items()}
 
 
 def _check_instance(inst: DynamicInstance) -> None:
@@ -151,16 +170,20 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
 
     ``routes`` is called only after the instance is validated, so an invalid
     instance raises :class:`NetworkError` before any route is enumerated (or
-    guarded).  One column ``x[key,theta]`` per route and departure time inside
-    its window (kind ``tr``: one rate column ``x[key]`` per route, shared by
-    all its departures), and the arrival bound ``w`` as the objective.  It
-    writes four row families, in this order:
+    guarded).  A route departs in ``first[start] .. last[end] - travel``
+    (module docstring): no earlier, since no flow reaches its start node
+    before, and no later, since it could not reach the sink by T.  One column
+    ``x[key,theta]`` per route and departure time in that window (kind
+    ``tr``: one rate column ``x[key]`` per route, keyed on the first
+    departure of the window and shared by all its departures), and the
+    arrival bound ``w`` as the objective.  It writes four row families, in
+    this order:
 
     * ``arrive{S}``: each scenario S over the positive-delay arcs of the
       routes into the sink bounds ``w`` by their flow that still arrives by T;
     * ``cons[v,theta]{S}``: at each interior node v where routes start, each
       scenario S over the positive-delay arcs of the routes ending there keeps
-      the departures at each time within the arrivals then;
+      the departures at each time of v's window within the arrivals then;
     * ``cap[a,theta]{S}``: for each arc a and each scenario S over the
       positive-delay arcs strictly upstream of a on the routes through it, the
       departures that occupy a at each time step by T stay within its capacity;
@@ -175,25 +198,26 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
     """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
-    dist = _dist_to_sink(net)
+    first, last = _windows(net, T)
     # Per route with departures: its arc walk ((arc, travel time, delay), ...)
-    # and its departure window 1..window.
+    # and its departure window, a range of times.
     kept, walk, window = {}, {}, {}
     for i, route in routes().items():
         steps = tuple((a, net.arc_by_id[a].travel_time, net.arc_by_id[a].delay) for a in route.arcs)
         travel = sum(t for _, t, _ in steps)
-        last = T - travel - dist.get(route.end, T + 1)
-        if last > 0:
-            kept[i], walk[i], window[i] = route, steps, last
+        departures = range(first[route.start], last[route.end] - travel + 1)
+        if departures:
+            kept[i], walk[i], window[i] = route, steps, departures
     by_start, by_end, by_arc = route_index(kept)
     lp = LinearProgram()
     xs: dict = {}
     for i in kept:
-        for theta in range(1, window[i] + 1):
+        start = window[i].start
+        for theta in window[i]:
             if kind != "tr":
                 xs[(i, theta)] = lp.add_var(f"x[{i},{theta}]")
             else:
-                xs[(i, theta)] = xs[(i, 1)] if theta > 1 else lp.add_var(f"x[{i}]")
+                xs[(i, theta)] = xs[(i, start)] if theta > start else lp.add_var(f"x[{i}]")
     w = lp.add_var("arrival_bound")
     lp.set_objective({w: 1})
 
@@ -213,7 +237,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
     for scenario, shift in shifted({i: walk[i] for i in enders}):
         coeffs = {w: 1}
         for i in enders:
-            for theta in range(1, min(window[i], T - shift[i]) + 1):
+            for theta in range(window[i].start, min(window[i].stop, T - shift[i] + 1)):
                 col = xs[(i, theta)]
                 coeffs[col] = coeffs.get(col, 0) - 1
         lp.add_row(coeffs, "<=", 0, f"arrive{scenario_label(scenario)}")
@@ -223,7 +247,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
             continue
         ending = by_end.get(v, ())
         for scenario, shift in shifted({i: walk[i] for i in ending}):
-            for theta in range(1, T + 1):
+            for theta in range(first[v], last[v] + 1):
                 coeffs = {xs[(j, theta)]: 1 for j in starting if (j, theta) in xs}
                 if not coeffs:
                     continue
@@ -242,7 +266,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
             by_theta: dict = {}
             for i, offset in offsets.items():
                 # Flow departing at 0 on route i enters the arc at ``offset``.
-                for dep in range(1, min(window[i], T - offset) + 1):
+                for dep in range(window[i].start, min(window[i].stop, T - offset + 1)):
                     by_theta.setdefault(dep + offset, []).append(xs[(i, dep)])
             label = "" if kind == "arc" else scenario_label(scenario)
             for theta in sorted(by_theta):
@@ -253,7 +277,7 @@ def _timed_route_lp(inst: DynamicInstance, routes: Callable[[], Mapping], kind: 
     for (i, _), col in xs.items():
         if i in sink_set:
             nominal[col] = nominal.get(col, 0) + 1
-    flow_vars = {i: col for (i, theta), col in xs.items() if theta == 1} if kind == "tr" else xs
+    flow_vars = {i: xs[(i, window[i].start)] for i in kept} if kind == "tr" else xs
     return ModelBuild(lp, kind, flow_vars, w, nominal_coeffs=nominal)
 
 
@@ -281,15 +305,19 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
     """Polynomial-size equivalent of ``dam``: each worst case over the
     delayed arcs is replaced by its LP dual's bounding variables.
 
-    Columns: ``x[a,theta]``, the flow entering arc a at theta;
-    ``lam[a,theta]`` for each arc not into the sink; ``eta[v,theta]`` for
-    each interior node; ``mu``; ``nu[a]`` for each arc into the sink.  The
-    objective is the flow entering the arcs into the sink by T minus their
-    travel time, less ``gamma * mu`` and every ``nu``.  Rows, in this order:
+    Each node v has the window ``first[v] .. last[v]`` of the module
+    docstring.  Columns: ``x[a,theta]``, the flow entering arc a at theta,
+    for theta in ``first[tail] .. last[head] - travel``; ``lam[a,theta]`` for
+    each arc not into the sink and ``eta[v,theta]`` for each interior node,
+    for theta in the window of the arc's head and of v; ``mu``; ``nu[a]``
+    for each arc into the sink.  The objective is the flow entering the arcs
+    into the sink by T minus their travel time, less ``gamma * mu`` and
+    every ``nu``.  Rows, in this order:
 
-    * ``flow[v,theta]``: at each interior node v, the outflow at theta plus
-      ``gamma * eta[v,theta]`` and the ``lam[a,theta]`` of the arcs into v is
-      at most the inflow that arrives at theta undelayed;
+    * ``flow[v,theta]``: at each interior node v and time theta of its
+      window, the outflow at theta plus ``gamma * eta[v,theta]`` and the
+      ``lam[a,theta]`` of the arcs into v is at most the inflow that arrives
+      at theta undelayed;
     * ``shift[v,a,theta]``, after each node and time's ``flow`` row: the
       inflow at theta that delaying arc a into v takes away, less what it
       brings from earlier, is at most ``eta[v,theta] + lam[a,theta]``;
@@ -297,35 +325,48 @@ def build_dam_compact_lp(inst: DynamicInstance) -> ModelBuild:
       T is at most ``mu + nu[a]``;
     * ``cap[a,theta]``: ``x[a,theta]`` is within the arc's capacity.
 
-    A term of an entry time outside 1..T is left out.  Terms on one column
-    are summed, so with a zero delay, or a self-loop of travel time 0, the
-    two terms cancel and :meth:`LinearProgram.add_row` drops the 0.
+    A term of an entry time outside its arc's window has no column and is
+    left out.  That is exact.  Before ``first[v]``, flow can arrive at v
+    only from nodes before their own first time, so the ``flow`` rows force
+    all of it to 0, but for circulations that never leave those early
+    times; after ``last[v]``, nothing reaches the sink by T.  Setting all
+    those columns to 0 keeps every other row feasible and the objective the
+    same, since the objective's ``x`` columns all lie inside the windows.
+    Terms on one column are summed, so with a zero delay, or a self-loop of
+    travel time 0, the two terms cancel and :meth:`LinearProgram.add_row`
+    drops the 0.
     """
     _check_instance(inst)
     net, T, gamma = inst.network, inst.horizon, inst.gamma
-    times = range(1, T + 1)
+    first, last = _windows(net, T)
+    times = {v: range(first[v], last[v] + 1) for v in net.nodes}
     inner = [v for v in net.nodes if v not in (net.source, net.sink)]
     sink_in = net.in_arcs(net.sink)
     lp = LinearProgram()
-    xs = {(arc.id, theta): lp.add_var(f"x[{arc.id},{theta}]") for arc in net.arcs for theta in times}
+    xs = {
+        (arc.id, theta): lp.add_var(f"x[{arc.id},{theta}]")
+        for arc in net.arcs for theta in range(first[arc.tail], last[arc.head] - arc.travel_time + 1)
+    }
     lam = {
         (arc.id, theta): lp.add_var(f"lam[{arc.id},{theta}]")
-        for arc in net.arcs if arc.head != net.sink for theta in times
+        for arc in net.arcs if arc.head != net.sink for theta in times[arc.head]
     }
-    eta = {(v, theta): lp.add_var(f"eta[{v},{theta}]") for v in inner for theta in times}
+    eta = {(v, theta): lp.add_var(f"eta[{v},{theta}]") for v in inner for theta in times[v]}
     mu = lp.add_var("mu")
     nu = {arc.id: lp.add_var(f"nu[{arc.id}]") for arc in sink_in}
 
     def add(coeffs: dict, arc: Arc, theta: int, k: int) -> None:
-        """Add ``k * x[arc, theta]`` to ``coeffs`` when 1 <= theta <= T."""
-        if 1 <= theta <= T:
-            col = xs[(arc.id, theta)]
+        """Add ``k * x[arc, theta]`` to ``coeffs`` when that column exists."""
+        col = xs.get((arc.id, theta))
+        if col is not None:
             coeffs[col] = coeffs.get(col, 0) + k
 
-    nominal = {xs[(arc.id, theta)]: 1 for arc in sink_in for theta in range(1, T - arc.travel_time + 1)}
+    nominal = {
+        xs[(arc.id, theta)]: 1 for arc in sink_in for theta in range(first[arc.tail], T - arc.travel_time + 1)
+    }
     lp.set_objective({**nominal, **dict.fromkeys(nu.values(), -1), mu: -gamma})
     for v in inner:
-        for theta in times:
+        for theta in times[v]:
             coeffs = {eta[(v, theta)]: gamma}
             for arc in net.out_arcs(v):
                 add(coeffs, arc, theta, 1)

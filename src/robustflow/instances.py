@@ -15,12 +15,12 @@ import random
 from typing import Sequence
 
 from .dynamic_models import DynamicInstance, timing_violations
-from .network import Arc, Network, NetworkError, validate_network
+from .network import Arc, Network, NetworkError
 from .rational import ONE, rat
 
 
 def _checked(net: Network) -> Network:
-    report = validate_network(net)
+    report = net.validation
     if not report.ok:
         raise NetworkError("generator produced an invalid network: " + "; ".join(report.violations))
     return net

@@ -92,7 +92,8 @@ class Network:
     The constructor accepts any input, normalizes arc order and converts
     every capacity to a ``Fraction`` once (one that cannot be converted is
     kept as given, for :func:`validate_network` to report); use
-    :func:`validate_network` to check the structural invariants.
+    :func:`validate_network` to check the structural invariants, or
+    ``validation`` for the network's own report, kept after its first read.
     """
 
     def __init__(
@@ -124,6 +125,11 @@ class Network:
     def catalog(self) -> PathCatalog:
         """This network's routes; each route set is enumerated on its first read."""
         return enumerate_subpaths(self)
+
+    @functools.cached_property
+    def validation(self) -> ValidationReport:
+        """This network's :func:`validate_network` report, computed on first read."""
+        return validate_network(self)
 
     def out_arcs(self, v: str) -> tuple:
         return self._out.get(v, ())

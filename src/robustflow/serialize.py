@@ -18,7 +18,7 @@ from .dynamic_models import (
     DynamicRobustReport,
     timing_violations,
 )
-from .network import Arc, Network, NetworkError, PathCatalog, validate_network
+from .network import Arc, Network, NetworkError, PathCatalog
 from .model_lp import scenario_label
 from .rational import parse_rational, rat
 from .static_models import RobustReport, StaticFlow
@@ -127,7 +127,7 @@ def instance_from_json(data):
         raise NetworkError("provenance must be a JSON object")
     source, sink = _scalar(data["source"], "source"), _scalar(data["sink"], "sink")
     net = Network(nodes, arcs, source, sink, meta=meta)
-    violations = validate_network(net).violations
+    violations = net.validation.violations
     instance = net
     if not violations and "horizon" in data:
         instance = DynamicInstance(net, horizon=data["horizon"], gamma=data.get("gamma", 1))
@@ -159,7 +159,14 @@ def flow_to_json(flow, catalog: Optional[PathCatalog] = None) -> dict:
     return data
 
 
-def flow_from_json(data):
+def flow_from_json(data, catalog: Optional[PathCatalog] = None):
+    """Parse a flow document.
+
+    Given the ``catalog`` of the network the flow is for, also check the
+    document's ``routes``, route index -> arc list as :func:`flow_to_json`
+    writes it: each listed index must name the route with those arcs in
+    ``catalog``, so that the flow's indices mean the routes it was made on.
+    """
     if not isinstance(data, dict) or "kind" not in data or "entries" not in data:
         raise NetworkError("flow document needs 'kind' and 'entries'")
     kind = data["kind"]
@@ -180,7 +187,33 @@ def flow_from_json(data):
     kinds, make = (TIMED_KINDS, DynamicFlow) if timed else (STATIC_KINDS, StaticFlow)
     if kind not in kinds:
         raise NetworkError(f"unknown {'timed' if timed else 'static'} flow kind {kind!r}")
+    if catalog is not None and data.get("routes") is not None:
+        _check_routes(data["routes"], kind, catalog)
     return make(kind, values)
+
+
+def _check_routes(routes, kind: str, catalog: PathCatalog) -> None:
+    if kind == "arc":
+        raise NetworkError("an arc flow is keyed by arc id and has no 'routes'")
+    if not isinstance(routes, dict):
+        raise NetworkError(f"'routes' must be an object of route index -> arc list, got {routes!r}")
+    noun = "subpath" if kind == "subpath" else "path"
+    known = catalog.subpaths if kind == "subpath" else catalog.st_paths
+    for index, arcs in routes.items():
+        if not (
+            index.isdecimal()
+            and str(int(index)) == index
+            and isinstance(arcs, list)
+            and all(isinstance(a, (str, int)) and not isinstance(a, bool) for a in arcs)
+        ):
+            raise NetworkError(f"'routes' must map route indices to arc lists, got {index!r}: {arcs!r}")
+        i = int(index)
+        if i >= len(known):
+            raise NetworkError(f"routes[{index!r}]: the network has no {noun} {i}")
+        if tuple(arcs) != known[i].arcs:
+            raise NetworkError(
+                f"routes[{index!r}] is {arcs!r}, but {noun} {i} of the network is {list(known[i].arcs)!r}"
+            )
 
 
 def _scenarios_to_json(scenarios) -> list:

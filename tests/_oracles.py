@@ -4,11 +4,13 @@ Everything here is deliberately written with different algorithms and data
 structures than the library code: path enumeration is iterative instead of
 recursive, the min cut comes from node-partition enumeration instead of a
 max-flow run, the nominal dynamic value comes from an Edmonds-Karp solve of
-a freshly built time expansion, the subset-sum check is a DP bitset, the
-static evaluator re-sums every scenario instead of each distinct projection,
-the static LPs are built with every row family over all arcs, the dynamic
-evaluator re-walks every route for every scenario, and the optimum check
-sums each row as Fractions.
+a freshly built time expansion, the timed arc LP has a column for every
+entry time and every row for every scenario, the time windows come from
+Bellman-Ford relaxation instead of Dijkstra, the subset-sum check is a DP
+bitset, the static evaluator re-sums every scenario instead of each distinct
+projection, the static LPs are built with every row family over all arcs,
+the dynamic evaluator re-walks every route for every scenario, and the
+optimum check sums each row as Fractions.
 """
 
 from fractions import Fraction
@@ -172,6 +174,66 @@ def nominal_dynamic_value(inst):
             if arrive <= horizon:
                 arc_list.append((f"{arc.tail}@{theta}", f"{arc.head}@{arrive}", arc.capacity))
     return edmonds_karp(nodes, arc_list, "SRC", "SNK")
+
+
+def time_windows(inst):
+    """``(early, late)``: per node, 1 plus the shortest nominal time from the
+    source, and T less the shortest nominal time to the sink (Bellman-Ford:
+    every arc relaxed once per node)."""
+    net = inst.network
+    early = {v: float("inf") for v in net.nodes}
+    late = {v: float("-inf") for v in net.nodes}
+    early[net.source], late[net.sink] = 1, inst.horizon
+    for _ in net.nodes:
+        for a in net.arcs:
+            early[a.head] = min(early[a.head], early[a.tail] + a.travel_time)
+            late[a.tail] = max(late[a.tail], late[a.head] - a.travel_time)
+    return early, late
+
+
+def full_timed_arc_lp(inst):
+    """The ``dam`` LP with nothing left out: a column for every arc and entry
+    time 1..T, and every row for every scenario of at most Gamma arcs.
+
+    Column ``(arc, theta)`` is the flow entering the arc at theta, within its
+    capacity.  Under each scenario, a delayed arc takes its travel time plus
+    its delay; the arrival bound (the objective, the last column) is at most
+    the flow that reaches the sink by T, and at each interior node and time
+    the flow leaving is at most the flow arriving then (no waiting).
+    """
+    from robustflow import LinearProgram
+
+    net, horizon = inst.network, inst.horizon
+    times = range(1, horizon + 1)
+    ids = [a.id for a in net.arcs]
+    lp = LinearProgram()
+    x = {(a.id, theta): lp.add_var() for a in net.arcs for theta in times}
+    bound = lp.add_var()
+    lp.set_objective({bound: 1})
+    for size in range(min(inst.gamma, len(ids)) + 1):
+        for hit in map(set, combinations(ids, size)):
+            arrive = {}  # (node, time) -> the columns of the flow arriving there
+            for a in net.arcs:
+                late = a.delay if a.id in hit else 0
+                for theta in times:
+                    arrive.setdefault((a.head, theta + a.travel_time + late), []).append(x[(a.id, theta)])
+            row = {bound: 1}
+            for theta in times:
+                for col in arrive.get((net.sink, theta), []):
+                    row[col] = row.get(col, 0) - 1
+            lp.add_constraint(row, "<=", 0)
+            for v in net.nodes:
+                if v in (net.source, net.sink):
+                    continue
+                for theta in times:
+                    row = {x[(a.id, theta)]: 1 for a in net.arcs if a.tail == v}
+                    for col in arrive.get((v, theta), []):
+                        row[col] = row.get(col, 0) - 1
+                    lp.add_constraint(row, "<=", 0)
+    for a in net.arcs:
+        for theta in times:
+            lp.add_constraint({x[(a.id, theta)]: 1}, "<=", a.capacity)
+    return lp
 
 
 def subset_sum_half(values):

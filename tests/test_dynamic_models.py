@@ -1,5 +1,6 @@
 """Dynamic robust flow models: frozen optima, duals, evaluator, embedding."""
 
+import random
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -32,7 +33,8 @@ from robustflow import (
     validate_dynamic_instance,
 )
 
-from _oracles import brute_force_evaluate_dynamic, nominal_dynamic_value
+import robustflow.network as network
+from _oracles import brute_force_evaluate_dynamic, full_timed_arc_lp, nominal_dynamic_value, time_windows
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +122,107 @@ def test_dam_compact_equals_dam_on_random_instances():
         _, direct = solve_dynamic(inst, "dam")
         _, compact = solve_dynamic(inst, "dam-compact")
         assert direct.robust_value == compact.robust_value
+
+
+def _cyclic_timed(seed):
+    """A seeded general network, cycles allowed, with travel times and delays 0-2."""
+    net = gen_random("general", 5 + seed % 2, 9 + seed % 3, max_cap=3, seed=seed)
+    rng = random.Random(seed)
+    arcs = [replace(a, travel_time=rng.randint(0, 2), delay=rng.randint(0, 2)) for a in net.arcs]
+    timed = Network(net.nodes, arcs, net.source, net.sink)
+    return DynamicInstance(timed, horizon=3 + seed % 4, gamma=1 + seed % 2)
+
+
+def _zero_time_cycle(net) -> bool:
+    """True when arcs of travel time 0 close a cycle (a depth-first search for a back arc)."""
+    succ = {v: [a.head for a in net.arcs if a.tail == v and a.travel_time == 0] for v in net.nodes}
+    state = {}  # node -> "open" while on the search path, "done" after
+
+    def closes(v):
+        state[v] = "open"
+        for w in succ[v]:
+            if state.get(w) == "open" or (w not in state and closes(w)):
+                return True
+        state[v] = "done"
+        return False
+
+    return any(v not in state and closes(v) for v in net.nodes)
+
+
+def test_dam_compact_equals_dam_and_the_full_lp_on_cyclic_networks():
+    # Flow can circulate on a zero-time cycle before its nodes' first times,
+    # the edge case of the windows; the full LP (every entry time, every
+    # scenario) is the reference.
+    pytest.importorskip("scipy")
+    from test_lp import _highs
+
+    zero_cycles = positive = 0
+    for seed in range(24):
+        inst = _cyclic_timed(seed)
+        _, direct = solve_dynamic(inst, "dam")
+        _, compact = solve_dynamic(inst, "dam-compact")
+        status, full = _highs(full_timed_arc_lp(inst))
+        assert direct.robust_value == compact.robust_value, seed
+        assert status == "optimal" and abs(float(direct.robust_value) - full) <= 1e-6 * max(1.0, full), seed
+        zero_cycles += _zero_time_cycle(inst.network)
+        positive += direct.robust_value > 0
+    assert zero_cycles >= 5 and positive >= 12
+
+
+def test_dam_compact_returns_no_flow_that_cannot_arrive_by_the_horizon():
+    # The LP has no column for flow entering an arc before its tail can be
+    # reached, or too late to reach the sink by T, so no such entry is returned.
+    partitions = ((1, 1), (2, 2), (2, 4), (1, 1, 2), (2, 2, 2), (2, 2, 4), (1, 1, 1, 1), (2, 2, 2, 4))
+    instances = [gen_partition(values) for values in partitions]
+    instances += [
+        gen_random("dynamic", 6, 8, max_cap=3, max_tau=2, max_delay=2, horizon=6, gamma=2, seed=seed)
+        for seed in range(20)
+    ]
+    for inst in instances:
+        flow, _ = solve_dynamic(inst, "dam-compact")
+        early, late = time_windows(inst)
+        arcs = inst.network.arc_by_id
+        for a, theta in flow.values:
+            assert early[arcs[a].tail] <= theta <= late[arcs[a].head] - arcs[a].travel_time, (a, theta)
+
+
+def test_time_windows_do_not_compare_node_names():
+    # Nodes named by a number and by a string, at equal distances from the
+    # source: the windows' shortest-time searches never order the names.
+    arcs = [
+        Arc("a1", "s", 1, 1, travel_time=1, delay=1),
+        Arc("a2", "s", "u", 1, travel_time=1, delay=1),
+        Arc("a3", 1, "t", 1, travel_time=1),
+        Arc("a4", "u", "t", 1, travel_time=1),
+    ]
+    inst = DynamicInstance(Network(["s", 1, "u", "t"], arcs, "s", "t"), horizon=4, gamma=1)
+    entries = {"a1": (1, 2), "a2": (1, 2), "a3": (2, 3), "a4": (2, 3)}
+    expected = {(a, theta) for a, times in entries.items() for theta in times}
+    assert set(build_dam_compact_lp(inst).flow_vars) == expected
+    # Two paths of travel time 2 and capacity 1, departing at 1 and 2; one
+    # delay makes a departure at 2 arrive after T.
+    assert solve_dynamic(inst, "dpm")[1].robust_value == 3
+
+
+def test_each_network_is_validated_once(monkeypatch):
+    # The report is kept on the network: the builder validates it, and the
+    # evaluator and every later build only look the report up.
+    calls = []
+    honest = network.reachable
+
+    def counted(net, start, **kw):
+        calls.append(start)
+        return honest(net, start, **kw)
+
+    monkeypatch.setattr(network, "reachable", counted)
+    base = gen_ti_gap().network
+    assert calls == [base.source, base.sink]
+    inst = DynamicInstance(Network(base.nodes, base.arcs, base.source, base.sink), horizon=3, gamma=1)
+    solve_dynamic(inst, "dam-compact")
+    assert calls == [base.source, base.sink] * 2
+    solve_dynamic(inst, "dam")
+    evaluate_dynamic(DynamicFlow("arc", {}), DynamicInstance(inst.network, horizon=4, gamma=0))
+    assert calls == [base.source, base.sink] * 2
 
 
 def test_dynamic_orderings_on_random_instances():

@@ -42,7 +42,7 @@ from robustflow import (
 )
 from robustflow.lp import LpCheckError, _Simplex, _forced_zero, _verify, dump_lp, in_form
 
-from _oracles import row_by_row_verify
+from _oracles import row_by_row_verify, time_windows
 
 
 def test_small_max_lp():
@@ -318,8 +318,10 @@ def test_dump_lp_is_readable():
 # Vertices returned by Dantzig's rule, with its Bland fallback, on degenerate
 # model LPs, as recorded from the dense rational tableau: (LP, lexicographic?,
 # optimum, digest of the values).  The LPs at Gamma >= 2 have lazy loss rows;
-# their vertices were re-recorded then, with the same optima.  A change to the
-# pivot rule that changes the returned flow fails here.
+# their vertices were re-recorded then, with the same optima.  The
+# ``dam-compact`` vertex was re-recorded when the timed builders came to make
+# columns only inside each node's time window, with the same optimum.  A
+# change to the pivot rule that changes the returned flow fails here.
 def _bottleneck_lp(builder):
     net = gen_bottleneck(2, 2)
     return builder(net, enumerate_subpaths(net), 2)
@@ -341,7 +343,7 @@ GOLDEN = {
     "bottleneck(2,2) pm": (lambda: _bottleneck_lp(build_pm_lp), False, "4", "4897c468b68cdb9f"),
     "unit-dag 307 gm": (_unit_dag_gm_lp, False, "0", "54f9543d8c798592"),
     "partition(2,2,4) dam-compact": (
-        lambda: build_dam_compact_lp(gen_partition((2, 2, 4))), False, "0", "96009c799e69c10c"
+        lambda: build_dam_compact_lp(gen_partition((2, 2, 4))), False, "0", "b7702cf346752bfc"
     ),
     "por-static(2,6/5) gm lex": (lambda: _por_static_lp(build_gm_lp), True, "1/2", "3a7ca4473a6f44e2"),
     "por-static(2,6/5) pm lex": (lambda: _por_static_lp(build_pm_lp), True, "1/2", "db9199ccc5df3d96"),
@@ -366,7 +368,10 @@ def test_golden_vertices_of_degenerate_model_lps(name):
 
 # sha256 of ``dump_lp`` of every builder's LP, recorded before the builders
 # shared one pipeline: variables, objective, rows, their order and labels.
-# A change to any of them, including row order, fails here.
+# A change to any of them, including row order, fails here.  The partition
+# ``dgm``/``dam``/``dam-compact`` and ti-gap ``dam-compact`` digests were
+# re-recorded when the timed builders came to make columns and rows only
+# inside each node's time window.
 STATIC_NETS = {
     "bottleneck(1,2)": lambda: gen_bottleneck(1, 2),
     "por-static(2,6/5)": lambda: gen_por_static(2, rat(6, 5))[0],
@@ -428,17 +433,17 @@ LP_GOLDEN = {
     ("ti-gap", "dam", None):
         "971af20e3948fde6d1fcfefd96d9b85852e9e79d16f21805de66147d71bc5d3b",
     ("ti-gap", "dam-compact", None):
-        "45aa5d4828e68b216ad9c8c12a7e46b5aa9069428a77fdf175de9a4346bd1ae9",
+        "fd5585d0ac7e83c6bda4631b86e9bb07c79b60a61072ed3a505e1996114b9fc3",
     ("ti-gap", "tr", None):
         "721b71adb87d65069816103a57668b903f9d392be84f90831a62972658d6a615",
     ("partition(2,2,2)", "dpm", None):
         "5d0746f4d297b63a21342acb9435225ddbf19ab7d7d12de857904530feea6fa3",
     ("partition(2,2,2)", "dgm", None):
-        "c3e15da0a4746e35be55618a18738aa0d9af17f436112741329defa56b0842e2",
+        "1c824a08237f5c03016099968b3b150c1333faeab4bfa473c3325508b1bd45a4",
     ("partition(2,2,2)", "dam", None):
-        "6faabd4fd50a866698f922e4fa67a85b08344af5965d6d7c3359c1935d3c9549",
+        "a31e84bed2d2f41272c1df698f5d6636c276d18444872fda00dd1adc3fd6c423",
     ("partition(2,2,2)", "dam-compact", None):
-        "202361731f78f375a17232beb17769a7f476a9d535ba301a7df9d1662ec2edbc",
+        "6d8ef47f03a866edcb2b00d8f2f8927b68d841de9fef3921de45ce3c9437c8be",
     ("partition(2,2,2)", "tr", None):
         "0ba5de453852e452537aab6f592a357a753e0d2f338cc907ad23b58b57d6904e",
 }
@@ -461,8 +466,10 @@ def test_golden_model_lps(key):
 # ``LP_GOLDEN``: the structured families and seeded random graphs at budgets
 # 0-3, and ti-gap, the partitions, the scaled por-dynamic twins and the random
 # dynamic instances the timed benchmark solves.  Each LP's text is followed by
-# its kind, flow columns, arrival column and nominal objective.
-BROAD_DIGEST = "85f22719cea30bd496d0226045d44d30dd103caf98881928910f4fd08b61b0ac"
+# its kind, flow columns, arrival column and nominal objective.  Re-recorded
+# when the timed builders came to make columns only inside each node's time
+# window.
+BROAD_DIGEST = "32f71a8e7b3e402ef8175b4a29c9812fe76ba6c8977e4d18c67543b906376313"
 TIMED_PARTITIONS = {
     (1, 1): ("dpm", "dgm", "dam", "tr"),
     (2, 2): ("dpm", "dgm", "dam", "tr"),
@@ -515,6 +522,43 @@ def _broad_lps():
                 yield builder(inst, catalog)
 
 
+def test_timed_flow_columns_are_the_times_a_flow_can_use():
+    # A route departs only in first[start] .. last[end] - travel: after flow
+    # from the source can be at its start, and early enough to reach the
+    # sink by T.  Each timed builder has a flow column for exactly those
+    # departures (``tr``: one per route, counted by its nominal coefficient).
+    for inst, models in _broad_timed():
+        net = inst.network
+        early, late = time_windows(inst)
+        catalog = enumerate_subpaths(net)
+        tau = {a.id: a.travel_time for a in net.arcs}
+
+        def windows(routes):
+            return {i: range(early[p.start], late[p.end] - sum(map(tau.get, p.arcs)) + 1) for i, p in routes}
+
+        times = {
+            "dpm": windows(enumerate(catalog.st_paths)),
+            "dgm": windows(enumerate(catalog.subpaths)),
+            "dam": {a.id: range(early[a.tail], late[a.head] - a.travel_time + 1) for a in net.arcs},
+        }
+        builders = {"dpm": build_dpm_lp, "dgm": build_dgm_lp, "tr": build_tr_lp}
+        for model in models:
+            build = build_dam_lp(inst) if model == "dam" else builders[model](inst, catalog)
+            if model == "tr":
+                counts = {i: build.nominal_coeffs[col] for i, col in build.flow_vars.items()}
+                assert counts == {i: len(t) for i, t in times["dpm"].items() if t}
+            else:
+                assert set(build.flow_vars) == {(i, theta) for i, t in times[model].items() for theta in t}
+        compact = build_dam_compact_lp(inst)
+        assert set(compact.flow_vars) == {(a, theta) for a, t in times["dam"].items() for theta in t}
+        node_times = {v: range(early[v], late[v] + 1) for v in net.nodes}
+        inner = [v for v in net.nodes if v not in (net.source, net.sink)]
+        assert set(compact.aux["eta"]) == {(v, theta) for v in inner for theta in node_times[v]}
+        assert set(compact.aux["lam"]) == {
+            (a.id, theta) for a in net.arcs if a.head != net.sink for theta in node_times[a.head]
+        }
+
+
 def test_model_lps_start_at_zero():
     # Every model LP is in the simplex's form, so x = 0 is its starting vertex.
     builds = list(_broad_lps())
@@ -542,9 +586,10 @@ def test_broad_model_lp_digest():
 # solves them), ``dam-compact`` on its timed instances.  Each LP's ``dump_lp``
 # text is followed by its kind, flow columns, loss column, objective, nominal
 # objective and auxiliary columns, each dict in its insertion order.
+# ``DAM_COMPACT_DIGEST`` was re-recorded with the time windows.
 SPLIT_BASES = (502, 505, 506)
 GM1_DIGEST = "bdbfa569445d63d277dfa0ed1fbc819ef9c5c0466f6f050730e99d61220595ba"
-DAM_COMPACT_DIGEST = "d1593fc60867f07c89f0bb0357d085db36d6900bf9c074e4cf04aafcc34ee0cc"
+DAM_COMPACT_DIGEST = "e1eafe37028253637f2eea64172edbb356c6833b0709ab604cd29faaa5dd6aa3"
 
 
 def _compact_digest(builds) -> str:
@@ -594,9 +639,9 @@ def test_dam_compact_lp_digest():
 # One sha256 over ``repr((status, values, pivots))`` of the plain and then the
 # lexicographic solve of every LP of ``_broad_lps``, ``_gm1_lps`` and
 # ``_dam_compact_lps``, where ``pivots`` lists the ``(row, column)`` of each
-# pivot: 1,540 solves and 14,232 pivots, recorded before the tableau's row
-# intake was merged into one routine.
-PIVOT_DIGEST = "ee959eed60422de815fab7bc883b2ddd0dd0620bb194b48fe0dd90335174507d"
+# pivot: 1,540 solves and 14,230 pivots, re-recorded when the timed builders
+# came to make columns only inside each node's time window (14,232 before).
+PIVOT_DIGEST = "3f3194f010e1150b80f8300cf95bce4e365337a5789128426f4193ea4a2b2054"
 
 
 def test_model_lps_keep_their_pivot_sequence(monkeypatch):
@@ -848,8 +893,10 @@ def test_integer_verify_matches_row_by_row_oracle(lp, data):
 # A HiGHS point may break a row by up to HiGHS's primal feasibility tolerance,
 # 1e-7, so a column that the presolve proves is 0 may read that much there.
 ZERO_TOL = 1e-7
-# (LPs where the presolve fixes a column, columns fixed) over ``_broad_lps``.
-PRESOLVE_FIRES = (328, 4021)
+# (LPs where the presolve fixes a column, columns fixed) over ``_broad_lps``:
+# (328, 4021) before the timed builders left out the columns outside each
+# node's time window, which the presolve used to fix.
+PRESOLVE_FIRES = (328, 2796)
 
 
 def _check_presolve_against_highs(lp) -> list:

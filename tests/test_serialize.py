@@ -89,6 +89,21 @@ def test_static_flow_roundtrip_with_routes():
     assert dict(back.values) == {k: v for k, v in flow.values.items() if v != 0}
 
 
+def test_flow_from_json_checks_the_routes_against_a_catalog():
+    # The two-hop pm flow with the routes of paths 1 and 3 swapped: its
+    # indices no longer mean the routes it was made on.
+    net = gen_two_hop()
+    flow, _ = solve_static(net, "pm", 1)
+    data = flow_to_json(flow, net.catalog)
+    assert flow_from_json(data, net.catalog).kind == "path"
+    data["routes"]["1"], data["routes"]["3"] = data["routes"]["3"], data["routes"]["1"]
+    flow_from_json(data)  # without a catalog the map is not read
+    message = "routes['1'] is ['a2', 'a3'], but path 1 of the network is ['a1', 'a4']"
+    with pytest.raises(NetworkError) as caught:
+        flow_from_json(data, net.catalog)
+    assert str(caught.value) == message
+
+
 def test_timed_flow_roundtrip():
     inst = gen_ti_gap()
     flow, _ = solve_dynamic(inst, "dam")
